@@ -43,7 +43,6 @@ from .dynamics import (
     delta_alpha,
     equitable_k_coloring,
     find_improving_move,
-    improves,
     is_acceptable,
     make_move,
     select_separated_batch,

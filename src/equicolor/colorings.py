@@ -100,7 +100,13 @@ class PartialColoring:
         return list(self._assign)
 
     def copy(self) -> "PartialColoring":
-        return PartialColoring(self.n, self.k, self._assign)
+        # the source already satisfies every invariant __init__ would check
+        out = object.__new__(PartialColoring)
+        out.k = self.k
+        out._assign = list(self._assign)
+        out._counts = list(self._counts)
+        out._domain_size = self._domain_size
+        return out
 
     def restricted_to(self, vertices: Iterable[int]) -> "PartialColoring":
         keep = set(vertices)

@@ -219,13 +219,14 @@ class ConvergenceLedger:
         if self.a_param < 1:
             raise OutOfRange(f"A must be >= 1, got {self.a_param}")
         self.disc0 = Fraction(self.disc0)
+        self._bound = (1 + self.a_param) ** (self.k + 1) / self.a_param * self.disc0
 
     @classmethod
     def for_initial(cls, a_param, d0: ColorDistribution) -> "ConvergenceLedger":
         return cls(Fraction(a_param), d0.k, discrepancy(d0))
 
     def bound(self) -> Fraction:
-        return (1 + self.a_param) ** (self.k + 1) / self.a_param * self.disc0
+        return self._bound
 
     def record(
         self,
@@ -244,39 +245,47 @@ class ConvergenceLedger:
         if before.k != self.k or after.k != self.k:
             raise PaletteMismatch("ledger palette size mismatch")
         step_index = len(self.steps)
-        if not is_more_equitable(before, after, strict=False):
+        # every check runs on integer numerators over the common denominator
+        # before.total * after.total, which is n*n for a coloring's steps
+        denom = before.total * after.total
+        diffs = [
+            a * before.total - b * after.total
+            for b, a in zip(before.counts, after.counts)
+        ]
+        moved = sum(abs(d) for d in diffs)
+        gain_set = [c for c, d in enumerate(diffs) if d > 0]
+        # monotone: equal, or some growing color ends no larger than every
+        # shrinking color (the strict-witness test of is_more_equitable)
+        cap = min((after.counts[c] for c, d in enumerate(diffs) if d < 0), default=None)
+        if moved and not any(cap is None or after.counts[a] <= cap for a in gain_set):
             raise MonotonicityViolation(
                 f"step {step_index} is not monotone", step=(before, after)
             )
-        step_l1 = l1_distance(before, after)
-        if step_l1 == 0:
+        if moved == 0:
             self.steps.append(LedgerStep(Fraction(0), witness, Fraction(0)))
             return self
-        gain_set = d_plus(before, after)
         if witness is not None and witness not in gain_set:
             raise HypothesisViolation(
                 f"step {step_index}: witness {witness} does not gain mass",
                 step=(before, after),
             )
-        min_gain = min(after.value(a) - before.value(a) for a in gain_set)
-        if step_l1 > self.a_param * min_gain:
+        step_l1 = Fraction(moved, denom)
+        min_gain = min(diffs[a] for a in gain_set)
+        a_num, a_den = self.a_param.numerator, self.a_param.denominator
+        if moved * a_den > a_num * min_gain:
             raise HypothesisViolation(
                 f"step {step_index}: l1 step {step_l1} exceeds "
-                f"A * minimal gain {self.a_param * min_gain}",
+                f"A * minimal gain {self.a_param * Fraction(min_gain, denom)}",
                 step=(before, after),
             )
         self.cumulative += step_l1
-        if self.cumulative > self.bound():
+        if self.cumulative > self._bound:
             raise BoundViolation(
                 f"step {step_index}: cumulative {self.cumulative} exceeds "
-                f"budget {self.bound()}; the driver violated its contract",
+                f"budget {self._bound}; the driver violated its contract",
                 step=(before, after),
             )
-        gain = (
-            after.value(witness) - before.value(witness)
-            if witness is not None
-            else min_gain
-        )
+        gain = Fraction(min_gain if witness is None else diffs[witness], denom)
         prefix = None
         if debug_checks_enabled():
             sorted_after = rearranged(after)

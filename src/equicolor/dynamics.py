@@ -10,12 +10,21 @@ swaps that could cycle; it is exactly what keeps the class-size distribution
 monotone in the more-equitable order, so the convergence ledger's budget
 bounds the total movement and hence the number of steps.
 
-The fast path scans three structured move patterns (single vertex into a
+The move search scans three structured move patterns (single vertex into a
 minimum class, solo-neighbor pair, solo-neighbor triple with a spare color).
 If none applies while the class gap is at least 2, the driver escalates to
 exhaustive search over connected domains of growing size, then to restarts
 from fresh randomized greedy colorings, and finally reports a stall rather
 than guessing.
+
+The driver recolors one working coloring in place.  Every move it applies
+(serial steps, escalation moves, accepted batch prefixes) also updates an
+incremental pattern-1 index: per-vertex neighbor-color counts and one lazily
+pruned min-heap per (color alpha, class beta) of the beta-vertices with no
+alpha-neighbor.  Pattern-1 moves are always admissible, so the smallest
+valid heap top over minimum colors alpha and classes beta of size at least
+min + 2 is exactly the first move the pattern scan would return; the full
+scan runs only when the index has no candidate.
 """
 
 from __future__ import annotations
@@ -26,18 +35,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .colorings import PartialColoring, greedy_extend_full, is_proper, palette_size
-from .distributions import (
-    ColorDistribution,
-    ConvergenceLedger,
-    discrepancy,
-    d_plus as dist_d_plus,
-    is_more_equitable,
-    l1_distance,
-)
+from .distributions import ColorDistribution, ConvergenceLedger, is_more_equitable
 from .errors import (
     ImproperSeed,
     NotSeparated,
@@ -89,10 +92,19 @@ def make_move(g: Graph, assignments: dict[int, int]) -> RecoloringMove:
     return RecoloringMove(tuple((v, assignments[v]) for v in dom))
 
 
+def _assign_move(f: PartialColoring, move: RecoloringMove) -> list[int]:
+    """Apply the move to f in place; return the vertices whose color changed."""
+    recolored = []
+    for v, c in move.assignments:
+        if f.get(v) != c:
+            f.assign(v, c)
+            recolored.append(v)
+    return recolored
+
+
 def apply_move(f: PartialColoring, move: RecoloringMove) -> PartialColoring:
     out = f.copy()
-    for v, c in move.assignments:
-        out.assign(v, c)
+    _assign_move(out, move)
     return out
 
 
@@ -113,14 +125,15 @@ def move_deltas(f: PartialColoring, move: RecoloringMove) -> list[int]:
     return out
 
 
-def d_plus(f: PartialColoring, move: RecoloringMove) -> frozenset[int]:
+def _signature(
+    f: PartialColoring, move: RecoloringMove
+) -> tuple[frozenset[int], frozenset[int]]:
+    """(growing, shrinking) color sets of the move with respect to f."""
     deltas = move_deltas(f, move)
-    return frozenset(a for a in range(f.k) if deltas[a] > 0)
-
-
-def d_minus(f: PartialColoring, move: RecoloringMove) -> frozenset[int]:
-    deltas = move_deltas(f, move)
-    return frozenset(a for a in range(f.k) if deltas[a] < 0)
+    return (
+        frozenset(a for a, d in enumerate(deltas) if d > 0),
+        frozenset(a for a, d in enumerate(deltas) if d < 0),
+    )
 
 
 def is_acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
@@ -134,28 +147,6 @@ def is_acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
             if new.get(w, f.get(w)) == c:
                 return False
     return True
-
-
-def improves(g: Graph, f: PartialColoring, move: RecoloringMove) -> Optional[int]:
-    """Witness color for the improvement predicate, if any.
-
-    A witness is a strictly growing class whose current count is strictly
-    below every strictly shrinking class.  Among valid witnesses the one
-    with minimum count (ties: smallest color) is returned.
-    """
-    if not is_acceptable(g, f, move):
-        return None
-    deltas = move_deltas(f, move)
-    counts = f.counts()
-    losing = [b for b in range(f.k) if deltas[b] < 0]
-    cap = min(counts[b] for b in losing) if losing else None
-    witnesses = [
-        a for a in range(f.k)
-        if deltas[a] > 0 and (cap is None or counts[a] < cap)
-    ]
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda a: (counts[a], a))
 
 
 def admissible_witness(g: Graph, f: PartialColoring, move: RecoloringMove) -> Optional[int]:
@@ -187,7 +178,6 @@ class MovePolicy:
     """Search policy for a single move lookup."""
 
     m: int = 3                 # domain size cap
-    patterns_first: bool = True
 
 
 def _solo_targets(g: Graph, f: PartialColoring, y: int, min_colors: set[int]) -> list[int]:
@@ -326,7 +316,7 @@ def find_improving_move(
     exists."""
     if not f.is_total():
         raise ImproperSeed("move search requires a total coloring")
-    if policy.patterns_first and policy.m >= 1:
+    if policy.m >= 1:
         for move in _pattern_moves(g, f):
             if move.size <= policy.m and admissible_witness(g, f, move) is not None:
                 return move
@@ -360,7 +350,7 @@ def select_separated_batch(
     """
     if not candidates:
         return Batch((), frozenset(), frozenset(), 0)
-    sig = (d_plus(f, candidates[0]), d_minus(f, candidates[0]))
+    sig = _signature(f, candidates[0])
     if not sig[0] or not sig[1]:
         raise SignatureMismatch(
             "batch signature needs nonempty growing and shrinking color sets"
@@ -369,7 +359,7 @@ def select_separated_batch(
     kept: list[RecoloringMove] = []
     blocked: set[int] = set()
     for mv in candidates:
-        if (d_plus(f, mv), d_minus(f, mv)) != sig:
+        if _signature(f, mv) != sig:
             raise SignatureMismatch("candidates do not share one signature")
         dom = mv.domain
         if any(v in blocked for v in dom):
@@ -394,37 +384,45 @@ def _check_batch(g: Graph, f: PartialColoring, batch: Batch) -> None:
         seen.update(mv.domain)
 
 
-def apply_monotone_prefix(
-    g: Graph, f: PartialColoring, batch: Batch
-) -> tuple[PartialColoring, int]:
-    """Apply the longest batch prefix whose result stays weakly more
-    equitable than f's distribution; return the new coloring and the prefix
-    length."""
+def _apply_monotone_prefix(
+    g: Graph, f: PartialColoring, batch: Batch, apply: Callable[[RecoloringMove], list[int]]
+) -> tuple[int, list[int]]:
+    """In place: apply, through `apply`, the longest batch prefix whose result
+    stays weakly more equitable than f's distribution; return the prefix
+    length and the sorted recolored vertices."""
     _check_batch(g, f, batch)
     if not batch.moves:
-        return f.copy(), 0
+        return 0, []
     base = ColorDistribution.from_coloring(f)
-    counts = list(f.counts())
+    before = f.counts()
+    counts = list(before)
     best = 0
     for t, mv in enumerate(batch.moves, start=1):
         for c, d in enumerate(move_deltas(f, mv)):
             counts[c] += d
         if is_more_equitable(base, ColorDistribution(counts), strict=False):
             best = t
-    out = f.copy()
+    recolored: list[int] = []
     for mv in batch.moves[:best]:
-        for v, c in mv.assignments:
-            out.assign(v, c)
-    after = ColorDistribution.from_coloring(out)
-    l1 = l1_distance(base, after)
-    changed = sum(
-        1 for v in range(g.n) if out.get(v) != f.get(v)
-    )
+        recolored += apply(mv)
+    # both bounds in units of 1/n: l1 = moved/n, each gain = delta/n
+    moved = sum(abs(a - b) for a, b in zip(f.counts(), before))
     m = batch.m if batch.m else 1
-    assert Fraction(changed, g.n) <= m * l1, "distance bound violated"
-    for alpha in dist_d_plus(base, after):
-        gain = after.value(alpha) - base.value(alpha)
-        assert l1 <= 2 * m * gain, "l1-vs-gain bound violated"
+    assert len(recolored) <= m * moved, "distance bound violated"
+    for a, b in zip(f.counts(), before):
+        if a > b:
+            assert moved <= 2 * m * (a - b), "l1-vs-gain bound violated"
+    return best, sorted(recolored)
+
+
+def apply_monotone_prefix(
+    g: Graph, f: PartialColoring, batch: Batch
+) -> tuple[PartialColoring, int]:
+    """Apply the longest batch prefix whose result stays weakly more
+    equitable than f's distribution; return the new coloring and the prefix
+    length."""
+    out = f.copy()
+    best, _ = _apply_monotone_prefix(g, out, batch, lambda mv: _assign_move(out, mv))
     return out, best
 
 
@@ -510,8 +508,86 @@ class DynamicsTrace:
         return buf.getvalue()
 
 
-def _distribution(f: PartialColoring) -> ColorDistribution:
-    return ColorDistribution.from_coloring(f)
+class _Pattern1Index:
+    """Pattern-1 candidates of a total coloring that is only ever changed
+    through `apply`.
+
+    `nbr[x*k + c]` counts the neighbors of x colored c.  `heaps[alpha][beta]`
+    holds every vertex x with f(x) = beta and no neighbor colored alpha,
+    plus stale entries that are dropped when they reach the top.
+    """
+
+    def __init__(self, g: Graph, f: PartialColoring):
+        self.g, self.f, self.k = g, f, f.k
+        k = f.k
+        self.nbr = [0] * (g.n * k)
+        for v in range(g.n):
+            for w in g.adjacency(v):
+                self.nbr[v * k + f.get(w)] += 1
+        self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
+        for v in range(g.n):
+            self._push(v)
+
+    def _push(self, v: int) -> None:
+        beta, base, nbr = self.f.get(v), v * self.k, self.nbr
+        for alpha in range(self.k):
+            if alpha != beta and nbr[base + alpha] == 0:
+                heappush(self.heaps[alpha][beta], v)
+
+    def apply(self, move: RecoloringMove) -> list[int]:
+        """Apply the move to the coloring in place; return the recolored
+        vertices."""
+        f, nbr, k = self.f, self.nbr, self.k
+        recolored: list[int] = []
+        emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
+        for v, c in move.assignments:
+            old = f.get(v)
+            if old == c:
+                continue
+            f.assign(v, c)
+            recolored.append(v)
+            for w in self.g.adjacency(v):
+                nbr[w * k + c] += 1
+                nbr[w * k + old] -= 1
+                if nbr[w * k + old] == 0:
+                    emptied.append((w, old))
+        for v in recolored:
+            self._push(v)
+        for w, c in emptied:
+            beta = f.get(w)
+            if c != beta and nbr[w * k + c] == 0:
+                heappush(self.heaps[c][beta], w)
+        return recolored
+
+    def first_move(self) -> Optional[RecoloringMove]:
+        """The first pattern-1 move of the scan order: smallest vertex x in a
+        class of size >= min + 2, then the smallest minimum color absent
+        from its neighborhood."""
+        f, nbr, k = self.f, self.nbr, self.k
+        counts = f.counts()
+        a = min(counts)
+        big = [beta for beta in range(k) if counts[beta] >= a + 2]
+        best: Optional[tuple[int, int]] = None
+        for alpha in range(k):
+            if counts[alpha] != a:
+                continue
+            for beta in big:
+                heap = self.heaps[alpha][beta]
+                while heap:
+                    x = heap[0]
+                    if f.get(x) == beta and nbr[x * k + alpha] == 0:
+                        if best is None or x < best[0]:
+                            best = (x, alpha)
+                        break
+                    heappop(heap)
+        return None if best is None else RecoloringMove((best,))
+
+
+def _first_pattern1_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove]:
+    """First pattern-1 move of a full rescan (pattern 1 is scanned first and
+    is the only pattern with single-vertex moves)."""
+    move = next(iter(_pattern_moves(g, f)), None)
+    return move if move is not None and move.size == 1 else None
 
 
 def _gather_signature_batch(
@@ -523,8 +599,7 @@ def _gather_signature_batch(
     for move in _pattern_moves(g, f):
         if admissible_witness(g, f, move) is None:
             continue
-        sig = (d_plus(f, move), d_minus(f, move))
-        groups.setdefault(sig, []).append(move)
+        groups.setdefault(_signature(f, move), []).append(move)
         if sum(len(v) for v in groups.values()) >= cap:
             break
     if not groups:
@@ -556,8 +631,8 @@ def equitable_k_coloring(
             raise ImproperSeed("initial coloring is not proper")
         if f0.k != size:
             raise ImproperSeed(f"initial coloring uses palette {f0.k}, expected {size}")
-        f = f0 if f0.is_total() else greedy_extend_full(g, size, f0)
-        f = f.copy()
+        # the driver recolors in place, so a total seed is copied once
+        f = f0.copy() if f0.is_total() else greedy_extend_full(g, size, f0)
     else:
         f = greedy_extend_full(g, size)
     if g.n == 0:
@@ -565,17 +640,21 @@ def equitable_k_coloring(
         trace.ledgers.append(ConvergenceLedger(Fraction(config.a_param), size, Fraction(0)))
         return f, trace
 
-    trace = DynamicsTrace(g.n, size, f.counts())
+    n = g.n
+    trace = DynamicsTrace(n, size, f.counts())
     a_param = Fraction(config.a_param)
     debug = debug_checks_enabled()
 
-    start = f.copy()
-    dist = _distribution(f)
+    # f is the one working coloring: every move below is applied in place
+    # through index.apply
+    start_colors = f.as_list()
+    dist = ColorDistribution.from_coloring(f)
     ledger = ConvergenceLedger.for_initial(a_param, dist)
     trace.ledgers.append(ledger)
+    index = _Pattern1Index(g, f)
     # each applied step moves at least one vertex between classes, so its
     # l1 step is at least 2/n and the ledger budget caps the step count
-    step_cap = ledger.bound() * g.n / 2
+    step_cap = ledger.bound() * n / 2
     attempt = 0
     steps_in_segment = 0
 
@@ -590,74 +669,81 @@ def equitable_k_coloring(
         if config.batch_mode:
             batch = _gather_signature_batch(g, f)
             if batch is not None and batch.size > 0:
-                new_f, t = apply_monotone_prefix(g, f, batch)
+                t, changed = _apply_monotone_prefix(g, f, batch, index.apply)
                 if t > 0:
-                    new_dist = _distribution(new_f)
-                    witnesses = sorted(
-                        dist_d_plus(dist, new_dist),
-                        key=lambda c: (new_f.counts()[c], c),
+                    counts = f.counts()
+                    witness = min(
+                        (c for c in range(size) if counts[c] > dist.counts[c]),
+                        key=lambda c: (counts[c], c), default=None,
                     )
-                    witness = witnesses[0] if witnesses else None
+                    new_dist = ColorDistribution(counts, n)
                     ledger.record(dist, new_dist, witness)
-                    changed = [v for v in range(g.n) if new_f.get(v) != f.get(v)]
                     trace.records.append(TraceRecord(
                         "batch", len(trace.records), tuple(changed),
-                        tuple(new_f.get(v) for v in changed), witness,
-                        new_f.counts(), l1_distance(dist, new_dist),
-                        ledger.cumulative,
+                        tuple(f.get(v) for v in changed), witness,
+                        counts, ledger.steps[-1].l1, ledger.cumulative,
                     ))
-                    f, dist = new_f, new_dist
+                    dist = new_dist
                     steps_in_segment += 1
                     applied = True
         if not applied:
-            move = find_improving_move(g, f, MovePolicy(m=3))
-            if move is None:
-                for m in range(4, config.m_max + 1):
-                    move = _exhaustive_move(g, f, m, ledger_a=config.a_param)
-                    if move is not None:
-                        break
-            if move is None:
-                attempt += 1
-                if attempt > config.retries:
-                    raise Stalled(
-                        f"no admissible move up to size {config.m_max} after "
-                        f"{config.retries} restarts",
-                        coloring=f, gap=f.gap(),
-                    )
-                order = list(range(g.n))
-                random.Random(config.seed * 1_000_003 + attempt).shuffle(order)
-                f = greedy_extend_full(g, size, order=order)
-                start = f.copy()
-                dist = _distribution(f)
-                ledger = ConvergenceLedger.for_initial(a_param, dist)
-                trace.ledgers.append(ledger)
-                step_cap = ledger.bound() * g.n / 2
-                steps_in_segment = 0
-                trace.records.append(TraceRecord(
-                    "restart", len(trace.records), (), (), None,
-                    f.counts(), Fraction(0), Fraction(0),
-                ))
-                continue
-            witness = admissible_witness(g, f, move)
-            new_f = apply_move(f, move)
-            new_dist = _distribution(new_f)
+            move = index.first_move()
+            if debug:
+                assert move == _first_pattern1_move(g, f), "pattern-1 index out of date"
+            if move is not None:
+                # a pattern-1 move is admissible with its target color as witness
+                witness = move.assignments[0][1]
+                if debug:
+                    assert witness == admissible_witness(g, f, move)
+            else:
+                move = find_improving_move(g, f, MovePolicy(m=3))
+                if move is None:
+                    for m in range(4, config.m_max + 1):
+                        move = _exhaustive_move(g, f, m, ledger_a=config.a_param)
+                        if move is not None:
+                            break
+                if move is None:
+                    attempt += 1
+                    if attempt > config.retries:
+                        raise Stalled(
+                            f"no admissible move up to size {config.m_max} after "
+                            f"{config.retries} restarts",
+                            coloring=f, gap=f.gap(),
+                        )
+                    order = list(range(n))
+                    random.Random(config.seed * 1_000_003 + attempt).shuffle(order)
+                    f = greedy_extend_full(g, size, order=order)
+                    start_colors = f.as_list()
+                    dist = ColorDistribution.from_coloring(f)
+                    ledger = ConvergenceLedger.for_initial(a_param, dist)
+                    trace.ledgers.append(ledger)
+                    index = _Pattern1Index(g, f)
+                    step_cap = ledger.bound() * n / 2
+                    steps_in_segment = 0
+                    trace.records.append(TraceRecord(
+                        "restart", len(trace.records), (), (), None,
+                        f.counts(), Fraction(0), Fraction(0),
+                    ))
+                    continue
+                witness = admissible_witness(g, f, move)
+            index.apply(move)
+            new_dist = ColorDistribution(f.counts(), n)
             ledger.record(dist, new_dist, witness)
             if debug:
-                assert is_proper(g, new_f), "applied move broke properness"
+                assert is_proper(g, f), "applied move broke properness"
                 assert is_more_equitable(dist, new_dist, strict=True)
             trace.records.append(TraceRecord(
                 "move", len(trace.records), move.domain,
                 tuple(c for _, c in move.assignments), witness,
-                new_f.counts(), l1_distance(dist, new_dist), ledger.cumulative,
+                new_dist.counts, ledger.steps[-1].l1, ledger.cumulative,
             ))
-            f, dist = new_f, new_dist
+            dist = new_dist
             steps_in_segment += 1
 
     assert f.is_total() and f.gap() <= 1
     # stability: recolored fraction within the guaranteed budget of the
-    # (possibly restarted) segment start
-    changed = sum(1 for v in range(g.n) if f.get(v) != start.get(v))
-    start_disc = discrepancy(_distribution(start))
-    budget = Fraction((1 + config.a_param) ** (size + 1), 2) * start_disc
-    assert Fraction(changed, g.n) <= budget, "stability bound violated"
+    # (possibly restarted) segment start, whose discrepancy is the ledger's disc0
+    changed = sum(1 for v in range(n) if f.get(v) != start_colors[v])
+    budget = Fraction((1 + config.a_param) ** (size + 1), 2) * ledger.disc0
+    assert Fraction(changed, n) <= budget, "stability bound violated"
     return f, trace

@@ -228,3 +228,25 @@ def test_ledger_json_round_trip():
     assert data["A"] == "6" and data["k"] == 2
     assert len(data["steps"]) == 1
     assert data["steps"][0]["witness"] == 1
+
+
+def test_ledger_unequal_totals_exact():
+    led = ConvergenceLedger(Fraction(10), 3, Fraction(1, 2))
+    # (5,2,1)/8 -> (4,3,3)/10: changes -9/40, +2/40, +7/40
+    led.record(ColorDistribution((5, 2, 1)), ColorDistribution((4, 3, 3)), witness=2)
+    # (2,1,1)/4 -> (5,5,6)/16: changes -3/16, +1/16, +2/16; no witness, so
+    # the gain is the smallest one
+    led.record(ColorDistribution((2, 1, 1)), ColorDistribution((5, 5, 6)))
+    first, second = led.steps
+    assert (first.l1, first.gain) == (Fraction(9, 20), Fraction(7, 40))
+    assert (second.l1, second.gain) == (Fraction(3, 8), Fraction(1, 16))
+    assert led.cumulative == Fraction(9, 20) + Fraction(3, 8) == Fraction(33, 40)
+    assert led.bound() == Fraction(11 ** 4, 20)
+    # the same first step breaks the A-times-minimal-gain hypothesis at A = 6
+    # (9/20 > 6 * 1/20), and an overshoot across totals is not monotone
+    with pytest.raises(HypothesisViolation):
+        ConvergenceLedger(Fraction(6), 3, Fraction(1, 2)).record(
+            ColorDistribution((5, 2, 1)), ColorDistribution((4, 3, 3)))
+    with pytest.raises(MonotonicityViolation):
+        ConvergenceLedger(Fraction(6), 2, Fraction(1, 2)).record(
+            ColorDistribution((1, 1)), ColorDistribution((3, 1)))

@@ -14,14 +14,19 @@ from equicolor import (
     delta_alpha,
     equitable_k_coloring,
     find_improving_move,
-    improves,
     is_acceptable,
     is_proper,
     make_move,
     select_separated_batch,
 )
 from equicolor.distributions import ColorDistribution, discrepancy
-from equicolor.dynamics import Batch, admissible_witness, _connected_domains
+from equicolor.dynamics import (
+    Batch,
+    _connected_domains,
+    _first_pattern1_move,
+    _Pattern1Index,
+    admissible_witness,
+)
 from equicolor.errors import (
     OutOfRange,
     PaletteTooSmall,
@@ -78,20 +83,24 @@ def test_acceptability():
     assert is_acceptable(g, f3, move)
 
 
-def test_improves_witness_choice():
+def test_admissible_witness_choice():
     g = build_graph(4, [])
     f = PartialColoring(4, 2, [1, 1, 1, 0])
     move = make_move(g, {0: 0})
-    assert improves(g, f, move) == 0
+    assert admissible_witness(g, f, move) == 0
     f2 = PartialColoring(4, 2, [1, 1, 0, 0])
-    assert improves(g, f2, make_move(g, {0: 0})) is None
+    assert admissible_witness(g, f2, make_move(g, {0: 0})) is None
+    # overshoot: class 0 starts below the shrinking class 1, but (1,2) -> (2,1)
+    # ends above it, so the bare improvement test would accept witness 0
+    g3 = build_graph(3, [])
+    f3 = PartialColoring(3, 2, [0, 1, 1])
+    assert admissible_witness(g3, f3, make_move(g3, {1: 0})) is None
 
 
 def test_admissible_rejects_overshoot_swap():
     g = build_graph(11, [])
     f = PartialColoring(11, 2, [0] * 5 + [1] * 6)
     move = make_move(g, {5: 0})  # counts (5,6) -> (6,5): a pure swap
-    assert improves(g, f, move) == 0
     assert admissible_witness(g, f, move) is None
     f2 = PartialColoring(11, 2, [0] * 4 + [1] * 7)
     move2 = make_move(g, {4: 0})  # (4,7) -> (5,6) stays monotone
@@ -306,3 +315,45 @@ def test_driver_every_step_monotone_and_ledgered():
         assert is_more_equitable(prev, cur, strict=False)
         assert l1_distance(prev, cur) == rec.l1
         prev = cur
+
+
+def test_pattern1_index_tracks_arbitrary_moves():
+    # random proper recolorings of 1-3 vertices, admissible or not: after
+    # each one the index agrees with a full rescan
+    rng = random.Random(7)
+    for trial in range(30):
+        g = random_graph(25, 0.15, trial)
+        k = g.max_degree + 1 + trial % 3
+        f = PartialColoring(g.n, k)
+        for v in range(g.n):
+            f.assign(v, rng.choice(
+                [c for c in range(k) if all(f.get(w) != c for w in g.adjacency(v))]
+            ))
+        index = _Pattern1Index(g, f)
+        for _ in range(60):
+            v = rng.randrange(g.n)
+            dom = [v] + rng.sample(g.adjacency(v), min(g.degree(v), rng.randint(0, 2)))
+            colors = [rng.randrange(k) for _ in dom]
+            move = make_move(g, dict(zip(dom, colors)))
+            if not is_acceptable(g, f, move):
+                continue
+            expected = [u for u, c in move.assignments if f.get(u) != c]
+            assert index.apply(move) == expected
+            assert is_proper(g, f)
+            assert index.first_move() == _first_pattern1_move(g, f)
+
+
+def test_driver_debug_asserts_index_against_rescan(monkeypatch):
+    runs = []
+    for debug in ("", "1"):
+        monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", debug)
+        for seed in range(6):
+            g = random_graph(50, 0.08, seed)
+            k = g.max_degree + 1 + seed % 3
+            for batch in (False, True):
+                f, trace = equitable_k_coloring(
+                    g, k, config=DriverConfig(batch_mode=batch)
+                )
+                runs.append((f.as_list(), trace.to_jsonl()))
+    # the debug checks observe the run without changing it
+    assert runs[:len(runs) // 2] == runs[len(runs) // 2:]

@@ -2,15 +2,20 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equicolor import (
     ColorDistribution,
+    DriverConfig,
+    MovePolicy,
     PartialColoring,
+    RecoloringMove,
     build_graph,
     components,
     equitable_k_coloring,
+    find_improving_move,
+    greedy_extend_full,
     greedy_maximal,
     is_more_equitable,
     is_proper,
@@ -21,6 +26,8 @@ from equicolor.colorings import ListAssignment
 from equicolor.distributions import d_minus, d_plus
 from equicolor.dynamics import admissible_witness, apply_move, make_move
 from equicolor.graphs import block_decomposition
+
+from conftest import random_graph
 
 
 @st.composite
@@ -162,3 +169,32 @@ def test_admissible_moves_strictly_improve(g, seed):
                 ColorDistribution.from_coloring(new),
                 strict=True,
             )
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.sampled_from([0.05, 0.1, 0.2, 0.35]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 2, 4]),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_driver_moves_match_stateless_search(n, p, seed, extra, batch):
+    # replay the trace from the greedy start: every small serial move is the
+    # one the stateless search picks on the replayed coloring
+    g = random_graph(n, p, seed)
+    k = g.max_degree + extra
+    f, trace = equitable_k_coloring(g, k, config=DriverConfig(batch_mode=batch))
+    # a restart re-seeds from a shuffled greedy order; the size <= 3
+    # patterns have never left a run without a move, so none is expected
+    assume(trace.restarts == 0)
+    replay = greedy_extend_full(g, k)
+    assert replay.counts() == trace.initial_counts
+    for rec in trace.records:
+        if rec.kind == "move" and len(rec.vertices) <= 3:
+            move = find_improving_move(g, replay, MovePolicy(m=3))
+            assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
+        for v, c in zip(rec.vertices, rec.new_colors):
+            replay.assign(v, c)
+        assert replay.counts() == rec.counts
+    assert replay == f
