@@ -210,14 +210,22 @@ def greedy_maximal(
     """
     _check_seed(g, lists, seed)
     out = seed.copy()
-    for v in (range(g.n) if order is None else order):
-        if out.is_assigned(v):
+    _greedy_fill(g, lists, out, range(g.n) if order is None else order)
+    return out
+
+
+def _greedy_fill(
+    g: Graph, lists: ListAssignment, f: PartialColoring, vertices: Iterable[int]
+) -> None:
+    """In place: each uncolored vertex, in the given order, takes its
+    smallest list color absent from its neighbors."""
+    for v in vertices:
+        if f.is_assigned(v):
             continue
-        taken = {out.get(w) for w in g.adjacency(v)}
+        taken = {f.get(w) for w in g.adjacency(v)}
         free = [c for c in lists[v] if c not in taken]
         if free:
-            out.assign(v, min(free))
-    return out
+            f.assign(v, min(free))
 
 
 def greedy_extend_full(

@@ -17,11 +17,12 @@ then reduces to a single 2-connected block which is solved by one of:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .colorings import (
     ListAssignment,
     PartialColoring,
+    _greedy_fill,
     dominates,
     greedy_maximal,
     is_proper,
@@ -85,12 +86,14 @@ def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
         raise OutOfRange(f"pivot {inst.pivot} outside range")
 
 
-def _first_postorder_leaf(g: Graph, root: int) -> int:
-    """First vertex finished by a DFS from root: a spanning-tree leaf
-    distinct from the root (the root always finishes last)."""
-    n = g.n
-    seen = [False] * n
+def _postorder(g: Graph, root: int) -> list[int]:
+    """Vertices in the order a DFS from root finishes them; the root comes
+    last.  Deleting the first of them leaves the rest of that DFS unchanged,
+    so this is also the order of repeatedly peeling the first-finished
+    vertex."""
+    seen = [False] * g.n
     seen[root] = True
+    order: list[int] = []
     stack = [(root, 0)]
     while stack:
         v, i = stack.pop()
@@ -104,8 +107,8 @@ def _first_postorder_leaf(g: Graph, root: int) -> int:
                 stack.append((w, 0))
                 break
         else:
-            return v
-    raise AssertionError("DFS finished without emitting a vertex")
+            order.append(v)
+    return order
 
 
 def _all_but_one(
@@ -118,48 +121,37 @@ def _all_but_one(
     the maximalized coloring leaves z uncolored, z's neighbors hold each of
     z's list colors exactly once, so z can take the color of its smallest
     neighbor y while y is uncolored; counts are unchanged and the recursion
-    proceeds on the smaller graph with y now playing z's former role.
+    proceeds on the smaller graph with y now playing z's former role.  A
+    peeled vertex keeps its color, which blocks its neighbors as deleting
+    that color from their lists would, so one coloring serves every round;
+    the next round re-maximalizes only y and its uncolored neighbors.
     """
-    k = seed.k
-    work_g, work_lists, work_seed = g, lists, seed.copy()
-    idmap = list(range(g.n))
-    pivot_w = pivot
-    attached: list[tuple[int, int]] = []
+    f = seed.copy()
+    deleted = [False] * g.n
+    pending: Iterable[int] = range(g.n)
     debug = debug_checks_enabled()
 
-    while work_g.n > 1:
-        work_seed = greedy_maximal(work_g, work_lists, work_seed)
-        z = _first_postorder_leaf(work_g, pivot_w)
-        if not work_seed.is_assigned(z):
+    for z in _postorder(g, pivot)[:-1]:
+        prev = f.copy() if debug else f
+        _greedy_fill(g, lists, f, pending)
+        if debug:
+            assert f == greedy_maximal(g, lists, prev), "pending fill missed a vertex"
+        pending = ()
+        if not f.is_assigned(z):
             # maximality: all neighbors colored, each list color exactly once
-            y = min(work_g.adjacency(z))
-            cy = work_seed.get(y)
+            y = min(w for w in g.adjacency(z) if not deleted[w])
+            cy = f.get(y)
             assert cy is not None, "uncolored vertex with uncolored neighbor in maximal coloring"
             if debug:
-                assert cy in work_lists[z]
-                assert sum(1 for w in work_g.adjacency(z) if work_seed.get(w) == cy) == 1
-            work_seed.unassign(y)
-            work_seed.assign(z, cy)
-        cz = work_seed.get(z)
-        attached.append((idmap[z], cz))
-        keep = [v for v in range(work_g.n) if v != z]
-        new_lists = tuple(
-            work_lists[v] - {cz} if work_g.has_edge(v, z) else work_lists[v]
-            for v in keep
-        )
-        sub, _ = work_g.induced_subgraph(keep)
-        work_seed = PartialColoring(sub.n, k, [work_seed.get(v) for v in keep])
-        work_lists = ListAssignment(new_lists)
-        idmap = [idmap[v] for v in keep]
-        pivot_w = keep.index(pivot_w)
-        work_g = sub
-
-    out = PartialColoring(g.n, k)
-    if work_g.n == 1 and work_seed.is_assigned(0):
-        out.assign(idmap[0], work_seed.get(0))
-    for v, c in attached:
-        out.assign(v, c)
-    return out
+                assert cy in lists[z]
+                assert sum(1 for w in g.adjacency(z) if f.get(w) == cy) == 1
+            f.unassign(y)
+            f.assign(z, cy)
+            pending = sorted([y] + [
+                w for w in g.adjacency(y) if not f.is_assigned(w)
+            ])
+        deleted[z] = True
+    return f
 
 
 def color_all_but_one(inst: DominationInstance) -> PartialColoring:

@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 from .colorings import (
     ListAssignment,
     PartialColoring,
+    _greedy_fill,
     dominates,
     greedy_maximal,
     is_proper,
@@ -29,6 +30,7 @@ from .domination import DominationInstance, dominating_full_coloring
 from .errors import (
     ComponentMissesAnchor,
     ImproperSeed,
+    OutOfRange,
     PaletteTooSmall,
     RegularGallaiComponent,
     debug_checks_enabled,
@@ -48,9 +50,6 @@ class OneEndedForest:
     anchors: frozenset[int]
     parent: dict[int, int]          # defined exactly on non-anchor vertices
     heights: tuple[int, ...]
-
-    def stratum(self, h: int) -> list[int]:
-        return [v for v, hv in enumerate(self.heights) if hv == h]
 
     def max_height(self) -> int:
         return max(self.heights, default=0)
@@ -117,12 +116,14 @@ def forest_recolor(
     """Proper partial coloring covering every non-anchor vertex and
     dominating the seed, together with the witness map.
 
-    Sweeps strata by height.  At each stage the coloring is first greedily
-    maximalized; an uncolored stratum vertex then has exactly one neighbor
-    of every color (this needs palette size >= max degree), so it can take
-    its parent's color while the parent is uncolored.  The witness map sends
-    each vertex that kept its seed color to itself and every other vertex to
-    its parent; its image over a class covers the seed's class.
+    Sweeps strata by height on one working coloring.  At each stage the
+    coloring is first greedily maximalized (after stage 0 only the parents
+    that lost their color and their uncolored neighbors can be colorable);
+    an uncolored stratum vertex then has exactly one neighbor of every color
+    (this needs palette size >= max degree), so it can take its parent's
+    color while the parent is uncolored.  The witness map sends each vertex
+    that kept its seed color to itself and every other vertex to its parent;
+    its image over a class covers the seed's class.
     """
     ksize = palette_size(k)
     if ksize < g.max_degree:
@@ -131,59 +132,61 @@ def forest_recolor(
         )
     if seed.n != g.n or seed.k != ksize:
         raise ImproperSeed("seed shape mismatch")
+    if len(forest.heights) != g.n:
+        raise OutOfRange(f"forest covers {len(forest.heights)} vertices, graph has {g.n}")
     if not is_proper(g, seed):
         raise ImproperSeed("seed not proper")
 
     lists = ListAssignment.uniform(g.n, ksize)
     debug = debug_checks_enabled()
+    strata: list[list[int]] = [[] for _ in range(forest.max_height() + 1)]
+    for v, hv in enumerate(forest.heights):
+        if v not in forest.anchors:
+            strata[hv].append(v)
     f = seed.copy()
-    changed = [False] * g.n
+    stolen = [False] * g.n
+    frontier: Iterable[int] = range(g.n)
 
-    def note_changes(cur: PartialColoring) -> None:
-        for v in range(g.n):
-            if seed.is_assigned(v) and cur.get(v) != seed.get(v):
-                changed[v] = True
-
-    for stage in range(forest.max_height() + 1):
-        fprime = greedy_maximal(g, lists, f)
-        stealers = [
-            x for x in forest.stratum(stage)
-            if x not in forest.anchors and not fprime.is_assigned(x)
-        ]
-        new_f = fprime.copy()
+    for stage, stratum in enumerate(strata):
+        prev = f.copy() if debug else f
+        _greedy_fill(g, lists, f, frontier)
+        stealers = {x: f.get(forest.parent[x]) for x in stratum if not f.is_assigned(x)}
+        if debug:
+            assert f == greedy_maximal(g, lists, prev), "frontier fill missed a vertex"
+            for x, c in stealers.items():
+                assert sum(1 for w in g.adjacency(x) if f.get(w) == c) == 1, \
+                    "parent must be the unique neighbor with its color"
         stolen_from = {forest.parent[x] for x in stealers}
         for p in stolen_from:
-            new_f.unassign(p)
-        for x in stealers:
-            c = fprime.get(forest.parent[x])
+            f.unassign(p)
+            stolen[p] = True
+        for x, c in stealers.items():
             assert c is not None, "maximal coloring left an uncolored neighbor"
-            if debug:
-                assert sum(1 for w in g.adjacency(x) if fprime.get(w) == c) == 1, \
-                    "parent must be the unique neighbor with its color"
-            new_f.assign(x, c)
+            f.assign(x, c)
+        frontier = sorted(stolen_from.union(
+            w for p in stolen_from for w in g.adjacency(p) if not f.is_assigned(w)
+        ))
         if debug:
-            assert is_proper(g, new_f)
+            assert is_proper(g, f)
             for v in range(g.n):
-                if forest.heights[v] < stage and f.is_assigned(v):
-                    assert new_f.get(v) == f.get(v), "settled strata must not change"
+                if forest.heights[v] < stage and prev.is_assigned(v):
+                    assert f.get(v) == prev.get(v), "settled strata must not change"
                 if forest.heights[v] < stage + 1 and v not in forest.anchors:
-                    assert new_f.is_assigned(v), "swept strata must be covered"
+                    assert f.is_assigned(v), "swept strata must be covered"
             for alpha in range(ksize):
                 left = [
                     y for y in range(g.n)
-                    if f.get(y) == alpha and new_f.get(y) != alpha
+                    if prev.get(y) == alpha and f.get(y) != alpha
                 ]
                 for y in left:
                     assert any(
-                        forest.parent.get(x) == y and new_f.get(x) == alpha
+                        forest.parent.get(x) == y and f.get(x) == alpha
                         and forest.heights[x] == stage
                         for x in stealers
                     ), "a leaving color needs an entering child"
-        f = new_f
-        note_changes(f)
 
     psi = {
-        v: v if (v in forest.anchors or (seed.is_assigned(v) and not changed[v]))
+        v: v if (v in forest.anchors or (seed.is_assigned(v) and not stolen[v]))
         else forest.parent[v]
         for v in range(g.n)
     }
@@ -199,25 +202,21 @@ def forest_recolor(
     return f, psi
 
 
-def _component_anchors(g: Graph, comp: list[int], ksize: int) -> Optional[frozenset[int]]:
-    """Anchor set for one component: its low-degree vertices when any exist,
-    else the vertex set of a block that is neither a clique nor an odd
-    cycle; None when the component is regular of full degree and a Gallai
-    tree (no guarantee exists there)."""
-    low = frozenset(v for v in comp if g.degree(v) < ksize)
-    if low:
-        return low
-    if is_gallai_tree(g, comp):
-        return None
-    comp_set = set(comp)
-    dec = block_decomposition(g)
-    candidates = [
-        b for b in dec.blocks
-        if b <= comp_set
-        and not _block_is_clique(g, b)
-        and not _block_is_odd_cycle(g, b)
-    ]
-    return min(candidates, key=min)
+def _anchor_blocks(g: Graph, comps: list[list[int]]) -> list[frozenset[int]]:
+    """For each given component, the first block in decomposition order
+    with the least minimum vertex among its blocks that are neither a
+    clique nor an odd cycle.  One decomposition serves every component."""
+    if not comps:
+        return []
+    index = {v: i for i, comp in enumerate(comps) for v in comp}
+    best: list[Optional[frozenset[int]]] = [None] * len(comps)
+    for b in block_decomposition(g).blocks:
+        i = index.get(min(b))
+        if i is None or _block_is_clique(g, b) or _block_is_odd_cycle(g, b):
+            continue
+        if best[i] is None or min(b) < min(best[i]):
+            best[i] = b
+    return best
 
 
 def dominating_delta_coloring(
@@ -249,19 +248,15 @@ def dominating_delta_coloring(
     if g.n == 0:
         return seed.copy()
 
-    comps = components(g)
-    anchors: set[int] = set()
-    block_anchored: list[frozenset[int]] = []
-    for comp in comps:
-        a = _component_anchors(g, comp, ksize)
-        if a is None:
+    full = [comp for comp in components(g) if min(map(g.degree, comp)) == ksize]
+    for comp in full:
+        if is_gallai_tree(g, comp):
             raise RegularGallaiComponent(
                 f"component {comp} is {ksize}-regular and a Gallai tree",
                 component=tuple(comp),
             )
-        anchors.update(a)
-        if not any(g.degree(v) < ksize for v in comp):
-            block_anchored.append(a)
+    block_anchored = _anchor_blocks(g, full)
+    anchors = {v for v in range(g.n) if g.degree(v) < ksize}.union(*block_anchored)
 
     forest = build_one_ended_subforest(g, anchors)
     f1, _ = forest_recolor(g, forest, seed, ksize)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from equicolor import ListAssignment, PartialColoring, build_graph
+from equicolor import ListAssignment, PartialColoring, build_graph, greedy_extend_full
 
 
 def path(n):
@@ -64,6 +64,15 @@ def random_degree_lists(g, rng, extra_max=2, spread=2):
         rng.sample(range(top), min(top, g.degree(v) + rng.randint(0, extra_max)))
         for v in range(g.n)
     ])
+
+
+def tight_seed(g):
+    """Greedy (max degree + 1)-coloring with its largest class removed
+    (ties: the smallest color), relabelled onto max degree colors."""
+    k = g.max_degree
+    full = greedy_extend_full(g, k + 1).as_list()
+    drop = max(range(k + 1), key=lambda c: (full.count(c), -c))
+    return PartialColoring(g.n, k, [None if c == drop else c - (c > drop) for c in full])
 
 
 @pytest.fixture

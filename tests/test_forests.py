@@ -9,18 +9,31 @@ from equicolor import (
     dominates,
     dominating_delta_coloring,
     forest_recolor,
+    components,
     is_proper,
 )
 from equicolor.errors import (
     ComponentMissesAnchor,
     ImproperSeed,
+    OutOfRange,
     PaletteTooSmall,
     RegularGallaiComponent,
 )
+from equicolor.forests import _anchor_blocks
+from equicolor.graphs import _block_is_clique, _block_is_odd_cycle, block_decomposition
 from equicolor.oracle import domination_exists
 from equicolor.colorings import ListAssignment
 
-from conftest import complete, cycle, path, petersen, random_graph, star
+from conftest import (
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    petersen,
+    random_graph,
+    star,
+    tight_seed,
+)
 
 
 def test_forest_p3():
@@ -138,6 +151,14 @@ def test_forest_recolor_rejects_bad_seed():
                        PartialColoring(4, 2), 2)
 
 
+def test_forest_recolor_rejects_forest_of_another_graph():
+    g = path(4)
+    for other in (path(5), path(3)):
+        forest = build_one_ended_subforest(other, {0})
+        with pytest.raises(OutOfRange):
+            forest_recolor(g, forest, PartialColoring(4, 2), 2)
+
+
 def test_delta_coloring_tree():
     g = path(5)
     seed = PartialColoring(5, 2, [0, None, None, None, None])
@@ -207,3 +228,35 @@ def test_delta_coloring_oracle_agreement_small():
 def _budget():
     from equicolor.oracle import OracleBudget
     return OracleBudget(max_vertices=10, max_palette=8)
+
+
+def test_delta_coloring_disjoint_regular_components():
+    # two K_{3,3} and the 3-cube: every component is 3-regular and not a
+    # Gallai tree, so each is anchored at a block from one decomposition
+    cube = [(a, b) for a in range(8) for b in range(a + 1, 8)
+            if bin(a ^ b).count("1") == 1]
+    k33 = complete_bipartite(3, 3).edges()
+    edges = k33 + [(u + 6, v + 6) for u, v in k33] + [(u + 12, v + 12) for u, v in cube]
+    g = build_graph(20, edges)
+    seed = tight_seed(g)
+    f = dominating_delta_coloring(g, seed, 3)
+    assert f.is_total() and is_proper(g, f)
+    assert dominates(f, seed, range(3))
+
+
+def test_anchor_block_ties_keep_decomposition_order():
+    # 4-regular: two copies of K5 minus an edge, whose ends both join the
+    # cut vertex 0, so both blocks have least vertex 0 and the first block
+    # of the decomposition is the anchor
+    edges = []
+    for base in (1, 6):
+        five = range(base, base + 5)
+        edges += [(a, b) for a in five for b in five if a < b and (a, b) != (base, base + 1)]
+        edges += [(0, base), (0, base + 1)]
+    g = build_graph(11, edges)
+    blocks = [
+        b for b in block_decomposition(g).blocks
+        if not _block_is_clique(g, b) and not _block_is_odd_cycle(g, b)
+    ]
+    assert len(blocks) == 2 and min(blocks[0]) == min(blocks[1]) == 0
+    assert _anchor_blocks(g, components(g)) == [blocks[0]]
