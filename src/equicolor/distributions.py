@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BoundViolation,
@@ -88,16 +88,17 @@ def _check_same_palette(d1: ColorDistribution, d2: ColorDistribution) -> None:
 
 def l1_distance(d1: ColorDistribution, d2: ColorDistribution) -> Fraction:
     _check_same_palette(d1, d2)
-    return sum(
-        (abs(Fraction(a, d1.total) - Fraction(b, d2.total))
-         for a, b in zip(d1.counts, d2.counts)),
-        Fraction(0),
+    # one Fraction over the common denominator d1.total * d2.total
+    return Fraction(
+        sum(abs(a * d2.total - b * d1.total) for a, b in zip(d1.counts, d2.counts)),
+        d1.total * d2.total,
     )
 
 
 def rearranged(d: ColorDistribution) -> tuple[Fraction, ...]:
     """The distribution's values sorted nondecreasingly."""
-    return tuple(sorted(d.values()))
+    # sorting the counts sorts the values: they share one positive total
+    return tuple(Fraction(c, d.total) for c in sorted(d.counts))
 
 
 def d_plus(omega: ColorDistribution, eta: ColorDistribution) -> frozenset[int]:
@@ -116,15 +117,27 @@ def d_minus(omega: ColorDistribution, eta: ColorDistribution) -> frozenset[int]:
     )
 
 
+def witness_colors(diffs: Sequence[int], after: Sequence[int]) -> list[int]:
+    """Colors that gain mass and end with a count no larger than every color
+    that loses mass, in increasing order.
+
+    `diffs[c]` is color c's change of mass under any common positive scale
+    and `after[c]` its count afterwards.  A step is strictly more equitable
+    exactly when this list is nonempty, and weakly when it is nonempty or no
+    color's mass changes.
+    """
+    cap = min((a for a, d in zip(after, diffs) if d < 0), default=None)
+    return [
+        c for c, (a, d) in enumerate(zip(after, diffs))
+        if d > 0 and (cap is None or a <= cap)
+    ]
+
+
 def _strict_witnesses(omega: ColorDistribution, eta: ColorDistribution) -> list[int]:
     """Colors a gaining mass with eta(a) <= eta(b) for every losing color b."""
-    gain = d_plus(omega, eta)
-    lose = d_minus(omega, eta)
-    if not gain:
-        return []
-    cap = min(eta.counts[b] for b in lose) if lose else None
-    return sorted(
-        a for a in gain if cap is None or eta.counts[a] <= cap
+    return witness_colors(
+        [b * omega.total - a * eta.total for a, b in zip(omega.counts, eta.counts)],
+        eta.counts,
     )
 
 
@@ -254,10 +267,8 @@ class ConvergenceLedger:
         ]
         moved = sum(abs(d) for d in diffs)
         gain_set = [c for c, d in enumerate(diffs) if d > 0]
-        # monotone: equal, or some growing color ends no larger than every
-        # shrinking color (the strict-witness test of is_more_equitable)
-        cap = min((after.counts[c] for c, d in enumerate(diffs) if d < 0), default=None)
-        if moved and not any(cap is None or after.counts[a] <= cap for a in gain_set):
+        # monotone: unchanged, or with a witness color (is_more_equitable)
+        if moved and not witness_colors(diffs, after.counts):
             raise MonotonicityViolation(
                 f"step {step_index} is not monotone", step=(before, after)
             )

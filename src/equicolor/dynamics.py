@@ -23,8 +23,12 @@ incremental pattern-1 index: per-vertex neighbor-color counts and one lazily
 pruned min-heap per (color alpha, class beta) of the beta-vertices with no
 alpha-neighbor.  Pattern-1 moves are always admissible, so the smallest
 valid heap top over minimum colors alpha and classes beta of size at least
-min + 2 is exactly the first move the pattern scan would return; the full
-scan runs only when the index has no candidate.
+min + 2 is exactly the first move the pattern scan would return, and a
+merge of those heaps yields the first moves in scan order.  A serial step
+takes the first move; a batch takes up to BATCH_CANDIDATES of them and
+groups them by signature.  The rescan runs only for patterns 2 and 3: for a
+serial step when the index has no candidate, for a batch when the index
+has fewer than BATCH_CANDIDATES.
 """
 
 from __future__ import annotations
@@ -35,12 +39,17 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappop, heappush
-from itertools import combinations, product
-from typing import Callable, Iterable, Optional, Sequence
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain, combinations, islice, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .colorings import PartialColoring, greedy_extend_full, is_proper, palette_size
-from .distributions import ColorDistribution, ConvergenceLedger, is_more_equitable
+from .distributions import (
+    ColorDistribution,
+    ConvergenceLedger,
+    is_more_equitable,
+    witness_colors,
+)
 from .errors import (
     ImproperSeed,
     NotSeparated,
@@ -193,8 +202,27 @@ def _solo_targets(g: Graph, f: PartialColoring, y: int, min_colors: set[int]) ->
     return out
 
 
-def _pattern_moves(g: Graph, f: PartialColoring) -> Iterable[RecoloringMove]:
-    """Candidate moves from the three structured patterns, in scan order.
+def _pattern1_moves(g: Graph, f: PartialColoring) -> Iterator[RecoloringMove]:
+    """Pattern 1 in scan order: each vertex x of a class of size at least
+    min + 2 moves to the smallest minimum color absent from its
+    neighborhood.  Every such move is admissible, with its target color as
+    witness."""
+    counts = f.counts()
+    a = min(counts)
+    min_colors = [c for c in range(f.k) if counts[c] == a]
+    for x in range(g.n):
+        beta = f.get(x)
+        if beta is None or counts[beta] < a + 2:
+            continue
+        taken = {f.get(w) for w in g.adjacency(x)}
+        for alpha in min_colors:
+            if alpha != beta and alpha not in taken:
+                yield RecoloringMove(((x, alpha),))
+                break
+
+
+def _pattern23_moves(g: Graph, f: PartialColoring) -> Iterator[RecoloringMove]:
+    """Candidate moves of patterns 2 and 3, in scan order.
 
     Every yielded move still goes through the admissibility check; the
     generators only have to be cheap and deterministic.
@@ -202,21 +230,6 @@ def _pattern_moves(g: Graph, f: PartialColoring) -> Iterable[RecoloringMove]:
     counts = f.counts()
     a = min(counts)
     min_colors = {c for c in range(f.k) if counts[c] == a}
-
-    # pattern 1: move one vertex of an overfull class into a minimum class
-    for x in range(g.n):
-        beta = f.get(x)
-        if beta is None or counts[beta] < a + 2:
-            continue
-        taken = {f.get(w) for w in g.adjacency(x)}
-        for alpha in sorted(min_colors):
-            if alpha != beta and alpha not in taken:
-                yield RecoloringMove(((x, alpha),))
-                break
-
-    # patterns 2 and 3 need the solo-neighbor structure around minimum classes
-    if len(min_colors) == 0:
-        return
     for y in range(g.n):
         alpha = f.get(y)
         if alpha not in min_colors:
@@ -317,7 +330,7 @@ def find_improving_move(
     if not f.is_total():
         raise ImproperSeed("move search requires a total coloring")
     if policy.m >= 1:
-        for move in _pattern_moves(g, f):
+        for move in chain(_pattern1_moves(g, f), _pattern23_moves(g, f)):
             if move.size <= policy.m and admissible_witness(g, f, move) is not None:
                 return move
     return _exhaustive_move(g, f, policy.m)
@@ -335,6 +348,22 @@ class Batch:
     @property
     def size(self) -> int:
         return len(self.moves)
+
+
+def _separated(g: Graph, moves: Sequence[RecoloringMove]) -> tuple[RecoloringMove, ...]:
+    """Greedy maximal sub-collection with pairwise disjoint, pairwise
+    non-adjacent domains, preserving input order."""
+    kept: list[RecoloringMove] = []
+    blocked: set[int] = set()
+    for mv in moves:
+        dom = mv.domain
+        if any(v in blocked for v in dom):
+            continue
+        if any(w in blocked for v in dom for w in g.adjacency(v)):
+            continue
+        kept.append(mv)
+        blocked.update(dom)
+    return tuple(kept)
 
 
 def select_separated_batch(
@@ -355,20 +384,10 @@ def select_separated_batch(
         raise SignatureMismatch(
             "batch signature needs nonempty growing and shrinking color sets"
         )
+    if any(_signature(f, mv) != sig for mv in candidates):
+        raise SignatureMismatch("candidates do not share one signature")
     m = max(mv.size for mv in candidates)
-    kept: list[RecoloringMove] = []
-    blocked: set[int] = set()
-    for mv in candidates:
-        if _signature(f, mv) != sig:
-            raise SignatureMismatch("candidates do not share one signature")
-        dom = mv.domain
-        if any(v in blocked for v in dom):
-            continue
-        if any(w in blocked for v in dom for w in g.adjacency(v)):
-            continue
-        kept.append(mv)
-        blocked.update(dom)
-    return Batch(tuple(kept), sig[0], sig[1], m)
+    return Batch(_separated(g, candidates), sig[0], sig[1], m)
 
 
 def _check_batch(g: Graph, f: PartialColoring, batch: Batch) -> None:
@@ -393,14 +412,17 @@ def _apply_monotone_prefix(
     _check_batch(g, f, batch)
     if not batch.moves:
         return 0, []
-    base = ColorDistribution.from_coloring(f)
+    if not f.is_total():
+        raise OutOfRange("batch prefixes are compared on a total coloring")
     before = f.counts()
     counts = list(before)
     best = 0
     for t, mv in enumerate(batch.moves, start=1):
         for c, d in enumerate(move_deltas(f, mv)):
             counts[c] += d
-        if is_more_equitable(base, ColorDistribution(counts), strict=False):
+        # is_more_equitable(before, counts, strict=False) at equal totals
+        diffs = [c - b for c, b in zip(counts, before)]
+        if not any(diffs) or witness_colors(diffs, counts):
             best = t
     recolored: list[int] = []
     for mv in batch.moves[:best]:
@@ -559,53 +581,93 @@ class _Pattern1Index:
                 heappush(self.heaps[c][beta], w)
         return recolored
 
-    def first_move(self) -> Optional[RecoloringMove]:
-        """The first pattern-1 move of the scan order: smallest vertex x in a
-        class of size >= min + 2, then the smallest minimum color absent
-        from its neighborhood."""
-        f, nbr, k = self.f, self.nbr, self.k
+    def first_moves(self, cap: int) -> list[RecoloringMove]:
+        """The first `cap` pattern-1 moves of the scan order, or all of them
+        when there are fewer.
+
+        A merge of the heaps over minimum colors alpha and classes beta of
+        size >= min + 2, advanced only as far as needed, so cap = 1 only
+        peeks at each heap's valid top.  A vertex valid for several alphas
+        comes out once per alpha, consecutively and with the smallest alpha
+        first, which is the one the scan picks.  Stale entries are dropped
+        when they reach a front; valid entries popped on the way are pushed
+        back.
+        """
+        f, nbr, k, heaps = self.f, self.nbr, self.k, self.heaps
         counts = f.counts()
         a = min(counts)
         big = [beta for beta in range(k) if counts[beta] >= a + 2]
-        best: Optional[tuple[int, int]] = None
+        fronts: list[tuple[int, int, int, list[int]]] = []
         for alpha in range(k):
             if counts[alpha] != a:
                 continue
             for beta in big:
-                heap = self.heaps[alpha][beta]
+                heap = heaps[alpha][beta]
+                # stale tops are dropped here rather than through the merge:
+                # every serial step stops at the first move
                 while heap:
                     x = heap[0]
                     if f.get(x) == beta and nbr[x * k + alpha] == 0:
-                        if best is None or x < best[0]:
-                            best = (x, alpha)
+                        fronts.append((x, alpha, beta, heap))
                         break
                     heappop(heap)
-        return None if best is None else RecoloringMove((best,))
+        heapify(fronts)
+        moves: list[RecoloringMove] = []
+        popped: list[tuple[list[int], int]] = []
+        last = -1
+        while fronts:
+            x, alpha, beta, heap = fronts[0]
+            if f.get(x) == beta and nbr[x * k + alpha] == 0:
+                if x != last:
+                    moves.append(RecoloringMove(((x, alpha),)))
+                    last = x
+                    if len(moves) == cap:
+                        break
+                popped.append((heap, x))
+            heappop(heap)
+            if heap:
+                heapreplace(fronts, (heap[0], alpha, beta, heap))
+            else:
+                heappop(fronts)
+        for heap, x in popped:
+            heappush(heap, x)
+        return moves
 
 
-def _first_pattern1_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove]:
-    """First pattern-1 move of a full rescan (pattern 1 is scanned first and
-    is the only pattern with single-vertex moves)."""
-    move = next(iter(_pattern_moves(g, f)), None)
-    return move if move is not None and move.size == 1 else None
+# Candidates gathered per batch.  It bounds the work of one gather and it
+# shapes the batch trajectory: a batch is the largest signature group among
+# these candidates, so another value yields other batches.
+BATCH_CANDIDATES = 64
 
 
 def _gather_signature_batch(
-    g: Graph, f: PartialColoring, cap: int = 64
+    g: Graph, f: PartialColoring, pattern1: Sequence[RecoloringMove]
 ) -> Optional[Batch]:
-    """Collect admissible pattern moves, group them by signature, and return
-    a separated batch from the largest group."""
+    """Group the first BATCH_CANDIDATES admissible pattern moves by
+    signature and return a separated batch from the first largest group.
+
+    `pattern1` holds the first BATCH_CANDIDATES pattern-1 moves of the scan
+    order, or all of them when there are fewer.  Each is admissible, and
+    moving x to alpha has signature ({alpha}, {f(x)}).  Patterns 2 and 3
+    are scanned only to fill a short list.
+    """
     groups: dict[tuple[frozenset[int], frozenset[int]], list[RecoloringMove]] = {}
-    for move in _pattern_moves(g, f):
-        if admissible_witness(g, f, move) is None:
-            continue
-        groups.setdefault(_signature(f, move), []).append(move)
-        if sum(len(v) for v in groups.values()) >= cap:
-            break
+    for move in pattern1:
+        (x, alpha), = move.assignments
+        groups.setdefault((frozenset((alpha,)), frozenset((f.get(x),))), []).append(move)
+    found = len(pattern1)
+    if found < BATCH_CANDIDATES:
+        for move in _pattern23_moves(g, f):
+            if admissible_witness(g, f, move) is None:
+                continue
+            groups.setdefault(_signature(f, move), []).append(move)
+            found += 1
+            if found == BATCH_CANDIDATES:
+                break
     if not groups:
         return None
-    sig, moves = max(groups.items(), key=lambda kv: len(kv[1]))
-    return select_separated_batch(g, f, moves)
+    (grows, shrinks), moves = max(groups.items(), key=lambda kv: len(kv[1]))
+    return Batch(_separated(g, moves), grows, shrinks, max(mv.size for mv in moves))
 
 
 def equitable_k_coloring(
@@ -667,7 +729,11 @@ def equitable_k_coloring(
             )
         applied = False
         if config.batch_mode:
-            batch = _gather_signature_batch(g, f)
+            pattern1 = index.first_moves(BATCH_CANDIDATES)
+            if debug:
+                assert pattern1 == list(islice(_pattern1_moves(g, f), BATCH_CANDIDATES)), \
+                    "pattern-1 index out of date"
+            batch = _gather_signature_batch(g, f, pattern1)
             if batch is not None and batch.size > 0:
                 t, changed = _apply_monotone_prefix(g, f, batch, index.apply)
                 if t > 0:
@@ -687,9 +753,10 @@ def equitable_k_coloring(
                     steps_in_segment += 1
                     applied = True
         if not applied:
-            move = index.first_move()
+            move = next(iter(index.first_moves(1)), None)
             if debug:
-                assert move == _first_pattern1_move(g, f), "pattern-1 index out of date"
+                assert move == next(_pattern1_moves(g, f), None), \
+                    "pattern-1 index out of date"
             if move is not None:
                 # a pattern-1 move is admissible with its target color as witness
                 witness = move.assignments[0][1]

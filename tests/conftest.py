@@ -1,8 +1,25 @@
 import random
+from itertools import chain
 
 import pytest
 
-from equicolor import ListAssignment, PartialColoring, build_graph, greedy_extend_full
+from equicolor import (
+    ListAssignment,
+    MovePolicy,
+    PartialColoring,
+    RecoloringMove,
+    apply_monotone_prefix,
+    build_graph,
+    find_improving_move,
+    greedy_extend_full,
+    select_separated_batch,
+)
+from equicolor.dynamics import (
+    _pattern1_moves,
+    _pattern23_moves,
+    _signature,
+    admissible_witness,
+)
 
 
 def path(n):
@@ -73,6 +90,57 @@ def tight_seed(g):
     full = greedy_extend_full(g, k + 1).as_list()
     drop = max(range(k + 1), key=lambda c: (full.count(c), -c))
     return PartialColoring(g.n, k, [None if c == drop else c - (c > drop) for c in full])
+
+
+def reference_gather(g, f, cap=64):
+    """The rescan batch gather: scan patterns 1-3 from vertex 0, keep the
+    first `cap` admissible moves, group them by signature, and select a
+    separated batch from the first largest group."""
+    groups = {}
+    for move in chain(_pattern1_moves(g, f), _pattern23_moves(g, f)):
+        if admissible_witness(g, f, move) is None:
+            continue
+        groups.setdefault(_signature(f, move), []).append(move)
+        if sum(len(v) for v in groups.values()) >= cap:
+            break
+    if not groups:
+        return None
+    _, moves = max(groups.items(), key=lambda kv: len(kv[1]))
+    return select_separated_batch(g, f, moves)
+
+
+def replay_trace(g, k, f, trace, batch):
+    """Replay a restart-free driver trace from the greedy start.  Every
+    small serial move is the one the stateless search picks on the replayed
+    coloring; in batch mode every batch is `reference_gather` cut by
+    `apply_monotone_prefix`, and a serial move follows only a batch that
+    applies nothing."""
+    replay = greedy_extend_full(g, k)
+    assert replay.counts() == trace.initial_counts
+    for rec in trace.records:
+        assert rec.kind != "restart"
+        applied = 0
+        if batch:
+            ref = reference_gather(g, replay)
+            if ref is not None:
+                out, applied = apply_monotone_prefix(g, replay, ref)
+        if rec.kind == "batch":
+            assert applied > 0
+            changed = sorted(
+                v for mv in ref.moves[:applied] for v, c in mv.assignments
+                if replay.get(v) != c
+            )
+            assert rec.vertices == tuple(changed)
+            assert rec.new_colors == tuple(out.get(v) for v in changed)
+        else:
+            assert applied == 0
+            if len(rec.vertices) <= 3:
+                move = find_improving_move(g, replay, MovePolicy(m=3))
+                assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
+        for v, c in zip(rec.vertices, rec.new_colors):
+            replay.assign(v, c)
+        assert replay.counts() == rec.counts
+    assert replay == f
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import json
 import random
+import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -14,6 +16,7 @@ from equicolor import (
     delta_alpha,
     equitable_k_coloring,
     find_improving_move,
+    greedy_extend_full,
     is_acceptable,
     is_proper,
     make_move,
@@ -23,7 +26,7 @@ from equicolor.distributions import ColorDistribution, discrepancy
 from equicolor.dynamics import (
     Batch,
     _connected_domains,
-    _first_pattern1_move,
+    _pattern1_moves,
     _Pattern1Index,
     admissible_witness,
 )
@@ -33,9 +36,18 @@ from equicolor.errors import (
     SignatureMismatch,
     UnacceptableMove,
 )
+from equicolor.generators import InstanceSpec, generate
 from equicolor.oracle import improving_move_exists
 
-from conftest import complete, cycle, path, random_graph, star
+from conftest import (
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    random_graph,
+    replay_trace,
+    star,
+)
 
 
 def test_make_move_validation():
@@ -319,7 +331,8 @@ def test_driver_every_step_monotone_and_ledgered():
 
 def test_pattern1_index_tracks_arbitrary_moves():
     # random proper recolorings of 1-3 vertices, admissible or not: after
-    # each one the index agrees with a full rescan
+    # each one the index agrees with a full rescan on the first `cap` moves
+    # in scan order
     rng = random.Random(7)
     for trial in range(30):
         g = random_graph(25, 0.15, trial)
@@ -340,10 +353,19 @@ def test_pattern1_index_tracks_arbitrary_moves():
             expected = [u for u, c in move.assignments if f.get(u) != c]
             assert index.apply(move) == expected
             assert is_proper(g, f)
-            assert index.first_move() == _first_pattern1_move(g, f)
+            for cap in (1, 5, 64):
+                assert index.first_moves(cap) == list(islice(_pattern1_moves(g, f), cap))
 
 
 def test_driver_debug_asserts_index_against_rescan(monkeypatch):
+    # the n <= 50 graphs never fill a batch's candidate list from the index;
+    # the cubic graph does, and the K_{3,3} start has no pattern-1 move, so
+    # its first batch comes from patterns 2-3 alone
+    cubic = generate(InstanceSpec.parse("regular:n=1002,d=3", 0))
+    k33 = complete_bipartite(3, 3)
+    k33_start = PartialColoring(6, 4, [1, 1, 1, 3, 0, 2])
+    assert len(_Pattern1Index(cubic, greedy_extend_full(cubic, 4)).first_moves(64)) == 64
+    assert _Pattern1Index(k33, k33_start).first_moves(64) == []
     runs = []
     for debug in ("", "1"):
         monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", debug)
@@ -355,5 +377,26 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
                     g, k, config=DriverConfig(batch_mode=batch)
                 )
                 runs.append((f.as_list(), trace.to_jsonl()))
+        f, cubic_trace = equitable_k_coloring(
+            cubic, 4, config=DriverConfig(batch_mode=True)
+        )
+        runs.append((f.as_list(), cubic_trace.to_jsonl()))
+        replay_trace(cubic, 4, f, cubic_trace, batch=True)
+        f, trace = equitable_k_coloring(
+            k33, 4, f0=k33_start, config=DriverConfig(batch_mode=True)
+        )
+        assert trace.records[0].kind == "batch"
+        runs.append((f.as_list(), trace.to_jsonl()))
     # the debug checks observe the run without changing it
     assert runs[:len(runs) // 2] == runs[len(runs) // 2:]
+
+
+def test_batch_driver_cubic_scales():
+    # each batch rescanned every vertex for its candidates, so batch mode
+    # was quadratic here
+    g = generate(InstanceSpec.parse("regular:n=100002,d=3", 0))
+    t0 = time.perf_counter()
+    f, _ = equitable_k_coloring(g, 4, config=DriverConfig(batch_mode=True))
+    elapsed = time.perf_counter() - t0
+    assert f.gap() <= 1
+    assert elapsed < 10.0, f"batch mode on cubic n={g.n} took {elapsed:.1f} s"

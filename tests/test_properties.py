@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from equicolor import (
     ColorDistribution,
     DriverConfig,
-    MovePolicy,
     PartialColoring,
-    RecoloringMove,
     build_graph,
     components,
     equitable_k_coloring,
-    find_improving_move,
-    greedy_extend_full,
     greedy_maximal,
     is_more_equitable,
     is_proper,
@@ -27,7 +23,7 @@ from equicolor.distributions import d_minus, d_plus
 from equicolor.dynamics import admissible_witness, apply_move, make_move
 from equicolor.graphs import block_decomposition
 
-from conftest import random_graph
+from conftest import random_graph, replay_trace
 
 
 @st.composite
@@ -181,20 +177,12 @@ def test_admissible_moves_strictly_improve(g, seed):
 @settings(max_examples=80, deadline=None)
 def test_driver_moves_match_stateless_search(n, p, seed, extra, batch):
     # replay the trace from the greedy start: every small serial move is the
-    # one the stateless search picks on the replayed coloring
+    # one the stateless search picks, and every batch the one the rescan
+    # gather picks, on the replayed coloring
     g = random_graph(n, p, seed)
     k = g.max_degree + extra
     f, trace = equitable_k_coloring(g, k, config=DriverConfig(batch_mode=batch))
     # a restart re-seeds from a shuffled greedy order; the size <= 3
     # patterns have never left a run without a move, so none is expected
     assume(trace.restarts == 0)
-    replay = greedy_extend_full(g, k)
-    assert replay.counts() == trace.initial_counts
-    for rec in trace.records:
-        if rec.kind == "move" and len(rec.vertices) <= 3:
-            move = find_improving_move(g, replay, MovePolicy(m=3))
-            assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
-        for v, c in zip(rec.vertices, rec.new_colors):
-            replay.assign(v, c)
-        assert replay.counts() == rec.counts
-    assert replay == f
+    replay_trace(g, k, f, trace, batch)
