@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from equicolor import DriverConfig, equitable_k_coloring, greedy_extend_full
+from equicolor import equitable_k_coloring, greedy_extend_full
 from equicolor.generators import InstanceSpec, generate
 
 
@@ -38,8 +38,7 @@ def main() -> int:
             g = generate(InstanceSpec(name, dict(params), args.seed + r))
             k = g.max_degree + 1
             f0 = greedy_extend_full(g, k)
-            f, trace = equitable_k_coloring(
-                g, k, f0=f0, config=DriverConfig(seed=args.seed + r))
+            f, trace = equitable_k_coloring(g, k, f0=f0)
             led = trace.ledger
             ratio = led.observed_ratio()
             if ratio is None:

@@ -9,7 +9,6 @@ brute-force oracle for tiny instances.
 
 from .colorings import (
     ListAssignment,
-    Palette,
     PartialColoring,
     dominates,
     greedy_extend_full,
@@ -36,11 +35,9 @@ from .dynamics import (
     Batch,
     DriverConfig,
     DynamicsTrace,
-    MovePolicy,
     RecoloringMove,
     apply_monotone_prefix,
     apply_move,
-    delta_alpha,
     equitable_k_coloring,
     find_improving_move,
     is_acceptable,

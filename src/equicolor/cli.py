@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -72,7 +71,7 @@ def _load_lists(path: str, n: int):
 
 def cmd_color_equitable(args) -> int:
     g = _load_graph(args)
-    config = DriverConfig(seed=args.seed, batch_mode=args.batch)
+    config = DriverConfig(batch_mode=args.batch)
     f0 = _load_coloring(args.initial, g.n, args.k) if args.initial else None
     f, trace = equitable_k_coloring(g, args.k, f0=f0, config=config)
     if args.trace_jsonl:
@@ -91,8 +90,7 @@ def cmd_color_equitable(args) -> int:
 
 def cmd_color_delta(args) -> int:
     g = _load_graph(args)
-    f, report = equitable_delta_coloring(g, g.max_degree,
-                                         DriverConfig(seed=args.seed))
+    f, report = equitable_delta_coloring(g, g.max_degree)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
     payload = _coloring_json(f)
@@ -145,7 +143,7 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     g = _load_graph(args)
     f, trace = equitable_k_coloring(
-        g, args.k, config=DriverConfig(seed=args.seed, batch_mode=args.batch)
+        g, args.k, config=DriverConfig(batch_mode=args.batch)
     )
     jsonl = args.jsonl or "trace.jsonl"
     Path(jsonl).write_text(trace.to_jsonl())
@@ -185,29 +183,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    cases = [
-        ("regular:n=60,d=3", 4),
-        ("regular:n=120,d=4", 5),
-        ("gnp:n=100,p=0.03", None),
-        ("torus:rows=6,cols=8", 5),
-    ]
-    for spec_text, k in cases:
-        g = generate(InstanceSpec.parse(spec_text, seed=args.seed))
-        kk = k if k is not None else g.max_degree + 1
-        t0 = time.perf_counter()
-        f, trace = equitable_k_coloring(g, kk, config=DriverConfig(seed=args.seed))
-        dt = time.perf_counter() - t0
-        rows.append({
-            "instance": spec_text, "n": g.n, "k": kk,
-            "steps": trace.step_count, "gap": f.gap(),
-            "seconds": round(dt, 4),
-        })
-    _emit({"benchmarks": rows}, args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equicolor",
@@ -215,11 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_graph=True):
-        if needs_graph:
-            p.add_argument("--graph", help="graph file (.col dimacs or .json)")
-            p.add_argument("--format", choices=["dimacs", "edge-json"])
-            p.add_argument("--gen", help="generator spec, e.g. regular:n=24,d=3")
+    def common(p):
+        p.add_argument("--graph", help="graph file (.col dimacs or .json)")
+        p.add_argument("--format", choices=["dimacs", "edge-json"])
+        p.add_argument("--gen", help="generator spec, e.g. regular:n=24,d=3")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON result here instead of stdout")
 
@@ -272,10 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=10)
     p.add_argument("--max-palette", type=int, default=8)
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="built-in timing corpus")
-    common(p, needs_graph=False)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

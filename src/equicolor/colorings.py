@@ -10,20 +10,8 @@ from .errors import ImproperSeed, NotIndependent, OutOfRange, PaletteTooSmall
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Palette:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise OutOfRange(f"palette size must be >= 1, got {self.size}")
-
-    def colors(self) -> range:
-        return range(self.size)
-
-
-def palette_size(k) -> int:
-    size = k.size if isinstance(k, Palette) else int(k)
+def palette_size(k: int) -> int:
+    size = int(k)
     if size < 1:
         raise OutOfRange(f"palette size must be >= 1, got {size}")
     return size
@@ -108,13 +96,6 @@ class PartialColoring:
         out._domain_size = self._domain_size
         return out
 
-    def restricted_to(self, vertices: Iterable[int]) -> "PartialColoring":
-        keep = set(vertices)
-        return PartialColoring(
-            self.n, self.k,
-            [c if v in keep else None for v, c in enumerate(self._assign)],
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PartialColoring)
@@ -159,11 +140,6 @@ class ListAssignment:
 
     def is_degree_list(self, g: Graph) -> bool:
         return all(len(self.lists[v]) >= g.degree(v) for v in range(g.n))
-
-    def restrict(self, v: int, forbidden: Iterable[int]) -> "ListAssignment":
-        lists = list(self.lists)
-        lists[v] = lists[v] - frozenset(forbidden)
-        return ListAssignment(tuple(lists))
 
 
 def is_proper(g: Graph, f: PartialColoring) -> bool:

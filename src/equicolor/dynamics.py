@@ -11,14 +11,13 @@ monotone in the more-equitable order, so the convergence ledger's budget
 bounds the total movement and hence the number of steps.
 
 The move search scans three structured move patterns (single vertex into a
-minimum class, solo-neighbor pair, solo-neighbor triple with a spare color).
-If none applies while the class gap is at least 2, the driver escalates to
-exhaustive search over connected domains of growing size, then to restarts
-from fresh randomized greedy colorings, and finally reports a stall rather
-than guessing.
+minimum class, solo-neighbor pair, solo-neighbor triple with a spare color),
+then, for what the patterns miss, every connected domain of at most three
+vertices.  If no move of size at most three exists while the class gap is
+at least 2, the driver raises Stalled at once rather than guessing.
 
 The driver recolors one working coloring in place.  Every move it applies
-(serial steps, escalation moves, accepted batch prefixes) also updates an
+(serial steps and accepted batch prefixes) also updates an
 incremental pattern-1 index: per-vertex neighbor-color counts and one lazily
 pruned min-heap per (color alpha, class beta) of the beta-vertices with no
 alpha-neighbor.  Pattern-1 moves are always admissible, so the smallest
@@ -36,7 +35,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
@@ -77,12 +75,6 @@ class RecoloringMove:
     def size(self) -> int:
         return len(self.assignments)
 
-    def color_of(self, v: int) -> Optional[int]:
-        for u, c in self.assignments:
-            if u == v:
-                return c
-        return None
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignments)
 
@@ -115,13 +107,6 @@ def apply_move(f: PartialColoring, move: RecoloringMove) -> PartialColoring:
     out = f.copy()
     _assign_move(out, move)
     return out
-
-
-def delta_alpha(f: PartialColoring, move: RecoloringMove, alpha: int) -> int:
-    """Signed count change of class alpha within the move's domain."""
-    gained = sum(1 for _, c in move.assignments if c == alpha)
-    lost = sum(1 for v, _ in move.assignments if f.get(v) == alpha)
-    return gained - lost
 
 
 def move_deltas(f: PartialColoring, move: RecoloringMove) -> list[int]:
@@ -180,13 +165,6 @@ def admissible_witness(g: Graph, f: PartialColoring, move: RecoloringMove) -> Op
     if not witnesses:
         return None
     return min(witnesses, key=lambda a: (counts[a], a))
-
-
-@dataclass(frozen=True)
-class MovePolicy:
-    """Search policy for a single move lookup."""
-
-    m: int = 3                 # domain size cap
 
 
 def _solo_targets(g: Graph, f: PartialColoring, y: int, min_colors: set[int]) -> list[int]:
@@ -290,50 +268,24 @@ def _connected_domains(g: Graph, m: int) -> Iterable[tuple[int, ...]]:
         yield from grow((v,), [u for u in g.adjacency(v) if u > v], frozenset(), v)
 
 
-def _exhaustive_move(
-    g: Graph,
-    f: PartialColoring,
-    m: int,
-    ledger_a: Optional[int] = None,
-) -> Optional[RecoloringMove]:
-    """First admissible move over all connected domains of size <= m.
-
-    When ledger_a is given, moves must additionally satisfy the per-step
-    ledger hypothesis (total count movement at most ledger_a times the
-    smallest gain over growing classes), so oversized escalation moves can
-    never poison the ledger.
-    """
-    k = f.k
-    for dom in _connected_domains(g, m):
+def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove]:
+    """First admissible move of size <= 3, scanning the patterns before the
+    exhaustive pass over connected domains of size <= 3.  None when no such
+    move exists."""
+    if not f.is_total():
+        raise ImproperSeed("move search requires a total coloring")
+    for move in chain(_pattern1_moves(g, f), _pattern23_moves(g, f)):
+        if admissible_witness(g, f, move) is not None:
+            return move
+    for dom in _connected_domains(g, 3):
         current = tuple(f.get(v) for v in dom)
-        for colors in product(range(k), repeat=len(dom)):
+        for colors in product(range(f.k), repeat=len(dom)):
             if colors == current:
                 continue
             move = RecoloringMove(tuple(zip(dom, colors)))
-            if admissible_witness(g, f, move) is None:
-                continue
-            if ledger_a is not None:
-                deltas = move_deltas(f, move)
-                gains = [d for d in deltas if d > 0]
-                if gains and sum(abs(d) for d in deltas) > ledger_a * min(gains):
-                    continue
-            return move
-    return None
-
-
-def find_improving_move(
-    g: Graph, f: PartialColoring, policy: MovePolicy = MovePolicy()
-) -> Optional[RecoloringMove]:
-    """First admissible move under the policy, scanning patterns before the
-    exhaustive fallback.  None when no admissible move of size <= policy.m
-    exists."""
-    if not f.is_total():
-        raise ImproperSeed("move search requires a total coloring")
-    if policy.m >= 1:
-        for move in chain(_pattern1_moves(g, f), _pattern23_moves(g, f)):
-            if move.size <= policy.m and admissible_witness(g, f, move) is not None:
+            if admissible_witness(g, f, move) is not None:
                 return move
-    return _exhaustive_move(g, f, policy.m)
+    return None
 
 
 @dataclass(frozen=True)
@@ -452,18 +404,18 @@ def apply_monotone_prefix(
 # driver
 
 
+# the ledger's movement-budget parameter A
+LEDGER_A = 6
+
+
 @dataclass(frozen=True)
 class DriverConfig:
-    m_max: int = 6
-    retries: int = 8
     batch_mode: bool = False
-    seed: int = 0
-    a_param: int = 6
 
 
 @dataclass
 class TraceRecord:
-    kind: str                      # "move" | "batch" | "restart"
+    kind: str                      # "move" | "batch"
     step: int
     vertices: tuple[int, ...]
     new_colors: tuple[int, ...]
@@ -505,6 +457,7 @@ class DynamicsTrace:
 
     @property
     def restarts(self) -> int:
+        """Count of "restart" records; 0 for every trace this driver writes."""
         return sum(1 for r in self.records if r.kind == "restart")
 
     def to_jsonl(self) -> str:
@@ -672,7 +625,7 @@ def _gather_signature_batch(
 
 def equitable_k_coloring(
     g: Graph,
-    k,
+    k: int,
     f0: Optional[PartialColoring] = None,
     config: DriverConfig = DriverConfig(),
 ) -> tuple[PartialColoring, DynamicsTrace]:
@@ -681,7 +634,9 @@ def equitable_k_coloring(
 
     The trace's ledger certifies the cumulative movement budget with A = 6;
     the driver additionally asserts that the fraction of recolored vertices
-    is at most (1+A)^(k+1)/(2A) times the initial discrepancy.
+    is at most (1+A)^(k+1)/2 times the initial discrepancy.  Raises
+    Stalled, with the coloring and its gap, when no move of size <= 3
+    exists at gap >= 2.
     """
     size = palette_size(k)
     if size <= g.max_degree:
@@ -699,35 +654,31 @@ def equitable_k_coloring(
         f = greedy_extend_full(g, size)
     if g.n == 0:
         trace = DynamicsTrace(0, size, tuple([0] * size))
-        trace.ledgers.append(ConvergenceLedger(Fraction(config.a_param), size, Fraction(0)))
+        trace.ledgers.append(ConvergenceLedger(Fraction(LEDGER_A), size, Fraction(0)))
         return f, trace
 
     n = g.n
     trace = DynamicsTrace(n, size, f.counts())
-    a_param = Fraction(config.a_param)
     debug = debug_checks_enabled()
 
     # f is the one working coloring: every move below is applied in place
     # through index.apply
     start_colors = f.as_list()
     dist = ColorDistribution.from_coloring(f)
-    ledger = ConvergenceLedger.for_initial(a_param, dist)
+    ledger = ConvergenceLedger.for_initial(LEDGER_A, dist)
     trace.ledgers.append(ledger)
     index = _Pattern1Index(g, f)
     # each applied step moves at least one vertex between classes, so its
     # l1 step is at least 2/n and the ledger budget caps the step count
     step_cap = ledger.bound() * n / 2
-    attempt = 0
-    steps_in_segment = 0
 
     while f.gap() >= 2:
-        if steps_in_segment > step_cap:
+        if len(trace.records) > step_cap:
             raise Stalled(
                 "step cap exceeded while the ledger accepted every step; "
                 "this indicates a driver bug",
                 coloring=f, gap=f.gap(),
             )
-        applied = False
         if config.batch_mode:
             pattern1 = index.first_moves(BATCH_CANDIDATES)
             if debug:
@@ -750,67 +701,41 @@ def equitable_k_coloring(
                         counts, ledger.steps[-1].l1, ledger.cumulative,
                     ))
                     dist = new_dist
-                    steps_in_segment += 1
-                    applied = True
-        if not applied:
-            move = next(iter(index.first_moves(1)), None)
-            if debug:
-                assert move == next(_pattern1_moves(g, f), None), \
-                    "pattern-1 index out of date"
-            if move is not None:
-                # a pattern-1 move is admissible with its target color as witness
-                witness = move.assignments[0][1]
-                if debug:
-                    assert witness == admissible_witness(g, f, move)
-            else:
-                move = find_improving_move(g, f, MovePolicy(m=3))
-                if move is None:
-                    for m in range(4, config.m_max + 1):
-                        move = _exhaustive_move(g, f, m, ledger_a=config.a_param)
-                        if move is not None:
-                            break
-                if move is None:
-                    attempt += 1
-                    if attempt > config.retries:
-                        raise Stalled(
-                            f"no admissible move up to size {config.m_max} after "
-                            f"{config.retries} restarts",
-                            coloring=f, gap=f.gap(),
-                        )
-                    order = list(range(n))
-                    random.Random(config.seed * 1_000_003 + attempt).shuffle(order)
-                    f = greedy_extend_full(g, size, order=order)
-                    start_colors = f.as_list()
-                    dist = ColorDistribution.from_coloring(f)
-                    ledger = ConvergenceLedger.for_initial(a_param, dist)
-                    trace.ledgers.append(ledger)
-                    index = _Pattern1Index(g, f)
-                    step_cap = ledger.bound() * n / 2
-                    steps_in_segment = 0
-                    trace.records.append(TraceRecord(
-                        "restart", len(trace.records), (), (), None,
-                        f.counts(), Fraction(0), Fraction(0),
-                    ))
                     continue
-                witness = admissible_witness(g, f, move)
-            index.apply(move)
-            new_dist = ColorDistribution(f.counts(), n)
-            ledger.record(dist, new_dist, witness)
+        move = next(iter(index.first_moves(1)), None)
+        if debug:
+            assert move == next(_pattern1_moves(g, f), None), \
+                "pattern-1 index out of date"
+        if move is not None:
+            # a pattern-1 move is admissible with its target color as witness
+            witness = move.assignments[0][1]
             if debug:
-                assert is_proper(g, f), "applied move broke properness"
-                assert is_more_equitable(dist, new_dist, strict=True)
-            trace.records.append(TraceRecord(
-                "move", len(trace.records), move.domain,
-                tuple(c for _, c in move.assignments), witness,
-                new_dist.counts, ledger.steps[-1].l1, ledger.cumulative,
-            ))
-            dist = new_dist
-            steps_in_segment += 1
+                assert witness == admissible_witness(g, f, move)
+        else:
+            move = find_improving_move(g, f)
+            if move is None:
+                raise Stalled(
+                    f"no admissible move of size <= 3 at gap {f.gap()}",
+                    coloring=f, gap=f.gap(),
+                )
+            witness = admissible_witness(g, f, move)
+        index.apply(move)
+        new_dist = ColorDistribution(f.counts(), n)
+        ledger.record(dist, new_dist, witness)
+        if debug:
+            assert is_proper(g, f), "applied move broke properness"
+            assert is_more_equitable(dist, new_dist, strict=True)
+        trace.records.append(TraceRecord(
+            "move", len(trace.records), move.domain,
+            tuple(c for _, c in move.assignments), witness,
+            new_dist.counts, ledger.steps[-1].l1, ledger.cumulative,
+        ))
+        dist = new_dist
 
     assert f.is_total() and f.gap() <= 1
     # stability: recolored fraction within the guaranteed budget of the
-    # (possibly restarted) segment start, whose discrepancy is the ledger's disc0
+    # start, whose discrepancy is the ledger's disc0
     changed = sum(1 for v in range(n) if f.get(v) != start_colors[v])
-    budget = Fraction((1 + config.a_param) ** (size + 1), 2) * ledger.disc0
+    budget = Fraction((1 + LEDGER_A) ** (size + 1), 2) * ledger.disc0
     assert Fraction(changed, n) <= budget, "stability bound violated"
     return f, trace

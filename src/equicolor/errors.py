@@ -97,9 +97,9 @@ class UnacceptableMove(EquicolorError):
 
 
 class Stalled(EquicolorError):
-    """No admissible move found within the search budget.
+    """No admissible move of size at most three at class gap >= 2.
 
-    Carries the stuck coloring and its class-size gap so callers can
+    The driver raises it at the first such coloring.  Carries the stuck coloring and its class-size gap so callers can
     archive the pattern.
     """
 

@@ -33,10 +33,6 @@ class Graph:
         self._max_degree = max(self._degrees, default=0)
 
     @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return self._edge_count
 
@@ -44,14 +40,8 @@ class Graph:
     def max_degree(self) -> int:
         return self._max_degree
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def adjacency(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._sets[v]
 
     def degree(self, v: int) -> int:
         return self._degrees[v]

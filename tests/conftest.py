@@ -5,7 +5,6 @@ import pytest
 
 from equicolor import (
     ListAssignment,
-    MovePolicy,
     PartialColoring,
     RecoloringMove,
     apply_monotone_prefix,
@@ -110,7 +109,7 @@ def reference_gather(g, f, cap=64):
 
 
 def replay_trace(g, k, f, trace, batch):
-    """Replay a restart-free driver trace from the greedy start.  Every
+    """Replay a driver trace from the greedy start.  Every
     small serial move is the one the stateless search picks on the replayed
     coloring; in batch mode every batch is `reference_gather` cut by
     `apply_monotone_prefix`, and a serial move follows only a batch that
@@ -135,7 +134,7 @@ def replay_trace(g, k, f, trace, batch):
         else:
             assert applied == 0
             if len(rec.vertices) <= 3:
-                move = find_improving_move(g, replay, MovePolicy(m=3))
+                move = find_improving_move(g, replay)
                 assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
         for v, c in zip(rec.vertices, rec.new_colors):
             replay.assign(v, c)

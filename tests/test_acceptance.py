@@ -17,7 +17,6 @@ import pytest
 from equicolor import (
     ColorDistribution,
     DominationInstance,
-    DriverConfig,
     ListAssignment,
     PartialColoring,
     build_graph,
@@ -75,14 +74,12 @@ def _corpus_instance(family, index):
     seed = 10_000 * (family_id(family)) + index
     if family.startswith("regular"):
         d = int(family[-1])
-        return generate(InstanceSpec(
-            "regular", {"n": n, "d": d}, seed)), seed
+        return generate(InstanceSpec("regular", {"n": n, "d": d}, seed))
     if family == "gnp":
-        return generate(InstanceSpec("gnp", {"n": n, "p": 3.0 / n}, seed)), seed
+        return generate(InstanceSpec("gnp", {"n": n, "p": 3.0 / n}, seed))
     if family == "torus":
         rows, cols = torus_dims
-        return generate(InstanceSpec(
-            "torus", {"rows": rows, "cols": cols}, seed)), seed
+        return generate(InstanceSpec("torus", {"rows": rows, "cols": cols}, seed))
     raise AssertionError(family)
 
 
@@ -96,13 +93,11 @@ def driver_corpus_results():
     results = []
     for family in ("regular3", "regular4", "regular5", "gnp", "torus"):
         for index in range(100):
-            g, seed = _corpus_instance(family, index)
+            g = _corpus_instance(family, index)
             k = g.max_degree + 1
             f0 = greedy_extend_full(g, k)
             t0 = time.perf_counter()
-            f, trace = equitable_k_coloring(
-                g, k, f0=f0, config=DriverConfig(seed=seed)
-            )
+            f, trace = equitable_k_coloring(g, k, f0=f0)
             elapsed = time.perf_counter() - t0
             d0 = ColorDistribution.from_coloring(f0)
             changed = sum(1 for v in range(g.n) if f.get(v) != f0.get(v))

@@ -8,12 +8,10 @@ import pytest
 
 from equicolor import (
     DriverConfig,
-    MovePolicy,
     PartialColoring,
     apply_monotone_prefix,
     apply_move,
     build_graph,
-    delta_alpha,
     equitable_k_coloring,
     find_improving_move,
     greedy_extend_full,
@@ -23,17 +21,20 @@ from equicolor import (
     select_separated_batch,
 )
 from equicolor.distributions import ColorDistribution, discrepancy
+from equicolor import dynamics
 from equicolor.dynamics import (
     Batch,
     _connected_domains,
     _pattern1_moves,
     _Pattern1Index,
     admissible_witness,
+    move_deltas,
 )
 from equicolor.errors import (
     OutOfRange,
     PaletteTooSmall,
     SignatureMismatch,
+    Stalled,
     UnacceptableMove,
 )
 from equicolor.generators import InstanceSpec, generate
@@ -61,13 +62,13 @@ def test_make_move_validation():
 
 
 def test_delta_alpha_examples():
+    # delta_alpha, the signed count change of class alpha, is move_deltas[alpha]
     g = path(2)
     f = PartialColoring(2, 3, [1, 2])
     move = make_move(g, {0: 0})
-    assert delta_alpha(f, move, 0) == 1
-    assert delta_alpha(f, move, 1) == -1
+    assert move_deltas(f, move) == [1, -1, 0]
     noop = make_move(g, {0: 1})
-    assert all(delta_alpha(f, noop, a) == 0 for a in range(3))
+    assert move_deltas(f, noop) == [0, 0, 0]
 
 
 def test_delta_alpha_triple():
@@ -76,10 +77,7 @@ def test_delta_alpha_triple():
     # f: x=0 has color beta=1, x'=2 has beta'=2, y=1 has alpha=0
     f = PartialColoring(5, 4, [1, 0, 2, 1, 2])
     move = make_move(g, {0: 0, 2: 0, 1: 3})
-    assert delta_alpha(f, move, 0) == 1
-    assert delta_alpha(f, move, 3) == 1
-    assert delta_alpha(f, move, 1) == -1
-    assert delta_alpha(f, move, 2) == -1
+    assert move_deltas(f, move) == [1, -1, -1, 1]
 
 
 def test_acceptability():
@@ -143,7 +141,7 @@ def test_star_small_palette_has_no_admissible_move():
     # palette below max degree + 1: stall expected, matching the oracle
     g = star(3)
     f = PartialColoring(4, 2, [0, 1, 1, 1])
-    assert find_improving_move(g, f, MovePolicy(m=3)) is None
+    assert find_improving_move(g, f) is None
     assert not improving_move_exists(g, f, 3)
     assert f.gap() == 2
 
@@ -165,11 +163,49 @@ def test_pattern_scan_agrees_with_exhaustive_on_random_instances():
                 if all(f.get(w) != c for w in g.adjacency(v))
             ]
             f.assign(v, rng.choice(options))
-        move = find_improving_move(g, f, MovePolicy(m=3))
+        move = find_improving_move(g, f)
         exists = improving_move_exists(g, f, 3, budget)
         assert (move is not None) == exists
         if move is not None:
             assert admissible_witness(g, f, move) is not None
+
+
+def skewed_coloring(g, k, rng):
+    """Random proper k-coloring that favors a random order of the colors:
+    each vertex, in random order, takes one of the first `width` colors
+    still free at it, so the smaller the width, the more the classes
+    differ in size."""
+    order = list(range(k))
+    rng.shuffle(order)
+    width = rng.choice((1, 2, 3, k))
+    f = PartialColoring(g.n, k)
+    vertices = list(range(g.n))
+    rng.shuffle(vertices)
+    for v in vertices:
+        taken = {f.get(w) for w in g.adjacency(v)}
+        options = [c for c in order if c not in taken]
+        f.assign(v, options[rng.randrange(min(len(options), width))])
+    return f
+
+
+def test_small_move_exists_on_skewed_delta_plus_one_colorings():
+    # the driver stalls as soon as find_improving_move returns None at gap
+    # >= 2; on (max degree + 1)-colorings it must always find a move
+    rng = random.Random(20261018)
+    checked, elapsed = 0, 0.0
+    while checked < 2000:
+        g = random_graph(rng.randint(8, 16), rng.choice((0.15, 0.25, 0.35, 0.5)),
+                         rng.getrandbits(32))
+        f = skewed_coloring(g, g.max_degree + 1, rng)
+        if f.gap() < 2:
+            continue
+        t0 = time.perf_counter()
+        move = find_improving_move(g, f)
+        elapsed += time.perf_counter() - t0
+        assert move is not None, (g.edges(), f.as_list())
+        assert admissible_witness(g, f, move) is not None
+        checked += 1
+    assert elapsed < 2.0
 
 
 def test_connected_domains_unique_and_connected():
@@ -281,17 +317,37 @@ def test_driver_batch_mode_matches_contract():
         g = random_graph(40, 0.08, seed)
         k = g.max_degree + 1
         f, trace = equitable_k_coloring(
-            g, k, config=DriverConfig(seed=seed, batch_mode=True)
+            g, k, config=DriverConfig(batch_mode=True)
         )
         assert f.gap() <= 1 and is_proper(g, f)
         assert trace.ledger.cumulative <= trace.ledger.bound()
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_driver_stalls_at_first_step_without_a_move(monkeypatch, batch):
+    # with every move search emptied the driver must raise Stalled on its
+    # first step, from the start coloring, without searching larger domains
+    # or restarting
+    g = star(3)
+    start = greedy_extend_full(g, 4)
+    assert start.gap() >= 2
+    records = []
+    monkeypatch.setattr(_Pattern1Index, "first_moves", lambda self, cap: [])
+    monkeypatch.setattr(dynamics, "_pattern23_moves", lambda g, f: iter(()))
+    monkeypatch.setattr(dynamics, "find_improving_move", lambda *args: None)
+    monkeypatch.setattr(dynamics, "TraceRecord", lambda *a: records.append(a))
+    with pytest.raises(Stalled) as info:
+        equitable_k_coloring(g, 4, config=DriverConfig(batch_mode=batch))
+    assert info.value.coloring == start
+    assert info.value.gap == start.gap()
+    assert records == []
+
+
 def test_driver_deterministic():
     g = random_graph(30, 0.12, 3)
     k = g.max_degree + 1
-    f1, t1 = equitable_k_coloring(g, k, config=DriverConfig(seed=5))
-    f2, t2 = equitable_k_coloring(g, k, config=DriverConfig(seed=5))
+    f1, t1 = equitable_k_coloring(g, k)
+    f2, t2 = equitable_k_coloring(g, k)
     assert f1.as_list() == f2.as_list()
     assert t1.step_count == t2.step_count
 
@@ -304,7 +360,7 @@ def test_trace_serialization():
     assert header["kind"] == "header" and header["k"] == 3
     for line in lines[1:]:
         rec = json.loads(line)
-        assert rec["kind"] in ("move", "batch", "restart")
+        assert rec["kind"] in ("move", "batch")
         assert "/" in rec["cumulative"] or rec["cumulative"].isdigit()
     csv_text = trace.to_csv()
     assert csv_text.splitlines()[0] == "step,disc,l1,cumulative"
@@ -319,9 +375,6 @@ def test_driver_every_step_monotone_and_ledgered():
     # replay: counts sequence must match the recorded l1 steps
     prev = ColorDistribution(trace.initial_counts)
     for rec in trace.records:
-        if rec.kind == "restart":
-            prev = ColorDistribution(rec.counts)
-            continue
         cur = ColorDistribution(rec.counts)
         from equicolor.distributions import l1_distance, is_more_equitable
         assert is_more_equitable(prev, cur, strict=False)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicolor import (
@@ -182,7 +182,4 @@ def test_driver_moves_match_stateless_search(n, p, seed, extra, batch):
     g = random_graph(n, p, seed)
     k = g.max_degree + extra
     f, trace = equitable_k_coloring(g, k, config=DriverConfig(batch_mode=batch))
-    # a restart re-seeds from a shuffled greedy order; the size <= 3
-    # patterns have never left a run without a move, so none is expected
-    assume(trace.restarts == 0)
     replay_trace(g, k, f, trace, batch)
