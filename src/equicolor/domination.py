@@ -5,13 +5,22 @@ degree) and a proper partial list coloring, the solver produces a total
 proper list coloring whose per-color class counts are at least those of the
 seed.  The recursion peels removable vertices one at a time, keeping counts
 non-decreasing via a color-shift swap when the peeled vertex is uncolored,
-then reduces to a single 2-connected block which is solved by one of:
+toward the least vertex of an anchored block that is neither a clique nor an
+odd cycle.  If that vertex is left uncolored, the block alone (its lists less
+the colors of its outside neighbors) is solved by one of:
 
 * a vertex with a list strictly larger than its degree (greedy completion),
 * an edge with unequal lists (remove one endpoint, recurse with a surplus),
 * an even cycle (parity extension),
-* a regular block with all lists equal (exhaustive search with per-color
-  count lower bounds; such blocks are small at this package's scale).
+* a regular block with all lists equal (exhaustive backtracking with
+  per-color count lower bounds).  This search is exponential in the block
+  size and recurses once per vertex: it raises RecursionError on
+  `regular:n=2000,d=3` seed 0 from a tight seed, and does not finish on
+  some cubic blocks of 120 vertices.  A constructive solver for this case
+  is open item 1 of ROADMAP.md.
+
+`dominating_full_coloring` and `forests.dominating_delta_coloring` share
+this anchored-block path.
 """
 
 from __future__ import annotations
@@ -35,14 +44,7 @@ from .errors import (
     OutOfRange,
     debug_checks_enabled,
 )
-from .graphs import (
-    Graph,
-    _block_is_clique,
-    _block_is_odd_cycle,
-    block_decomposition,
-    components,
-    is_gallai_tree,
-)
+from .graphs import Graph, _anchor_blocks, components
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class DominationInstance:
 
 def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
     g, lists, seed = inst.graph, inst.lists, inst.seed
-    if len(components(g)) != 1:
-        raise NotConnected(f"graph has {len(components(g))} components, need 1")
+    count = len(components(g))
+    if count != 1:
+        raise NotConnected(f"graph has {count} components, need 1")
     if len(lists) != g.n:
         raise NotDegreeList(f"list assignment covers {len(lists)} vertices, graph has {g.n}")
     if not lists.is_degree_list(g):
@@ -310,41 +313,49 @@ def _solve_block(
     return found
 
 
+def _restrict(
+    g: Graph, lists: ListAssignment, f: PartialColoring, block: frozenset[int]
+) -> tuple[Graph, tuple[int, ...], ListAssignment, PartialColoring]:
+    """The block's induced subgraph and its mapping to g, the block's lists
+    less the colors of colored neighbors outside it, and f restricted to
+    the block."""
+    h, mapping = g.induced_subgraph(block)
+    h_lists = ListAssignment(tuple(
+        lists[old] - {f.get(w) for w in g.adjacency(old)
+                      if w not in block and f.is_assigned(w)}
+        for old in mapping
+    ))
+    return h, mapping, h_lists, PartialColoring(h.n, f.k, [f.get(old) for old in mapping])
+
+
+def _anchored_block_coloring(
+    g: Graph, lists: ListAssignment, seed: PartialColoring, block: frozenset[int]
+) -> PartialColoring:
+    """Total dominating list coloring of g anchored at a block that is
+    neither a clique nor an odd cycle: peel toward the block's least vertex
+    and, if it is left uncolored, solve the block with the rest fixed."""
+    u = min(block)
+    f = _all_but_one(g, lists, seed, u)
+    if not f.is_assigned(u):
+        h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
+        # the mapping is sorted, so u is vertex 0 of the block
+        f_block = _solve_block(h, h_lists, h_seed, 0)
+        for new, old in enumerate(mapping):
+            f.assign(old, f_block.get(new))
+
+    assert f.is_total()
+    assert is_proper(g, f)
+    assert all(f.get(v) in lists[v] for v in range(g.n))
+    assert dominates(f, seed, lists.union_colors())
+    return f
+
+
 def dominating_full_coloring(inst: DominationInstance) -> PartialColoring:
     """Total proper list coloring dominating the seed, for a connected graph
     that is not a Gallai tree with a degree-list assignment."""
     _validate(inst)
-    g, lists, seed = inst.graph, inst.lists, inst.seed
-    k = seed.k
-    comp = frozenset(range(g.n))
-    if is_gallai_tree(g, comp):
+    g = inst.graph
+    [block] = _anchor_blocks(g, [range(g.n)])
+    if block is None:
         raise GallaiTree("every block is a clique or odd cycle; no guarantee exists")
-
-    dec = block_decomposition(g)
-    candidates = [
-        b for b in dec.blocks
-        if not _block_is_clique(g, b) and not _block_is_odd_cycle(g, b)
-    ]
-    block = min(candidates, key=min)
-    u = min(block)
-
-    f1 = _all_but_one(g, lists, seed, u)
-    if not f1.is_assigned(u):
-        keep = sorted(block)
-        h, mapping = g.induced_subgraph(keep)
-        h_lists = ListAssignment(tuple(
-            lists[old] - {f1.get(w) for w in g.adjacency(old)
-                          if w not in block and f1.is_assigned(w)}
-            for old in mapping
-        ))
-        h_seed = PartialColoring(h.n, k, [f1.get(old) for old in mapping])
-        f_block = _solve_block(h, h_lists, h_seed, mapping.index(u))
-        f1 = f1.copy()
-        for new, old in enumerate(mapping):
-            f1.assign(old, f_block.get(new))
-
-    assert f1.is_total()
-    assert is_proper(g, f1)
-    assert all(f1.get(v) in lists[v] for v in range(g.n))
-    assert dominates(f1, seed, lists.union_colors())
-    return f1
+    return _anchored_block_coloring(g, inst.lists, inst.seed, block)

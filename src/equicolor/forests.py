@@ -15,7 +15,7 @@ vertex's color went.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .colorings import (
     ListAssignment,
@@ -26,7 +26,7 @@ from .colorings import (
     is_proper,
     palette_size,
 )
-from .domination import DominationInstance, dominating_full_coloring
+from .domination import _anchored_block_coloring, _restrict
 from .errors import (
     ComponentMissesAnchor,
     ImproperSeed,
@@ -35,14 +35,7 @@ from .errors import (
     RegularGallaiComponent,
     debug_checks_enabled,
 )
-from .graphs import (
-    Graph,
-    _block_is_clique,
-    _block_is_odd_cycle,
-    block_decomposition,
-    components,
-    is_gallai_tree,
-)
+from .graphs import Graph, _anchor_blocks, components
 
 
 @dataclass
@@ -202,23 +195,6 @@ def forest_recolor(
     return f, psi
 
 
-def _anchor_blocks(g: Graph, comps: list[list[int]]) -> list[frozenset[int]]:
-    """For each given component, the first block in decomposition order
-    with the least minimum vertex among its blocks that are neither a
-    clique nor an odd cycle.  One decomposition serves every component."""
-    if not comps:
-        return []
-    index = {v: i for i, comp in enumerate(comps) for v in comp}
-    best: list[Optional[frozenset[int]]] = [None] * len(comps)
-    for b in block_decomposition(g).blocks:
-        i = index.get(min(b))
-        if i is None or _block_is_clique(g, b) or _block_is_odd_cycle(g, b):
-            continue
-        if best[i] is None or min(b) < min(best[i]):
-            best[i] = b
-    return best
-
-
 def dominating_delta_coloring(
     g: Graph, seed: PartialColoring, k
 ) -> PartialColoring:
@@ -229,7 +205,8 @@ def dominating_delta_coloring(
     low-degree vertices anchor the forest and greedy maximality colors them
     afterwards; otherwise the component must not be a Gallai tree, and one
     of its blocks that is neither a clique nor an odd cycle is anchored and
-    finished by the dominating list-coloring solver.  Components that are
+    finished on its own by the anchored-block path of the dominating
+    list-coloring solver.  Components that are
     full-degree-regular Gallai trees are rejected: a finite connected
     k-regular Gallai tree is a complete graph on k+1 vertices or (k = 2) an
     odd cycle, since any end-block of a multi-block Gallai tree contains a
@@ -249,37 +226,29 @@ def dominating_delta_coloring(
         return seed.copy()
 
     full = [comp for comp in components(g) if min(map(g.degree, comp)) == ksize]
-    for comp in full:
-        if is_gallai_tree(g, comp):
+    block_anchored = _anchor_blocks(g, full)
+    for comp, block in zip(full, block_anchored):
+        if block is None:
             raise RegularGallaiComponent(
                 f"component {comp} is {ksize}-regular and a Gallai tree",
                 component=tuple(comp),
             )
-    block_anchored = _anchor_blocks(g, full)
     anchors = {v for v in range(g.n) if g.degree(v) < ksize}.union(*block_anchored)
 
     forest = build_one_ended_subforest(g, anchors)
-    f1, _ = forest_recolor(g, forest, seed, ksize)
-    f2 = greedy_maximal(g, ListAssignment.uniform(g.n, ksize), f1)
+    f, _ = forest_recolor(g, forest, seed, ksize)
+    lists = ListAssignment.uniform(g.n, ksize)
+    _greedy_fill(g, lists, f, range(g.n))
 
     for block in block_anchored:
-        keep = sorted(block)
-        h, mapping = g.induced_subgraph(keep)
-        h_lists = ListAssignment(tuple(
-            frozenset(range(ksize)) - {
-                f2.get(w) for w in g.adjacency(old)
-                if w not in block and f2.is_assigned(w)
-            }
-            for old in mapping
-        ))
-        h_seed = PartialColoring(h.n, ksize, [f2.get(old) for old in mapping])
-        f_block = dominating_full_coloring(
-            DominationInstance(h, h_lists, h_seed)
-        )
+        # g outside the anchored blocks is colored and stays fixed, so only
+        # the block is peeled and solved
+        h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
+        f_block = _anchored_block_coloring(h, h_lists, h_seed, frozenset(range(h.n)))
         for new, old in enumerate(mapping):
-            f2.assign(old, f_block.get(new))
+            f.assign(old, f_block.get(new))
 
-    assert f2.is_total(), "maximality must finish low-degree anchors"
-    assert is_proper(g, f2)
-    assert dominates(f2, seed, range(ksize))
-    return f2
+    assert f.is_total(), "maximality must finish low-degree anchors"
+    assert is_proper(g, f)
+    assert dominates(f, seed, range(ksize))
+    return f

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -219,6 +219,27 @@ def _block_is_odd_cycle(g: Graph, block: frozenset[int]) -> bool:
     return all(sum(1 for w in g.adjacency(v) if w in block) == 2 for v in block)
 
 
+def _anchor_blocks(
+    g: Graph, comps: Sequence[Iterable[int]]
+) -> list[Optional[frozenset[int]]]:
+    """For each given component, the first block in decomposition order
+    with the least minimum vertex among its blocks that are neither a
+    clique nor an odd cycle, or None when there is no such block: a
+    connected graph is a Gallai tree exactly then.  One decomposition
+    serves every component."""
+    if not comps:
+        return []
+    index = {v: i for i, comp in enumerate(comps) for v in comp}
+    best: list[Optional[frozenset[int]]] = [None] * len(comps)
+    for b in block_decomposition(g).blocks:
+        i = index.get(min(b))
+        if i is None or _block_is_clique(g, b) or _block_is_odd_cycle(g, b):
+            continue
+        if best[i] is None or min(b) < min(best[i]):
+            best[i] = b
+    return best
+
+
 def is_gallai_tree(g: Graph, component: Iterable[int]) -> bool:
     """True iff every block of the (connected) component induces a clique or
     an odd cycle.  Single edges count as cliques."""
@@ -230,13 +251,8 @@ def is_gallai_tree(g: Graph, component: Iterable[int]) -> bool:
         raise OutOfRange(f"vertex {v0} outside range")
     if component_of(g, v0) != comp:
         raise NotAComponent(f"{sorted(comp)} is not a connected component")
-    sub, mapping = g.induced_subgraph(comp)
-    dec = block_decomposition(sub)
-    for block in dec.blocks:
-        if _block_is_clique(sub, block) or _block_is_odd_cycle(sub, block):
-            continue
-        return False
-    return True
+    sub, _ = g.induced_subgraph(comp)
+    return _anchor_blocks(sub, [range(sub.n)]) == [None]
 
 
 def contains_clique(g: Graph, q: int) -> bool:

@@ -34,7 +34,7 @@ from .colorings import (
     greedy_maximal,
     is_proper,
 )
-from .dynamics import DriverConfig, equitable_k_coloring
+from .dynamics import equitable_k_coloring
 from .errors import (
     ImproperAux,
     ImproperInput,
@@ -398,7 +398,7 @@ def _evaluate_claims(
 
 
 def equitable_delta_coloring(
-    g: Graph, delta: int, config: DriverConfig = DriverConfig()
+    g: Graph, delta: int
 ) -> tuple[PartialColoring, PipelineReport]:
     """Total proper coloring with palette size = max degree on a sparse
     graph, with a near-equitable class profile and a full claim report."""
@@ -436,7 +436,7 @@ def equitable_delta_coloring(
     seed_full = PartialColoring(g.n, delta)
     if x_set:
         sub, mapping = g.induced_subgraph(x_set)
-        h, _ = equitable_k_coloring(sub, delta + 1, config=config)
+        h, _ = equitable_k_coloring(sub, delta + 1)
         dense_coloring = h.as_list()
         drop = max(range(delta + 1), key=lambda c: (h.counts()[c], -c))
         relabel = {}

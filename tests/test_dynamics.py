@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -26,6 +26,7 @@ from equicolor.dynamics import (
     Batch,
     _connected_domains,
     _pattern1_moves,
+    _pattern23_moves,
     _Pattern1Index,
     admissible_witness,
     move_deltas,
@@ -453,3 +454,36 @@ def test_batch_driver_cubic_scales():
     elapsed = time.perf_counter() - t0
     assert f.gap() <= 1
     assert elapsed < 10.0, f"batch mode on cubic n={g.n} took {elapsed:.1f} s"
+
+
+# (Δ+1)-colorings with gap 2 whose three pattern 1-3 candidates are all
+# inadmissible, so only the exhaustive size-<=3 pass finds a move
+NO_PATTERN_MOVE = [
+    ([(1, 4), (2, 3), (2, 6), (2, 7), (3, 4), (3, 5), (4, 7), (5, 6)],
+     [2, 0, 3, 1, 2, 0, 1, 1]),
+    ([(0, 1), (0, 2), (0, 6), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5)],
+     [3, 1, 2, 0, 3, 3, 2, 0]),
+]
+
+
+@pytest.mark.parametrize("edges, colors", NO_PATTERN_MOVE)
+def test_exhaustive_pass_finds_the_only_small_moves(edges, colors):
+    g = build_graph(8, edges)
+    f = PartialColoring(8, 4, colors)
+    assert g.max_degree == 3 and f.gap() == 2
+    candidates = list(chain(_pattern1_moves(g, f), _pattern23_moves(g, f)))
+    assert len(candidates) == 3
+    assert all(admissible_witness(g, f, mv) is None for mv in candidates)
+
+    move = find_improving_move(g, f)
+    assert move is not None and move.size <= 3
+    assert admissible_witness(g, f, move) is not None
+    assert improving_move_exists(g, f, 3)
+
+    for batch in (False, True):
+        out, trace = equitable_k_coloring(
+            g, 4, f0=f, config=DriverConfig(batch_mode=batch)
+        )
+        assert [r.kind for r in trace.records] == ["move"]
+        assert trace.records[0].vertices == move.domain
+        assert out.gap() <= 1 and is_proper(g, out)

@@ -3,13 +3,17 @@ import random
 import pytest
 
 from equicolor import (
+    DominationInstance,
+    InstanceSpec,
     PartialColoring,
     build_graph,
     build_one_ended_subforest,
     dominates,
     dominating_delta_coloring,
+    dominating_full_coloring,
     forest_recolor,
     components,
+    generate,
     is_proper,
 )
 from equicolor.errors import (
@@ -19,8 +23,13 @@ from equicolor.errors import (
     PaletteTooSmall,
     RegularGallaiComponent,
 )
-from equicolor.forests import _anchor_blocks
-from equicolor.graphs import _block_is_clique, _block_is_odd_cycle, block_decomposition
+from equicolor import domination, forests, graphs
+from equicolor.graphs import (
+    _anchor_blocks,
+    _block_is_clique,
+    _block_is_odd_cycle,
+    block_decomposition,
+)
 from equicolor.oracle import domination_exists
 from equicolor.colorings import ListAssignment
 
@@ -260,3 +269,59 @@ def test_anchor_block_ties_keep_decomposition_order():
     ]
     assert len(blocks) == 2 and min(blocks[0]) == min(blocks[1]) == 0
     assert _anchor_blocks(g, components(g)) == [blocks[0]]
+
+
+@pytest.mark.parametrize("k4_first", [True, False])
+def test_delta_coloring_names_the_gallai_component(k4_first):
+    # K4 is a 3-regular Gallai tree, K3,3 is not: the component list gives
+    # K4 the anchor entry None, and the error names K4 alone
+    k33 = complete_bipartite(3, 3).edges()
+    if k4_first:
+        edges = complete(4).edges() + [(u + 4, v + 4) for u, v in k33]
+        k4 = (0, 1, 2, 3)
+    else:
+        edges = k33 + [(u + 6, v + 6) for u, v in complete(4).edges()]
+        k4 = (6, 7, 8, 9)
+    g = build_graph(10, edges)
+    seed = tight_seed(g)
+    before = seed.as_list()
+    with pytest.raises(RegularGallaiComponent) as err:
+        dominating_delta_coloring(g, seed, 3)
+    assert err.value.component == k4
+    assert seed.as_list() == before
+
+
+def test_one_block_decomposition_per_entry_point_call(monkeypatch):
+    calls = []
+    decompose = graphs.block_decomposition
+
+    def counted(g):
+        calls.append(g.n)
+        return decompose(g)
+
+    # patch every module that binds the name, so no call goes uncounted
+    for module in (graphs, domination, forests):
+        if hasattr(module, "block_decomposition"):
+            monkeypatch.setattr(module, "block_decomposition", counted)
+    cubic = [petersen()] + [
+        generate(InstanceSpec.parse("regular:n=40,d=3", s)) for s in range(3)
+    ]
+    for g in cubic:
+        assert len(components(g)) == 1
+        calls.clear()
+        dominating_delta_coloring(g, tight_seed(g), 3)
+        assert len(calls) == 1
+
+    # the C4 block with a pendant vertex leaves the pivot uncolored, so the
+    # block is restricted and solved as well
+    pendant = DominationInstance(
+        build_graph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]),
+        ListAssignment.of([{1, 3, 5, 6}, {0, 2, 3, 4}, {6}, {2, 5}, {2, 3, 5, 6}]),
+        PartialColoring(5, 7, [5, 2, None, None, 6]),
+    )
+    g = petersen()
+    uniform = DominationInstance(g, ListAssignment.uniform(g.n, 3), tight_seed(g))
+    for inst in (pendant, uniform):
+        calls.clear()
+        dominating_full_coloring(inst)
+        assert len(calls) == 1
