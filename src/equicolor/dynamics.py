@@ -27,7 +27,9 @@ merge of those heaps yields the first moves in scan order.  A serial step
 takes the first move; a batch takes up to BATCH_CANDIDATES of them and
 groups them by signature.  The rescan runs only for patterns 2 and 3: for a
 serial step when the index has no candidate, for a batch when the index
-has fewer than BATCH_CANDIDATES.
+has fewer than BATCH_CANDIDATES.  The sparse pipeline's balancer drives
+the same index, with its heaps further split by an auxiliary class and its
+frozen vertices left out.
 """
 
 from __future__ import annotations
@@ -487,35 +489,52 @@ class _Pattern1Index:
     """Pattern-1 candidates of a total coloring that is only ever changed
     through `apply`.
 
-    `nbr[x*k + c]` counts the neighbors of x colored c.  `heaps[alpha][beta]`
-    holds every vertex x with f(x) = beta and no neighbor colored alpha,
-    plus stale entries that are dropped when they reach the top.
+    `nbr[x*k + c]` counts the neighbors of x colored c.  With an auxiliary
+    coloring aux (one class r = 0 for all vertices without one),
+    `heaps[alpha][r*k + beta]` holds every vertex x with aux(x) = r,
+    f(x) = beta, no neighbor colored alpha and x not frozen, plus stale
+    entries that are dropped when they reach the top.  Frozen vertices are
+    never pushed.  `slot[x]` is x's heap offset aux(x)*k.
     """
 
-    def __init__(self, g: Graph, f: PartialColoring):
+    def __init__(
+        self,
+        g: Graph,
+        f: PartialColoring,
+        aux: Optional[PartialColoring] = None,
+        frozen: Iterable[int] = (),
+    ):
         self.g, self.f, self.k = g, f, f.k
         k = f.k
+        self.slot = [0] * g.n if aux is None else [aux.get(v) * k for v in range(g.n)]
+        self.frozen = bytearray(g.n)
+        for v in frozen:
+            self.frozen[v] = 1
         self.nbr = [0] * (g.n * k)
         for v in range(g.n):
             for w in g.adjacency(v):
                 self.nbr[v * k + f.get(w)] += 1
-        self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
+        slots = k if aux is None else aux.k * k
+        self.heaps: list[list[list[int]]] = [[[] for _ in range(slots)] for _ in range(k)]
         for v in range(g.n):
             self._push(v)
 
     def _push(self, v: int) -> None:
+        if self.frozen[v]:
+            return
         beta, base, nbr = self.f.get(v), v * self.k, self.nbr
+        slot = self.slot[v] + beta
         for alpha in range(self.k):
             if alpha != beta and nbr[base + alpha] == 0:
-                heappush(self.heaps[alpha][beta], v)
+                heappush(self.heaps[alpha][slot], v)
 
-    def apply(self, move: RecoloringMove) -> list[int]:
-        """Apply the move to the coloring in place; return the recolored
-        vertices."""
+    def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
+        """Recolor the (vertex, color) pairs in place, in order; return the
+        recolored vertices."""
         f, nbr, k = self.f, self.nbr, self.k
         recolored: list[int] = []
         emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
-        for v, c in move.assignments:
+        for v, c in assignments:
             old = f.get(v)
             if old == c:
                 continue
@@ -528,11 +547,32 @@ class _Pattern1Index:
                     emptied.append((w, old))
         for v in recolored:
             self._push(v)
+        frozen, slot = self.frozen, self.slot
         for w, c in emptied:
             beta = f.get(w)
-            if c != beta and nbr[w * k + c] == 0:
-                heappush(self.heaps[c][beta], w)
+            if c != beta and nbr[w * k + c] == 0 and not frozen[w]:
+                heappush(self.heaps[c][slot[w] + beta], w)
         return recolored
+
+    def take(self, alpha: int, r: int, beta: int, cap: int) -> list[int]:
+        """Pop from heap (alpha, r, beta) up to `cap` distinct vertices of
+        class beta that have no alpha-neighbor, in ascending order; stale
+        entries on the way are dropped.
+
+        The taken vertices leave the heap, so the caller moves each of them
+        to alpha through `apply`.
+        """
+        f, nbr, k = self.f, self.nbr, self.k
+        heap = self.heaps[alpha][r * k + beta]
+        taken: list[int] = []
+        while heap and len(taken) < cap:
+            x = heappop(heap)
+            if f.get(x) != beta or nbr[x * k + alpha]:
+                continue
+            # duplicate entries of one vertex pop consecutively
+            if not taken or taken[-1] != x:
+                taken.append(x)
+        return taken
 
     def first_moves(self, cap: int) -> list[RecoloringMove]:
         """The first `cap` pattern-1 moves of the scan order, or all of them
@@ -686,7 +726,9 @@ def equitable_k_coloring(
                     "pattern-1 index out of date"
             batch = _gather_signature_batch(g, f, pattern1)
             if batch is not None and batch.size > 0:
-                t, changed = _apply_monotone_prefix(g, f, batch, index.apply)
+                t, changed = _apply_monotone_prefix(
+                    g, f, batch, lambda mv: index.apply(mv.assignments)
+                )
                 if t > 0:
                     counts = f.counts()
                     witness = min(
@@ -719,7 +761,7 @@ def equitable_k_coloring(
                     coloring=f, gap=f.gap(),
                 )
             witness = admissible_witness(g, f, move)
-        index.apply(move)
+        index.apply(move.assignments)
         new_dist = ColorDistribution(f.counts(), n)
         ledger.record(dist, new_dist, witness)
         if debug:

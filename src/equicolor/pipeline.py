@@ -25,7 +25,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import ceil
+from typing import Iterable, Optional, Sequence
 
 from .colorings import (
     ListAssignment,
@@ -34,7 +35,7 @@ from .colorings import (
     greedy_maximal,
     is_proper,
 )
-from .dynamics import equitable_k_coloring
+from .dynamics import _Pattern1Index, equitable_k_coloring
 from .errors import (
     ImproperAux,
     ImproperInput,
@@ -105,22 +106,31 @@ def extract_dense_set(g: Graph, t) -> tuple[int, ...]:
         raise PreconditionViolated("threshold must be nonnegative", name="t")
     if g.n == 0:
         return ()
-    aux = greedy_extend_full(g, g.max_degree + 1)
-    x: set[int] = {v for v in range(g.n) if g.degree(v) >= 2 * t}
-    for r in range(aux.k):
+    return _dense_set(g, t, greedy_extend_full(g, g.max_degree + 1))
+
+
+def _dense_set(g: Graph, t: Fraction, aux: PartialColoring) -> tuple[int, ...]:
+    """`extract_dense_set` over the given pinned greedy coloring; each round
+    visits only its own aux class."""
+    # degrees and neighbor counts are integers: compare with the ceilings
+    high, many = ceil(2 * t), ceil(t)
+    classes: list[list[int]] = [[] for _ in range(aux.k)]
+    for v in range(g.n):
+        classes[aux.get(v)].append(v)
+    x: set[int] = {v for v in range(g.n) if g.degree(v) >= high}
+    for members in classes:
         joiners = [
-            y for y in range(g.n)
+            y for y in members
             if y not in x
-            and aux.get(y) == r
-            and sum(1 for w in g.adjacency(y) if w not in x) >= t
+            and sum(1 for w in g.adjacency(y) if w not in x) >= many
         ]
         x.update(joiners)
     out = tuple(sorted(x))
     for y in range(g.n):
         if y not in x:
-            assert g.degree(y) < 2 * t, "outside degree bound violated"
+            assert g.degree(y) < high, "outside degree bound violated"
             outside = sum(1 for w in g.adjacency(y) if w not in x)
-            assert outside < t, "outside neighborhood bound violated"
+            assert outside < many, "outside neighborhood bound violated"
     if debug_checks_enabled():
         rng = random.Random(0)
         subsets = [out] + [
@@ -133,12 +143,12 @@ def extract_dense_set(g: Graph, t) -> tuple[int, ...]:
     return out
 
 
-def _potential(counts: list[int]) -> int:
-    return sum(
-        abs(counts[a] - counts[b])
-        for a in range(len(counts))
-        for b in range(a + 1, len(counts))
-    )
+def _potential(counts: Sequence[int]) -> int:
+    """Sum of |c_a - c_b| over color pairs, from the sorted counts: the
+    i-th smallest count is the larger one in i pairs and the smaller one
+    in k-1-i."""
+    k = len(counts)
+    return sum(c * (2 * i - (k - 1)) for i, c in enumerate(sorted(counts)))
 
 
 def quick_balance(
@@ -154,11 +164,19 @@ def quick_balance(
     vertices are those of the source class outside the frozen set with no
     neighbor in the target class and the given aux color (the aux coloring
     is proper, so each batch is independent and the recoloring stays
-    proper).  Each batch moves at most half the current size difference,
-    floor-divided.  The pairwise-difference potential drops by at least twice
-    the number of moved vertices per batch, which bounds the total work; at
-    the fixpoint, classes differing by 2 or more have no movable vertex
-    left.
+    proper).  A batch takes the smallest movable vertices, at most half
+    the current size difference, floor-divided.
+
+    Every move is a pattern-1 move, so the batches come from the driver's
+    incremental index, with its heaps keyed by (target, aux class, source)
+    and the frozen set left out: a batch pops its vertices from one heap,
+    and moving a vertex updates only its neighbors' counts.  The
+    pairwise-difference potential drops by at least twice the number of
+    moved vertices per batch, so there are at most half the initial
+    potential moves, and a pass that moves nothing ends the loop.  The work
+    is O(m + nk) heap pushes to build the index, O(deg + k) more per moved
+    vertex, and one heap lookup per triple per pass.  At the fixpoint,
+    classes differing by 2 or more have no movable vertex left.
     """
     if not f.is_total() or not is_proper(g, f):
         raise ImproperInput("balance requires a total proper coloring")
@@ -166,10 +184,9 @@ def quick_balance(
         raise ImproperAux("auxiliary coloring must be total and proper")
     frozen_set = frozenset(frozen)
     out = f.copy()
-    counts = list(out.counts())
-    members: list[list[int]] = [[] for _ in range(out.k)]
-    for v in range(g.n):
-        members[out.get(v)].append(v)
+    index = _Pattern1Index(g, out, aux, frozen_set)
+    debug = debug_checks_enabled()
+    counts = out.counts()
 
     while True:
         moved_this_pass = 0
@@ -178,22 +195,20 @@ def quick_balance(
                 for beta in range(out.k):
                     if alpha == beta or counts[beta] - counts[alpha] < 2:
                         continue
-                    movable = sorted(
-                        y for y in members[beta]
-                        if y not in frozen_set
-                        and aux.get(y) == r
-                        and all(out.get(w) != alpha for w in g.adjacency(y))
-                    )
                     cap = (counts[beta] - counts[alpha]) // 2
-                    batch = movable[:cap]
+                    batch = index.take(alpha, r, beta, cap)
+                    if debug:
+                        assert batch == sorted(
+                            y for y in range(g.n)
+                            if out.get(y) == beta and aux.get(y) == r
+                            and y not in frozen_set
+                            and all(out.get(w) != alpha for w in g.adjacency(y))
+                        )[:cap], "balance index out of date"
                     if not batch:
                         continue
                     before = _potential(counts)
-                    for y in batch:
-                        out.assign(y, alpha)
-                        members[beta].remove(y)
-                        members[alpha].append(y)
-                    counts = list(out.counts())
+                    index.apply((y, alpha) for y in batch)
+                    counts = out.counts()
                     after = _potential(counts)
                     assert 2 * len(batch) <= before - after, \
                         "balance potential must drop by twice the batch size"
@@ -204,6 +219,9 @@ def quick_balance(
     assert is_proper(g, out)
     for v in frozen_set:
         assert out.get(v) == f.get(v), "frozen vertices must keep their colors"
+    members: list[list[int]] = [[] for _ in range(out.k)]
+    for v in range(g.n):
+        members[out.get(v)].append(v)
     for alpha in range(out.k):
         for beta in range(out.k):
             if counts[beta] - counts[alpha] >= 2:
@@ -289,8 +307,11 @@ def _evaluate_claims(
 ) -> list[ClaimVerdict]:
     n = g.n
     slack = Fraction(delta + 1, n)
-    xs = frozenset(x_set)
     counts = f.counts()
+    # per-color counts of the vertices outside X
+    outside = list(counts)
+    for v in x_set:
+        outside[f.get(v)] -= 1
     claims: list[ClaimVerdict] = []
 
     claims.append(ClaimVerdict(
@@ -328,8 +349,7 @@ def _evaluate_claims(
     small = [a for a in range(delta) if counts[a] * delta < n]
     big = [a for a in range(delta) if counts[a] * delta >= n]
     xi = Fraction(len(small), delta)
-    v_minus = [v for v in x_set if f.get(v) in set(big)]
-    mu_v_minus = Fraction(len(v_minus), n)
+    mu_v_minus = Fraction(sum(counts[b] - outside[b] for b in big), n)
 
     claims.append(ClaimVerdict(
         "III", "below-share colors span less than 4/5 of the palette",
@@ -344,15 +364,14 @@ def _evaluate_claims(
         1 - xi, mu_big, _verdict(1 - xi, mu_big, slack), slack,
     ))
 
+    def outside_from(floor: int) -> int:
+        return sum(outside[c] for c in range(delta) if counts[c] >= floor)
+
     # the balance fixpoint only constrains class pairs differing by >= 2,
     # so the overfull side is measured against each small class at gap 2
     worst_v = Fraction(0)
     for alpha in small:
-        above = [
-            y for y in range(g.n)
-            if y not in xs and counts[f.get(y)] >= counts[alpha] + 2
-        ]
-        worst_v = max(worst_v, Fraction(len(above), n))
+        worst_v = max(worst_v, Fraction(outside_from(counts[alpha] + 2), n))
     claims.append(ClaimVerdict(
         "V", "vertices two above a below-share class fill less than 7/10",
         worst_v, Fraction(7, 10),
@@ -367,19 +386,15 @@ def _evaluate_claims(
     ))
 
     if small:
-        max_small = max(counts[a] for a in small)
-        far_above = [
-            y for y in range(g.n)
-            if y not in xs and counts[f.get(y)] >= max_small + 2
-        ]
+        far_above = outside_from(max(counts[a] for a in small) + 2)
         lhs7 = Fraction(2 * delta, 5) * mu_v_minus \
-            + len(small) * Fraction(len(far_above), n)
+            + len(small) * Fraction(far_above, n)
         claims.append(ClaimVerdict(
             "VII", "dense-set cost floor plus forced adjacencies fit the degree budget",
             lhs7, Fraction(delta, 10),
             _verdict(lhs7, Fraction(delta, 10), slack * delta),
             slack * delta,
-            details={"far_above": len(far_above), "xi": xi},
+            details={"far_above": far_above, "xi": xi},
         ))
     else:
         claims.append(ClaimVerdict(
@@ -427,8 +442,10 @@ def equitable_delta_coloring(
             values={"average_degree": avg, "bound": Fraction(delta, 5)},
         )
 
-    t = Fraction(2 * delta, 5)
-    x_set = extract_dense_set(g, t)
+    # one pinned greedy (D+1)-coloring serves the dense-set rounds and the
+    # balancer's batches
+    aux = greedy_extend_full(g, delta + 1)
+    x_set = _dense_set(g, Fraction(2 * delta, 5), aux)
     assert 4 * len(x_set) <= g.n, "dense set exceeded a quarter of the graph"
 
     dense_coloring = None
@@ -461,7 +478,6 @@ def equitable_delta_coloring(
     assert g_ext.is_total(), \
         "low outside degrees must force a total greedy extension"
 
-    aux = greedy_extend_full(g, g.max_degree + 1)
     f = quick_balance(g, g_ext, x_set, aux)
 
     hstar_list = None

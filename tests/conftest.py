@@ -108,6 +108,47 @@ def reference_gather(g, f, cap=64):
     return select_separated_batch(g, f, moves)
 
 
+def reference_quick_balance(g, f, frozen, aux):
+    """The scan balancer: for every (aux class, target, source) triple of a
+    pass, rescan the source class for its movable vertices and move the
+    smallest of them, at most half the size difference."""
+    frozen = frozenset(frozen)
+    out = f.copy()
+    counts = list(out.counts())
+    members = [[] for _ in range(out.k)]
+    for v in range(g.n):
+        members[out.get(v)].append(v)
+
+    def potential(cs):
+        return sum(abs(a - b) for i, a in enumerate(cs) for b in cs[i + 1:])
+
+    while True:
+        moved = 0
+        for r in range(aux.k):
+            for alpha in range(out.k):
+                for beta in range(out.k):
+                    if alpha == beta or counts[beta] - counts[alpha] < 2:
+                        continue
+                    movable = sorted(
+                        y for y in members[beta]
+                        if y not in frozen and aux.get(y) == r
+                        and all(out.get(w) != alpha for w in g.adjacency(y))
+                    )
+                    batch = movable[:(counts[beta] - counts[alpha]) // 2]
+                    if not batch:
+                        continue
+                    before = potential(counts)
+                    for y in batch:
+                        out.assign(y, alpha)
+                        members[beta].remove(y)
+                        members[alpha].append(y)
+                    counts = list(out.counts())
+                    assert 2 * len(batch) <= before - potential(counts)
+                    moved += len(batch)
+        if moved == 0:
+            return out
+
+
 def replay_trace(g, k, f, trace, batch):
     """Replay a driver trace from the greedy start.  Every
     small serial move is the one the stateless search picks on the replayed

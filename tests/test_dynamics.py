@@ -405,7 +405,7 @@ def test_pattern1_index_tracks_arbitrary_moves():
             if not is_acceptable(g, f, move):
                 continue
             expected = [u for u, c in move.assignments if f.get(u) != c]
-            assert index.apply(move) == expected
+            assert index.apply(move.assignments) == expected
             assert is_proper(g, f)
             for cap in (1, 5, 64):
                 assert index.first_moves(cap) == list(islice(_pattern1_moves(g, f), cap))

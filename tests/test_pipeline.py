@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from equicolor import (
     PartialColoring,
@@ -16,7 +19,7 @@ from equicolor import (
 from equicolor.errors import ImproperAux, ImproperInput, PreconditionViolated
 from equicolor.generators import InstanceSpec, generate
 
-from conftest import complete, cycle, random_graph, star
+from conftest import complete, cycle, random_graph, reference_quick_balance, star
 
 
 def test_cost_examples():
@@ -130,6 +133,82 @@ def test_quick_balance_fixpoint_guarantee():
                     for y in range(g.n):
                         if out.get(y) == beta:
                             assert any(out.get(w) == alpha for w in g.adjacency(y))
+
+
+def _first_fit(g, k, rng):
+    """First-fit coloring over one shuffled color order, so the first colors
+    of the order take most vertices; None when some vertex sees all k."""
+    order = list(range(k))
+    rng.shuffle(order)
+    f = PartialColoring(g.n, k)
+    for v in range(g.n):
+        taken = {f.get(w) for w in g.adjacency(v)}
+        c = next((c for c in order if c not in taken), None)
+        if c is None:
+            return None
+        f.assign(v, c)
+    return f
+
+
+@st.composite
+def balance_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    p = draw(st.sampled_from([0.0, 0.03, 0.08, 0.15, 0.3]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = random_graph(n, p, rng.getrandbits(32))
+    k = max(2, g.max_degree + draw(st.integers(min_value=0, max_value=2)))
+    f = _first_fit(g, k, rng)
+    assume(f is not None)
+    share = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    frozen = [v for v in range(n) if rng.random() < share]
+    order = list(range(n))
+    rng.shuffle(order)
+    aux = greedy_extend_full(g, k + draw(st.integers(min_value=1, max_value=3)), order=order)
+    return g, f, frozen, aux
+
+
+@settings(max_examples=300, deadline=None)
+@given(balance_inputs())
+def test_quick_balance_matches_scan_reference(inputs):
+    g, f, frozen, aux = inputs
+    assert quick_balance(g, f, frozen, aux) == reference_quick_balance(g, f, frozen, aux)
+
+
+def test_quick_balance_debug_asserts_index_against_rescan(monkeypatch):
+    # under the debug flag every batch is compared with the scan's first
+    # `cap` movable vertices; the outputs must not change
+    rng = random.Random(11)
+    cases = []
+    for seed in range(12):
+        g = random_graph(40, 0.06, seed)
+        k = max(2, g.max_degree + seed % 3)
+        f = _first_fit(g, k, rng)
+        if f is None:
+            continue
+        frozen = [v for v in range(g.n) if rng.random() < 0.2]
+        order = list(range(g.n))
+        rng.shuffle(order)
+        cases.append((g, f, frozen, greedy_extend_full(g, k + 1 + seed % 3, order=order)))
+    assert len(cases) >= 8
+    hub = generate(InstanceSpec.parse("hub:n=200,delta=10", 3))
+    runs = []
+    for debug in ("", "1"):
+        monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", debug)
+        outs = [quick_balance(*case).as_list() for case in cases]
+        f, report = equitable_delta_coloring(hub, 10)
+        runs.append((outs, f.as_list(), report.to_json()))
+    assert runs[0] == runs[1]
+
+
+def test_pipeline_hub_scales():
+    # the balancer rescanned whole classes for every (aux class, target,
+    # source) triple of every pass: about 50 s here
+    g = generate(InstanceSpec.parse("hub:n=100000,delta=10", 1))
+    t0 = time.perf_counter()
+    f, _ = equitable_delta_coloring(g, 10)
+    elapsed = time.perf_counter() - t0
+    assert f.is_total() and is_proper(g, f)
+    assert elapsed < 20.0, f"pipeline on hub n={g.n} took {elapsed:.1f} s"
 
 
 def test_pipeline_preconditions():
