@@ -27,7 +27,14 @@ merge of those heaps yields the first moves in scan order.  A serial step
 takes the first move; a batch takes up to BATCH_CANDIDATES of them and
 groups them by signature.  The rescan runs only for patterns 2 and 3: for a
 serial step when the index has no candidate, for a batch when the index
-has fewer than BATCH_CANDIDATES.  The sparse pipeline's balancer drives
+has fewer than BATCH_CANDIDATES.
+
+A batch applies the longest monotone prefix of its largest signature
+group (G, S).  Along such a group the counts of G only rise and those of S
+only fall, so once no color of G is at most every count of S, no longer
+prefix recovers a witness: the walk separates the group lazily and stops at
+the first failing prefix, so no move past it is separated, checked or
+tested.  The sparse pipeline's balancer drives
 the same index, with its heaps further split by an auxiliary class and its
 frozen vertices left out.
 """
@@ -292,7 +299,9 @@ def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove
 
 @dataclass(frozen=True)
 class Batch:
-    """Separated moves sharing one (growing, shrinking) signature."""
+    """Moves sharing one (growing, shrinking) signature.  Those from
+    select_separated_batch are separated; the driver's hold a whole
+    signature group, which the prefix walk separates lazily."""
 
     moves: tuple[RecoloringMove, ...]
     grows: frozenset[int]
@@ -304,10 +313,9 @@ class Batch:
         return len(self.moves)
 
 
-def _separated(g: Graph, moves: Sequence[RecoloringMove]) -> tuple[RecoloringMove, ...]:
+def _separated(g: Graph, moves: Iterable[RecoloringMove]) -> Iterator[RecoloringMove]:
     """Greedy maximal sub-collection with pairwise disjoint, pairwise
-    non-adjacent domains, preserving input order."""
-    kept: list[RecoloringMove] = []
+    non-adjacent domains, yielded lazily in input order."""
     blocked: set[int] = set()
     for mv in moves:
         dom = mv.domain
@@ -315,9 +323,8 @@ def _separated(g: Graph, moves: Sequence[RecoloringMove]) -> tuple[RecoloringMov
             continue
         if any(w in blocked for v in dom for w in g.adjacency(v)):
             continue
-        kept.append(mv)
         blocked.update(dom)
-    return tuple(kept)
+        yield mv
 
 
 def select_separated_batch(
@@ -341,46 +348,88 @@ def select_separated_batch(
     if any(_signature(f, mv) != sig for mv in candidates):
         raise SignatureMismatch("candidates do not share one signature")
     m = max(mv.size for mv in candidates)
-    return Batch(_separated(g, candidates), sig[0], sig[1], m)
+    return Batch(tuple(_separated(g, candidates)), sig[0], sig[1], m)
+
+
+def _check_move(g: Graph, f: PartialColoring, mv: RecoloringMove, seen: set[int]) -> None:
+    """Raise unless mv keeps f proper and its domain is disjoint from and
+    non-adjacent to `seen`, the domains checked before it; then add its
+    domain to `seen`."""
+    if not is_acceptable(g, f, mv):
+        raise UnacceptableMove(f"move on {mv.domain} breaks properness")
+    for v in mv.domain:
+        if v in seen:
+            raise NotSeparated(f"vertex {v} in two move domains")
+        if any(w in seen for w in g.adjacency(v)):
+            raise NotSeparated(f"edge between move domains at vertex {v}")
+    seen.update(mv.domain)
 
 
 def _check_batch(g: Graph, f: PartialColoring, batch: Batch) -> None:
     seen: set[int] = set()
     for mv in batch.moves:
-        if not is_acceptable(g, f, mv):
-            raise UnacceptableMove(f"move on {mv.domain} breaks properness")
-        for v in mv.domain:
-            if v in seen:
-                raise NotSeparated(f"vertex {v} in two move domains")
-            if any(w in seen for w in g.adjacency(v)):
-                raise NotSeparated(f"edge between move domains at vertex {v}")
-        seen.update(mv.domain)
+        _check_move(g, f, mv, seen)
+
+
+def _prefix_is_monotone(before: Sequence[int], counts: Sequence[int]) -> bool:
+    """True iff counts is weakly more equitable than before (equal totals)."""
+    diffs = [c - b for c, b in zip(counts, before)]
+    return not any(diffs) or bool(witness_colors(diffs, counts))
+
+
+def _full_walk(f: PartialColoring, moves: Iterable[RecoloringMove]) -> int:
+    """Length of the longest monotone prefix of separated moves, found by
+    testing every prefix; the early-stop walk must agree."""
+    before = f.counts()
+    counts = list(before)
+    best = 0
+    for t, mv in enumerate(moves, start=1):
+        for c, d in enumerate(move_deltas(f, mv)):
+            counts[c] += d
+        if _prefix_is_monotone(before, counts):
+            best = t
+    return best
 
 
 def _apply_monotone_prefix(
     g: Graph, f: PartialColoring, batch: Batch, apply: Callable[[RecoloringMove], list[int]]
 ) -> tuple[int, list[int]]:
-    """In place: apply, through `apply`, the longest batch prefix whose result
-    stays weakly more equitable than f's distribution; return the prefix
-    length and the sorted recolored vertices."""
-    _check_batch(g, f, batch)
+    """In place: apply, through `apply`, the longest prefix of the batch's
+    separated moves whose result stays weakly more equitable than f's
+    distribution; return the prefix length and the sorted recolored
+    vertices.
+
+    The batch moves are separated lazily, and each one walked must have
+    the batch signature (G, S), else SignatureMismatch.  Then the counts of
+    G only rise along the walk and those of S only fall, so "some a in G
+    has a count <= every count in S" can turn from true to false but never
+    back: the longest monotone prefix ends just before the first failing
+    one.  The walk stops there, so no move past the first failure is
+    separated, checked or tested.  Each applied move is first checked for
+    properness and separation.
+    """
     if not batch.moves:
         return 0, []
     if not f.is_total():
         raise OutOfRange("batch prefixes are compared on a total coloring")
+    grows, shrinks = batch.grows, batch.shrinks
     before = f.counts()
     counts = list(before)
-    best = 0
-    for t, mv in enumerate(batch.moves, start=1):
-        for c, d in enumerate(move_deltas(f, mv)):
-            counts[c] += d
-        # is_more_equitable(before, counts, strict=False) at equal totals
-        diffs = [c - b for c, b in zip(counts, before)]
-        if not any(diffs) or witness_colors(diffs, counts):
-            best = t
+    seen: set[int] = set()
     recolored: list[int] = []
-    for mv in batch.moves[:best]:
+    best = 0
+    for mv in _separated(g, batch.moves):
+        deltas = move_deltas(f, mv)
+        if any((d > 0) != (c in grows) or (d < 0) != (c in shrinks)
+               for c, d in enumerate(deltas)):
+            raise SignatureMismatch(f"move on {mv.domain} is off the batch signature")
+        for c, d in enumerate(deltas):
+            counts[c] += d
+        if not _prefix_is_monotone(before, counts):
+            break
+        _check_move(g, f, mv, seen)
         recolored += apply(mv)
+        best += 1
     # both bounds in units of 1/n: l1 = moved/n, each gain = delta/n
     moved = sum(abs(a - b) for a, b in zip(f.counts(), before))
     m = batch.m if batch.m else 1
@@ -396,7 +445,9 @@ def apply_monotone_prefix(
 ) -> tuple[PartialColoring, int]:
     """Apply the longest batch prefix whose result stays weakly more
     equitable than f's distribution; return the new coloring and the prefix
-    length."""
+    length.  Every move of the batch, applied or not, must keep f proper
+    and be separated from the others."""
+    _check_batch(g, f, batch)
     out = f.copy()
     best, _ = _apply_monotone_prefix(g, out, batch, lambda mv: _assign_move(out, mv))
     return out, best
@@ -637,7 +688,8 @@ def _gather_signature_batch(
     g: Graph, f: PartialColoring, pattern1: Sequence[RecoloringMove]
 ) -> Optional[Batch]:
     """Group the first BATCH_CANDIDATES admissible pattern moves by
-    signature and return a separated batch from the first largest group.
+    signature and return the first largest group as a batch, unseparated:
+    the prefix walk separates it lazily.
 
     `pattern1` holds the first BATCH_CANDIDATES pattern-1 moves of the scan
     order, or all of them when there are fewer.  Each is admissible, and
@@ -660,7 +712,7 @@ def _gather_signature_batch(
     if not groups:
         return None
     (grows, shrinks), moves = max(groups.items(), key=lambda kv: len(kv[1]))
-    return Batch(_separated(g, moves), grows, shrinks, max(mv.size for mv in moves))
+    return Batch(tuple(moves), grows, shrinks, max(mv.size for mv in moves))
 
 
 def equitable_k_coloring(
@@ -725,10 +777,14 @@ def equitable_k_coloring(
                 assert pattern1 == list(islice(_pattern1_moves(g, f), BATCH_CANDIDATES)), \
                     "pattern-1 index out of date"
             batch = _gather_signature_batch(g, f, pattern1)
-            if batch is not None and batch.size > 0:
+            if batch is not None:
+                if debug:
+                    full = _full_walk(f, _separated(g, batch.moves))
                 t, changed = _apply_monotone_prefix(
                     g, f, batch, lambda mv: index.apply(mv.assignments)
                 )
+                if debug:
+                    assert t == full, "early-stop prefix differs from the full walk"
                 if t > 0:
                     counts = f.counts()
                     witness = min(

@@ -259,7 +259,9 @@ def contains_clique(g: Graph, q: int) -> bool:
     """True iff some q vertices are pairwise adjacent.
 
     Neighborhood-restricted branch and bound; fine for q up to around the
-    max degree plus one.
+    max degree plus one.  The top level takes each vertex's later
+    candidates from its own adjacency, so setting up the branches costs
+    O(m log max degree), not a test of every pair of vertices.
     """
     if q < 1:
         raise OutOfRange(f"clique size must be >= 1, got {q}")
@@ -282,8 +284,19 @@ def contains_clique(g: Graph, q: int) -> bool:
                 return True
         return False
 
-    eligible = [v for v in order if g.degree(v) >= q - 1]
-    return extend(0, eligible)
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
+    for v in order:
+        if g.degree(v) < q - 1:
+            break
+        later = sorted(
+            (w for w in g.adjacency(v) if rank[w] > rank[v] and g.degree(w) >= q - 1),
+            key=rank.__getitem__,
+        )
+        if extend(1, later):
+            return True
+    return False
 
 
 def average_degree(g: Graph) -> Fraction:

@@ -7,18 +7,21 @@ from equicolor import (
     ListAssignment,
     PartialColoring,
     RecoloringMove,
-    apply_monotone_prefix,
     build_graph,
     find_improving_move,
     greedy_extend_full,
     select_separated_batch,
 )
+from equicolor.distributions import witness_colors
 from equicolor.dynamics import (
     _pattern1_moves,
     _pattern23_moves,
     _signature,
     admissible_witness,
+    is_acceptable,
+    move_deltas,
 )
+from equicolor.errors import NotSeparated, UnacceptableMove
 
 
 def path(n):
@@ -108,6 +111,34 @@ def reference_gather(g, f, cap=64):
     return select_separated_batch(g, f, moves)
 
 
+def reference_monotone_prefix(g, f, batch):
+    """The full prefix walk: check every move of the separated batch against
+    f, then test every prefix and keep the last one whose counts stay weakly
+    more equitable.  Return the new coloring and the prefix length."""
+    seen = set()
+    for mv in batch.moves:
+        if not is_acceptable(g, f, mv):
+            raise UnacceptableMove(f"move on {mv.domain} breaks properness")
+        for v in mv.domain:
+            if v in seen or any(w in seen for w in g.adjacency(v)):
+                raise NotSeparated(f"move domains meet at vertex {v}")
+        seen.update(mv.domain)
+    before = f.counts()
+    counts = list(before)
+    best = 0
+    for t, mv in enumerate(batch.moves, start=1):
+        for c, d in enumerate(move_deltas(f, mv)):
+            counts[c] += d
+        diffs = [c - b for c, b in zip(counts, before)]
+        if not any(diffs) or witness_colors(diffs, counts):
+            best = t
+    out = f.copy()
+    for mv in batch.moves[:best]:
+        for v, c in mv.assignments:
+            out.assign(v, c)
+    return out, best
+
+
 def reference_quick_balance(g, f, frozen, aux):
     """The scan balancer: for every (aux class, target, source) triple of a
     pass, rescan the source class for its movable vertices and move the
@@ -153,7 +184,7 @@ def replay_trace(g, k, f, trace, batch):
     """Replay a driver trace from the greedy start.  Every
     small serial move is the one the stateless search picks on the replayed
     coloring; in batch mode every batch is `reference_gather` cut by
-    `apply_monotone_prefix`, and a serial move follows only a batch that
+    `reference_monotone_prefix`, and a serial move follows only a batch that
     applies nothing."""
     replay = greedy_extend_full(g, k)
     assert replay.counts() == trace.initial_counts
@@ -163,7 +194,7 @@ def replay_trace(g, k, f, trace, batch):
         if batch:
             ref = reference_gather(g, replay)
             if ref is not None:
-                out, applied = apply_monotone_prefix(g, replay, ref)
+                out, applied = reference_monotone_prefix(g, replay, ref)
         if rec.kind == "batch":
             assert applied > 0
             changed = sorted(

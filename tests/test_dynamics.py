@@ -5,10 +5,13 @@ from fractions import Fraction
 from itertools import chain, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicolor import (
     DriverConfig,
     PartialColoring,
+    RecoloringMove,
     apply_monotone_prefix,
     apply_move,
     build_graph,
@@ -24,14 +27,19 @@ from equicolor.distributions import ColorDistribution, discrepancy
 from equicolor import dynamics
 from equicolor.dynamics import (
     Batch,
+    _apply_monotone_prefix,
+    _assign_move,
     _connected_domains,
     _pattern1_moves,
     _pattern23_moves,
     _Pattern1Index,
+    _separated,
+    _signature,
     admissible_witness,
     move_deltas,
 )
 from equicolor.errors import (
+    NotSeparated,
     OutOfRange,
     PaletteTooSmall,
     SignatureMismatch,
@@ -47,6 +55,7 @@ from conftest import (
     cycle,
     path,
     random_graph,
+    reference_monotone_prefix,
     replay_trace,
     star,
 )
@@ -280,6 +289,97 @@ def test_apply_monotone_prefix_rejects_unacceptable():
         apply_monotone_prefix(g, f, bad)
 
 
+def _signature_groups(g, f, moves):
+    """Acceptable moves that change some class size, grouped by signature
+    in first-seen order."""
+    groups = {}
+    for mv in moves:
+        sig = _signature(f, mv)
+        if sig[0] and is_acceptable(g, f, mv):
+            groups.setdefault(sig, []).append(mv)
+    return groups
+
+
+@st.composite
+def walk_inputs(draw):
+    """G(n,p) with n <= 40, a proper total coloring skewed toward one
+    shuffled color order, and a seeded rng for the hand-built moves."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    p = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.35]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = random_graph(n, p, rng.getrandbits(32))
+    k = g.max_degree + 1 + draw(st.integers(min_value=0, max_value=2))
+    order = list(range(k))
+    rng.shuffle(order)
+    f = PartialColoring(n, k)
+    for v in rng.sample(range(n), n):
+        free = [c for c in order if all(f.get(w) != c for w in g.adjacency(v))]
+        f.assign(v, free[0] if rng.random() < 0.7 else rng.choice(free))
+    return g, f, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_inputs())
+def test_early_stop_walk_matches_full_walk(inputs):
+    # groups of one signature from pattern 1, from patterns 2-3, and from
+    # random moves on connected domains of 2-3 vertices; each is handed to
+    # the walk unseparated, as the driver does
+    g, f, rng = inputs
+    domains = [d for d in _connected_domains(g, 3) if len(d) > 1]
+    built = [
+        RecoloringMove(tuple((v, rng.randrange(f.k)) for v in dom))
+        for dom in rng.sample(domains, min(len(domains), 80))
+    ]
+    groups = []
+    for moves in (_pattern1_moves(g, f), _pattern23_moves(g, f), built):
+        groups += _signature_groups(g, f, moves).items()
+    for (grows, shrinks), group in groups:
+        m = max(mv.size for mv in group)
+        separated = Batch(tuple(_separated(g, group)), grows, shrinks, m)
+        expected, t_ref = reference_monotone_prefix(g, f, separated)
+        out = f.copy()
+        t, recolored = _apply_monotone_prefix(
+            g, out, Batch(tuple(group), grows, shrinks, m),
+            lambda mv: _assign_move(out, mv),
+        )
+        assert t == t_ref and out == expected
+        assert recolored == sorted(
+            v for mv in separated.moves[:t] for v, c in mv.assignments if f.get(v) != c
+        )
+        assert apply_monotone_prefix(g, f, separated) == (expected, t_ref)
+    # a walked move off the batch signature is rejected
+    for (sig, group), (other, foreign) in zip(groups, groups[1:]):
+        if other != sig:
+            mixed = Batch((foreign[0],) + tuple(group), sig[0], sig[1], 3)
+            with pytest.raises(SignatureMismatch):
+                _apply_monotone_prefix(g, f.copy(), mixed, lambda mv: [])
+
+
+# a pattern-3 group of the second batch has two moves sharing vertices 3
+# and 12; the driver separates them, so only the first is applied
+UNSEPARATED_GROUP_EDGES = [
+    (0, 4), (0, 10), (0, 14), (1, 2), (1, 3), (1, 9), (1, 11), (1, 14), (2, 9),
+    (2, 13), (3, 12), (3, 15), (3, 19), (3, 20), (4, 11), (4, 12), (4, 16),
+    (4, 18), (4, 20), (5, 9), (5, 20), (6, 7), (6, 12), (6, 13), (7, 20), (8, 9),
+    (8, 15), (9, 15), (10, 13), (10, 14), (11, 12), (11, 13), (12, 16), (12, 19),
+    (13, 14), (13, 15), (13, 20), (14, 16), (15, 18), (15, 19), (17, 18), (18, 20),
+]
+UNSEPARATED_GROUP_START = [0, 0, 6, 2, 1, 0, 1, 0, 0, 2, 1, 3, 7, 0, 2, 1, 5, 1, 0, 0, 3]
+
+
+def test_walk_checks_separation_of_applied_moves(monkeypatch):
+    g = build_graph(21, UNSEPARATED_GROUP_EDGES)
+    start = PartialColoring(21, 8, UNSEPARATED_GROUP_START)
+    f, trace = equitable_k_coloring(g, 8, f0=start, config=DriverConfig(batch_mode=True))
+    assert f.gap() <= 1 and is_proper(g, f)
+    assert trace.records[1].vertices == (3, 4, 12)
+    # with the lazy separation switched off, the second move of that group
+    # reaches the walk, and the check on applied moves stops it
+    monkeypatch.setattr(dynamics, "_separated", lambda g, moves: iter(moves))
+    with pytest.raises(NotSeparated):
+        equitable_k_coloring(g, 8, f0=start, config=DriverConfig(batch_mode=True))
+
+
 def test_driver_small_examples():
     f, _ = equitable_k_coloring(build_graph(7, []), 3)
     assert sorted(f.counts()) == [2, 2, 3]
@@ -441,8 +541,22 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
         )
         assert trace.records[0].kind == "batch"
         runs.append((f.as_list(), trace.to_jsonl()))
+        # batches whose walk stops early, one of them on a pattern-3 group
+        g = build_graph(21, UNSEPARATED_GROUP_EDGES)
+        start = PartialColoring(21, 8, UNSEPARATED_GROUP_START)
+        for h, k, f0 in ((cubic, 4, None), (g, 8, start)):
+            f, trace = equitable_k_coloring(h, k, f0=f0, config=DriverConfig(batch_mode=True))
+            ledger = trace.ledger.to_json_dict()
+            # the flag adds each ledger step's prefix sums, nothing else
+            for step in ledger["steps"]:
+                step.pop("prefix_sums", None)
+            runs.append((f.as_list(), trace.to_jsonl(), trace.to_csv(), ledger))
     # the debug checks observe the run without changing it
     assert runs[:len(runs) // 2] == runs[len(runs) // 2:]
+    # and each batch's prefix is compared with the full walk
+    monkeypatch.setattr(dynamics, "_full_walk", lambda f, moves: -1)
+    with pytest.raises(AssertionError, match="full walk"):
+        equitable_k_coloring(g, 8, f0=start, config=DriverConfig(batch_mode=True))
 
 
 def test_batch_driver_cubic_scales():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicolor import (
     average_degree,
@@ -199,6 +201,27 @@ def test_contains_clique_against_enumeration():
                 for sub in combinations(range(g.n), q)
             )
             assert contains_clique(g, q) == expected
+
+
+@st.composite
+def graphs_and_clique_sizes(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    mask = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [e for e, x in zip(pairs, mask) if x < p])
+    return g, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_and_clique_sizes())
+def test_contains_clique_matches_brute_force(case):
+    g, q = case
+    expected = any(
+        all(g.has_edge(a, b) for a, b in combinations(sub, 2))
+        for sub in combinations(range(g.n), q)
+    )
+    assert contains_clique(g, q) == expected
 
 
 def test_average_degree():
