@@ -204,17 +204,13 @@ class LedgerStep:
     l1: Fraction
     witness: Optional[int]
     gain: Fraction
-    prefix_sums: Optional[tuple[Fraction, ...]] = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "l1": str(self.l1),
             "witness": self.witness,
             "gain": str(self.gain),
         }
-        if self.prefix_sums is not None:
-            out["prefix_sums"] = [str(s) for s in self.prefix_sums]
-        return out
 
 
 @dataclass
@@ -297,13 +293,7 @@ class ConvergenceLedger:
                 step=(before, after),
             )
         gain = Fraction(min_gain if witness is None else diffs[witness], denom)
-        prefix = None
-        if debug_checks_enabled():
-            sorted_after = rearranged(after)
-            prefix = tuple(
-                sum(sorted_after[:l], Fraction(0)) for l in range(1, self.k + 1)
-            )
-        self.steps.append(LedgerStep(step_l1, witness, gain, prefix))
+        self.steps.append(LedgerStep(step_l1, witness, gain))
         return self
 
     def observed_ratio(self) -> Optional[Fraction]:

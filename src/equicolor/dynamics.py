@@ -16,27 +16,24 @@ then, for what the patterns miss, every connected domain of at most three
 vertices.  If no move of size at most three exists while the class gap is
 at least 2, the driver raises Stalled at once rather than guessing.
 
-The driver recolors one working coloring in place.  Every move it applies
-(serial steps and accepted batch prefixes) also updates an
-incremental pattern-1 index: per-vertex neighbor-color counts and one lazily
-pruned min-heap per (color alpha, class beta) of the beta-vertices with no
-alpha-neighbor.  Pattern-1 moves are always admissible, so the smallest
-valid heap top over minimum colors alpha and classes beta of size at least
-min + 2 is exactly the first move the pattern scan would return, and a
-merge of those heaps yields the first moves in scan order.  A serial step
-takes the first move; a batch takes up to BATCH_CANDIDATES of them and
-groups them by signature.  The rescan runs only for patterns 2 and 3: for a
-serial step when the index has no candidate, for a batch when the index
-has fewer than BATCH_CANDIDATES.
-
-A batch applies the longest monotone prefix of its largest signature
-group (G, S).  Along such a group the counts of G only rise and those of S
-only fall, so once no color of G is at most every count of S, no longer
-prefix recovers a witness: the walk separates the group lazily and stops at
-the first failing prefix, so no move past it is separated, checked or
-tested.  The sparse pipeline's balancer drives
-the same index, with its heaps further split by an auxiliary class and its
-frozen vertices left out.
+The driver recolors one working coloring in place, in rounds.  An
+incremental pattern-1 index keeps per-vertex neighbor-color counts and one
+lazily pruned min-heap per (color alpha, class beta) of the beta-vertices
+with no alpha-neighbor.  Pattern-1 moves are always admissible, so the
+smallest valid heap top over minimum colors alpha and classes beta of size
+at least min + 2 is exactly the first move the pattern scan would return.
+A round takes that move (x, alpha) and pops up to `cap` vertices of beta =
+f(x) from heap (alpha, beta), smallest first; serial mode caps a round at
+one move, batch mode at (c[beta] - c[alpha]) // 2.  The popped vertices all
+leave one class, so in a proper coloring they are pairwise non-adjacent: a
+separated set of moves with signature ({alpha}, {beta}), the paper's
+parallel round.  After t of them alpha is still no larger than beta exactly
+while t <= (c[beta] - c[alpha]) / 2, so the whole batch cap is the longest
+monotone prefix, and a batch round is still applied through the checked
+prefix walk.  Only when the index is empty does a round fall back to one
+step of patterns 2 and 3 or the exhaustive pass, in both modes.  The sparse
+pipeline's balancer drives the same index, with its heaps further split by
+an auxiliary class and its frozen vertices left out.
 """
 
 from __future__ import annotations
@@ -46,8 +43,8 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain, combinations, islice, product
+from heapq import heappop, heappush
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .colorings import PartialColoring, greedy_extend_full, is_proper, palette_size
@@ -299,9 +296,9 @@ def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove
 
 @dataclass(frozen=True)
 class Batch:
-    """Moves sharing one (growing, shrinking) signature.  Those from
-    select_separated_batch are separated; the driver's hold a whole
-    signature group, which the prefix walk separates lazily."""
+    """Separated moves sharing one (growing, shrinking) signature, applied
+    as a monotone prefix: those of select_separated_batch, or a driver
+    round, one pattern-1 move per vertex popped from one index heap."""
 
     moves: tuple[RecoloringMove, ...]
     grows: frozenset[int]
@@ -377,36 +374,21 @@ def _prefix_is_monotone(before: Sequence[int], counts: Sequence[int]) -> bool:
     return not any(diffs) or bool(witness_colors(diffs, counts))
 
 
-def _full_walk(f: PartialColoring, moves: Iterable[RecoloringMove]) -> int:
-    """Length of the longest monotone prefix of separated moves, found by
-    testing every prefix; the early-stop walk must agree."""
-    before = f.counts()
-    counts = list(before)
-    best = 0
-    for t, mv in enumerate(moves, start=1):
-        for c, d in enumerate(move_deltas(f, mv)):
-            counts[c] += d
-        if _prefix_is_monotone(before, counts):
-            best = t
-    return best
-
-
 def _apply_monotone_prefix(
     g: Graph, f: PartialColoring, batch: Batch, apply: Callable[[RecoloringMove], list[int]]
 ) -> tuple[int, list[int]]:
     """In place: apply, through `apply`, the longest prefix of the batch's
-    separated moves whose result stays weakly more equitable than f's
-    distribution; return the prefix length and the sorted recolored
-    vertices.
+    moves whose result stays weakly more equitable than f's distribution;
+    return the prefix length and the sorted recolored vertices.
 
-    The batch moves are separated lazily, and each one walked must have
-    the batch signature (G, S), else SignatureMismatch.  Then the counts of
-    G only rise along the walk and those of S only fall, so "some a in G
-    has a count <= every count in S" can turn from true to false but never
+    Each move walked must keep f proper and be separated from the moves
+    before it, else UnacceptableMove or NotSeparated, and must have the
+    batch signature (G, S), else SignatureMismatch.  Then the counts of G
+    only rise along the walk and those of S only fall, so "some a in G has
+    a count <= every count in S" can turn from true to false but never
     back: the longest monotone prefix ends just before the first failing
-    one.  The walk stops there, so no move past the first failure is
-    separated, checked or tested.  Each applied move is first checked for
-    properness and separation.
+    one.  The walk stops there, so at most one move past the prefix is
+    checked and none is tested.
     """
     if not batch.moves:
         return 0, []
@@ -418,7 +400,8 @@ def _apply_monotone_prefix(
     seen: set[int] = set()
     recolored: list[int] = []
     best = 0
-    for mv in _separated(g, batch.moves):
+    for mv in batch.moves:
+        _check_move(g, f, mv, seen)
         deltas = move_deltas(f, mv)
         if any((d > 0) != (c in grows) or (d < 0) != (c in shrinks)
                for c, d in enumerate(deltas)):
@@ -427,7 +410,6 @@ def _apply_monotone_prefix(
             counts[c] += d
         if not _prefix_is_monotone(before, counts):
             break
-        _check_move(g, f, mv, seen)
         recolored += apply(mv)
         best += 1
     # both bounds in units of 1/n: l1 = moved/n, each gain = delta/n
@@ -537,15 +519,17 @@ class DynamicsTrace:
 
 
 class _Pattern1Index:
-    """Pattern-1 candidates of a total coloring that is only ever changed
-    through `apply`.
+    """Pattern-1 moves of a total coloring that is only ever changed
+    through `apply`: the driver's rounds and the balancer's batches.
 
     `nbr[x*k + c]` counts the neighbors of x colored c.  With an auxiliary
     coloring aux (one class r = 0 for all vertices without one),
     `heaps[alpha][r*k + beta]` holds every vertex x with aux(x) = r,
     f(x) = beta, no neighbor colored alpha and x not frozen, plus stale
     entries that are dropped when they reach the top.  Frozen vertices are
-    never pushed.  `slot[x]` is x's heap offset aux(x)*k.
+    never pushed.  `slot[x]` is x's heap offset aux(x)*k.  `first_move`
+    peeks at heap tops and `take` pops a round; each moved vertex costs
+    O(deg + k) pushes in `apply`.
     """
 
     def __init__(
@@ -625,94 +609,29 @@ class _Pattern1Index:
                 taken.append(x)
         return taken
 
-    def first_moves(self, cap: int) -> list[RecoloringMove]:
-        """The first `cap` pattern-1 moves of the scan order, or all of them
-        when there are fewer.
-
-        A merge of the heaps over minimum colors alpha and classes beta of
-        size >= min + 2, advanced only as far as needed, so cap = 1 only
-        peeks at each heap's valid top.  A vertex valid for several alphas
-        comes out once per alpha, consecutively and with the smallest alpha
-        first, which is the one the scan picks.  Stale entries are dropped
-        when they reach a front; valid entries popped on the way are pushed
-        back.
-        """
+    def first_move(self) -> Optional[RecoloringMove]:
+        """The first pattern-1 move of the scan order, or None: the smallest
+        valid heap top over minimum colors alpha and classes beta of size
+        >= min + 2, the smallest alpha on a tie.  Stale tops on the way are
+        dropped."""
         f, nbr, k, heaps = self.f, self.nbr, self.k, self.heaps
         counts = f.counts()
         a = min(counts)
         big = [beta for beta in range(k) if counts[beta] >= a + 2]
-        fronts: list[tuple[int, int, int, list[int]]] = []
+        best: Optional[tuple[int, int]] = None
         for alpha in range(k):
             if counts[alpha] != a:
                 continue
             for beta in big:
                 heap = heaps[alpha][beta]
-                # stale tops are dropped here rather than through the merge:
-                # every serial step stops at the first move
                 while heap:
                     x = heap[0]
                     if f.get(x) == beta and nbr[x * k + alpha] == 0:
-                        fronts.append((x, alpha, beta, heap))
+                        if best is None or x < best[0]:
+                            best = (x, alpha)
                         break
                     heappop(heap)
-        heapify(fronts)
-        moves: list[RecoloringMove] = []
-        popped: list[tuple[list[int], int]] = []
-        last = -1
-        while fronts:
-            x, alpha, beta, heap = fronts[0]
-            if f.get(x) == beta and nbr[x * k + alpha] == 0:
-                if x != last:
-                    moves.append(RecoloringMove(((x, alpha),)))
-                    last = x
-                    if len(moves) == cap:
-                        break
-                popped.append((heap, x))
-            heappop(heap)
-            if heap:
-                heapreplace(fronts, (heap[0], alpha, beta, heap))
-            else:
-                heappop(fronts)
-        for heap, x in popped:
-            heappush(heap, x)
-        return moves
-
-
-# Candidates gathered per batch.  It bounds the work of one gather and it
-# shapes the batch trajectory: a batch is the largest signature group among
-# these candidates, so another value yields other batches.
-BATCH_CANDIDATES = 64
-
-
-def _gather_signature_batch(
-    g: Graph, f: PartialColoring, pattern1: Sequence[RecoloringMove]
-) -> Optional[Batch]:
-    """Group the first BATCH_CANDIDATES admissible pattern moves by
-    signature and return the first largest group as a batch, unseparated:
-    the prefix walk separates it lazily.
-
-    `pattern1` holds the first BATCH_CANDIDATES pattern-1 moves of the scan
-    order, or all of them when there are fewer.  Each is admissible, and
-    moving x to alpha has signature ({alpha}, {f(x)}).  Patterns 2 and 3
-    are scanned only to fill a short list.
-    """
-    groups: dict[tuple[frozenset[int], frozenset[int]], list[RecoloringMove]] = {}
-    for move in pattern1:
-        (x, alpha), = move.assignments
-        groups.setdefault((frozenset((alpha,)), frozenset((f.get(x),))), []).append(move)
-    found = len(pattern1)
-    if found < BATCH_CANDIDATES:
-        for move in _pattern23_moves(g, f):
-            if admissible_witness(g, f, move) is None:
-                continue
-            groups.setdefault(_signature(f, move), []).append(move)
-            found += 1
-            if found == BATCH_CANDIDATES:
-                break
-    if not groups:
-        return None
-    (grows, shrinks), moves = max(groups.items(), key=lambda kv: len(kv[1]))
-    return Batch(tuple(moves), grows, shrinks, max(mv.size for mv in moves))
+        return None if best is None else RecoloringMove((best,))
 
 
 def equitable_k_coloring(
@@ -771,45 +690,11 @@ def equitable_k_coloring(
                 "this indicates a driver bug",
                 coloring=f, gap=f.gap(),
             )
-        if config.batch_mode:
-            pattern1 = index.first_moves(BATCH_CANDIDATES)
-            if debug:
-                assert pattern1 == list(islice(_pattern1_moves(g, f), BATCH_CANDIDATES)), \
-                    "pattern-1 index out of date"
-            batch = _gather_signature_batch(g, f, pattern1)
-            if batch is not None:
-                if debug:
-                    full = _full_walk(f, _separated(g, batch.moves))
-                t, changed = _apply_monotone_prefix(
-                    g, f, batch, lambda mv: index.apply(mv.assignments)
-                )
-                if debug:
-                    assert t == full, "early-stop prefix differs from the full walk"
-                if t > 0:
-                    counts = f.counts()
-                    witness = min(
-                        (c for c in range(size) if counts[c] > dist.counts[c]),
-                        key=lambda c: (counts[c], c), default=None,
-                    )
-                    new_dist = ColorDistribution(counts, n)
-                    ledger.record(dist, new_dist, witness)
-                    trace.records.append(TraceRecord(
-                        "batch", len(trace.records), tuple(changed),
-                        tuple(f.get(v) for v in changed), witness,
-                        counts, ledger.steps[-1].l1, ledger.cumulative,
-                    ))
-                    dist = new_dist
-                    continue
-        move = next(iter(index.first_moves(1)), None)
+        move = index.first_move()
         if debug:
             assert move == next(_pattern1_moves(g, f), None), \
                 "pattern-1 index out of date"
-        if move is not None:
-            # a pattern-1 move is admissible with its target color as witness
-            witness = move.assignments[0][1]
-            if debug:
-                assert witness == admissible_witness(g, f, move)
-        else:
+        if move is None:
             move = find_improving_move(g, f)
             if move is None:
                 raise Stalled(
@@ -817,15 +702,44 @@ def equitable_k_coloring(
                     coloring=f, gap=f.gap(),
                 )
             witness = admissible_witness(g, f, move)
-        index.apply(move.assignments)
+            index.apply(move.assignments)
+            kind, changed = "move", move.domain
+        else:
+            # a pattern-1 round, admissible with its target color as witness
+            (x, alpha), = move.assignments
+            beta = f.get(x)
+            counts = f.counts()
+            cap = (counts[beta] - counts[alpha]) // 2 if config.batch_mode else 1
+            taken = index.take(alpha, 0, beta, cap)
+            if debug:
+                assert taken == sorted(
+                    y for y in range(n) if f.get(y) == beta
+                    and all(f.get(w) != alpha for w in g.adjacency(y))
+                )[:cap], "round differs from the rescan"
+                assert admissible_witness(g, f, move) == alpha
+            witness = alpha
+            if config.batch_mode:
+                round_moves = tuple(RecoloringMove(((y, alpha),)) for y in taken)
+                t, changed = _apply_monotone_prefix(
+                    g, f, Batch(round_moves, frozenset((alpha,)), frozenset((beta,)), 1),
+                    lambda mv: index.apply(mv.assignments),
+                )
+                # the popped vertices left the index, so every one must move
+                assert t == len(taken), "applied prefix differs from the take"
+                kind = "batch"
+            else:
+                # one pattern-1 move is admissible by itself, so a serial
+                # round skips the walk's checks, which cost it about a third
+                index.apply(move.assignments)
+                kind, changed = "move", move.domain
         new_dist = ColorDistribution(f.counts(), n)
         ledger.record(dist, new_dist, witness)
         if debug:
-            assert is_proper(g, f), "applied move broke properness"
+            assert is_proper(g, f), "applied round broke properness"
             assert is_more_equitable(dist, new_dist, strict=True)
         trace.records.append(TraceRecord(
-            "move", len(trace.records), move.domain,
-            tuple(c for _, c in move.assignments), witness,
+            kind, len(trace.records), tuple(changed),
+            tuple(f.get(v) for v in changed), witness,
             new_dist.counts, ledger.steps[-1].l1, ledger.cumulative,
         ))
         dist = new_dist

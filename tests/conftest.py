@@ -1,6 +1,4 @@
 import random
-from itertools import chain
-
 import pytest
 
 from equicolor import (
@@ -15,9 +13,6 @@ from equicolor import (
 from equicolor.distributions import witness_colors
 from equicolor.dynamics import (
     _pattern1_moves,
-    _pattern23_moves,
-    _signature,
-    admissible_witness,
     is_acceptable,
     move_deltas,
 )
@@ -94,21 +89,26 @@ def tight_seed(g):
     return PartialColoring(g.n, k, [None if c == drop else c - (c > drop) for c in full])
 
 
-def reference_gather(g, f, cap=64):
-    """The rescan batch gather: scan patterns 1-3 from vertex 0, keep the
-    first `cap` admissible moves, group them by signature, and select a
-    separated batch from the first largest group."""
-    groups = {}
-    for move in chain(_pattern1_moves(g, f), _pattern23_moves(g, f)):
-        if admissible_witness(g, f, move) is None:
-            continue
-        groups.setdefault(_signature(f, move), []).append(move)
-        if sum(len(v) for v in groups.values()) >= cap:
-            break
-    if not groups:
+def reference_round(g, f, batch):
+    """The rescan round: the first pattern-1 move (x, alpha) in scan order,
+    then the smallest vertices of class beta = f(x) with no alpha-neighbor,
+    one of them in serial mode and (c[beta] - c[alpha]) // 2 in batch
+    mode, each moved to alpha, as a separated batch.  None when no
+    pattern-1 move exists."""
+    first = next(_pattern1_moves(g, f), None)
+    if first is None:
         return None
-    _, moves = max(groups.items(), key=lambda kv: len(kv[1]))
-    return select_separated_batch(g, f, moves)
+    (x, alpha), = first.assignments
+    beta = f.get(x)
+    counts = f.counts()
+    cap = (counts[beta] - counts[alpha]) // 2 if batch else 1
+    movable = [
+        y for y in range(g.n)
+        if f.get(y) == beta and all(f.get(w) != alpha for w in g.adjacency(y))
+    ]
+    return select_separated_batch(
+        g, f, [RecoloringMove(((y, alpha),)) for y in movable[:cap]]
+    )
 
 
 def reference_monotone_prefix(g, f, batch):
@@ -181,33 +181,25 @@ def reference_quick_balance(g, f, frozen, aux):
 
 
 def replay_trace(g, k, f, trace, batch):
-    """Replay a driver trace from the greedy start.  Every
-    small serial move is the one the stateless search picks on the replayed
-    coloring; in batch mode every batch is `reference_gather` cut by
-    `reference_monotone_prefix`, and a serial move follows only a batch that
-    applies nothing."""
+    """Replay a driver trace from the greedy start.  Every round is
+    `reference_round` cut by `reference_monotone_prefix`, which must apply
+    all of it; when there is no round, the step is the move the stateless
+    search picks on the replayed coloring."""
     replay = greedy_extend_full(g, k)
     assert replay.counts() == trace.initial_counts
     for rec in trace.records:
-        assert rec.kind != "restart"
-        applied = 0
-        if batch:
-            ref = reference_gather(g, replay)
-            if ref is not None:
-                out, applied = reference_monotone_prefix(g, replay, ref)
-        if rec.kind == "batch":
-            assert applied > 0
-            changed = sorted(
-                v for mv in ref.moves[:applied] for v, c in mv.assignments
-                if replay.get(v) != c
-            )
+        ref = reference_round(g, replay, batch)
+        if ref is not None:
+            out, applied = reference_monotone_prefix(g, replay, ref)
+            assert applied == ref.size
+            assert rec.kind == ("batch" if batch else "move")
+            changed = [v for mv in ref.moves for v, _ in mv.assignments]
             assert rec.vertices == tuple(changed)
             assert rec.new_colors == tuple(out.get(v) for v in changed)
         else:
-            assert applied == 0
-            if len(rec.vertices) <= 3:
-                move = find_improving_move(g, replay)
-                assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
+            assert rec.kind == "move"
+            move = find_improving_move(g, replay)
+            assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
         for v, c in zip(rec.vertices, rec.new_colors):
             replay.assign(v, c)
         assert replay.counts() == rec.counts

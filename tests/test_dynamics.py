@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -322,8 +322,8 @@ def walk_inputs(draw):
 @given(walk_inputs())
 def test_early_stop_walk_matches_full_walk(inputs):
     # groups of one signature from pattern 1, from patterns 2-3, and from
-    # random moves on connected domains of 2-3 vertices; each is handed to
-    # the walk unseparated, as the driver does
+    # random moves on connected domains of 2-3 vertices, each separated
+    # before the walk as select_separated_batch does
     g, f, rng = inputs
     domains = [d for d in _connected_domains(g, 3) if len(d) > 1]
     built = [
@@ -339,8 +339,7 @@ def test_early_stop_walk_matches_full_walk(inputs):
         expected, t_ref = reference_monotone_prefix(g, f, separated)
         out = f.copy()
         t, recolored = _apply_monotone_prefix(
-            g, out, Batch(tuple(group), grows, shrinks, m),
-            lambda mv: _assign_move(out, mv),
+            g, out, separated, lambda mv: _assign_move(out, mv)
         )
         assert t == t_ref and out == expected
         assert recolored == sorted(
@@ -355,29 +354,24 @@ def test_early_stop_walk_matches_full_walk(inputs):
                 _apply_monotone_prefix(g, f.copy(), mixed, lambda mv: [])
 
 
-# a pattern-3 group of the second batch has two moves sharing vertices 3
-# and 12; the driver separates them, so only the first is applied
-UNSEPARATED_GROUP_EDGES = [
-    (0, 4), (0, 10), (0, 14), (1, 2), (1, 3), (1, 9), (1, 11), (1, 14), (2, 9),
-    (2, 13), (3, 12), (3, 15), (3, 19), (3, 20), (4, 11), (4, 12), (4, 16),
-    (4, 18), (4, 20), (5, 9), (5, 20), (6, 7), (6, 12), (6, 13), (7, 20), (8, 9),
-    (8, 15), (9, 15), (10, 13), (10, 14), (11, 12), (11, 13), (12, 16), (12, 19),
-    (13, 14), (13, 15), (13, 20), (14, 16), (15, 18), (15, 19), (17, 18), (18, 20),
-]
-UNSEPARATED_GROUP_START = [0, 0, 6, 2, 1, 0, 1, 0, 0, 2, 1, 3, 7, 0, 2, 1, 5, 1, 0, 0, 3]
-
-
 def test_walk_checks_separation_of_applied_moves(monkeypatch):
-    g = build_graph(21, UNSEPARATED_GROUP_EDGES)
-    start = PartialColoring(21, 8, UNSEPARATED_GROUP_START)
-    f, trace = equitable_k_coloring(g, 8, f0=start, config=DriverConfig(batch_mode=True))
+    # counts (5, 4, 1): the first round moves 0 and 2 to color 2
+    g = path(10)
+    start = PartialColoring(10, 3, [0, 1, 0, 1, 0, 1, 0, 1, 0, 2])
+    f, trace = equitable_k_coloring(g, 3, f0=start, config=DriverConfig(batch_mode=True))
     assert f.gap() <= 1 and is_proper(g, f)
-    assert trace.records[1].vertices == (3, 4, 12)
-    # with the lazy separation switched off, the second move of that group
-    # reaches the walk, and the check on applied moves stops it
-    monkeypatch.setattr(dynamics, "_separated", lambda g, moves: iter(moves))
+    assert trace.records[0].vertices == (0, 2)
+    # a take that hands over one vertex twice reaches the walk, and the
+    # check on applied moves stops it
+    take = _Pattern1Index.take
+
+    def take_first_twice(self, *args):
+        taken = take(self, *args)
+        return taken + taken[:1]
+
+    monkeypatch.setattr(_Pattern1Index, "take", take_first_twice)
     with pytest.raises(NotSeparated):
-        equitable_k_coloring(g, 8, f0=start, config=DriverConfig(batch_mode=True))
+        equitable_k_coloring(g, 3, f0=start, config=DriverConfig(batch_mode=True))
 
 
 def test_driver_small_examples():
@@ -433,7 +427,7 @@ def test_driver_stalls_at_first_step_without_a_move(monkeypatch, batch):
     start = greedy_extend_full(g, 4)
     assert start.gap() >= 2
     records = []
-    monkeypatch.setattr(_Pattern1Index, "first_moves", lambda self, cap: [])
+    monkeypatch.setattr(_Pattern1Index, "first_move", lambda self: None)
     monkeypatch.setattr(dynamics, "_pattern23_moves", lambda g, f: iter(()))
     monkeypatch.setattr(dynamics, "find_improving_move", lambda *args: None)
     monkeypatch.setattr(dynamics, "TraceRecord", lambda *a: records.append(a))
@@ -485,8 +479,8 @@ def test_driver_every_step_monotone_and_ledgered():
 
 def test_pattern1_index_tracks_arbitrary_moves():
     # random proper recolorings of 1-3 vertices, admissible or not: after
-    # each one the index agrees with a full rescan on the first `cap` moves
-    # in scan order
+    # each one the index's first move is the scan's, and a take from its
+    # heap is the smallest `cap` vertices the scan finds, which then move
     rng = random.Random(7)
     for trial in range(30):
         g = random_graph(25, 0.15, trial)
@@ -507,19 +501,30 @@ def test_pattern1_index_tracks_arbitrary_moves():
             expected = [u for u, c in move.assignments if f.get(u) != c]
             assert index.apply(move.assignments) == expected
             assert is_proper(g, f)
-            for cap in (1, 5, 64):
-                assert index.first_moves(cap) == list(islice(_pattern1_moves(g, f), cap))
+            first = index.first_move()
+            assert first == next(_pattern1_moves(g, f), None)
+            if first is None or rng.random() < 0.5:
+                continue
+            (x, alpha), = first.assignments
+            beta = f.get(x)
+            movable = [
+                y for y in range(g.n) if f.get(y) == beta
+                and all(f.get(w) != alpha for w in g.adjacency(y))
+            ]
+            cap = rng.choice((1, 2, 5, len(movable) + 1))
+            taken = index.take(alpha, 0, beta, cap)
+            assert taken == movable[:cap] and taken[0] == x
+            index.apply((y, alpha) for y in taken)
+            assert is_proper(g, f)
 
 
 def test_driver_debug_asserts_index_against_rescan(monkeypatch):
-    # the n <= 50 graphs never fill a batch's candidate list from the index;
-    # the cubic graph does, and the K_{3,3} start has no pattern-1 move, so
-    # its first batch comes from patterns 2-3 alone
+    # the K_{3,3} start has no pattern-1 move, so it opens with a fallback
+    # move from patterns 2-3
     cubic = generate(InstanceSpec.parse("regular:n=1002,d=3", 0))
     k33 = complete_bipartite(3, 3)
     k33_start = PartialColoring(6, 4, [1, 1, 1, 3, 0, 2])
-    assert len(_Pattern1Index(cubic, greedy_extend_full(cubic, 4)).first_moves(64)) == 64
-    assert _Pattern1Index(k33, k33_start).first_moves(64) == []
+    assert _Pattern1Index(k33, k33_start).first_move() is None
     runs = []
     for debug in ("", "1"):
         monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", debug)
@@ -531,43 +536,39 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
                     g, k, config=DriverConfig(batch_mode=batch)
                 )
                 runs.append((f.as_list(), trace.to_jsonl()))
-        f, cubic_trace = equitable_k_coloring(
-            cubic, 4, config=DriverConfig(batch_mode=True)
-        )
-        runs.append((f.as_list(), cubic_trace.to_jsonl()))
-        replay_trace(cubic, 4, f, cubic_trace, batch=True)
-        f, trace = equitable_k_coloring(
-            k33, 4, f0=k33_start, config=DriverConfig(batch_mode=True)
-        )
-        assert trace.records[0].kind == "batch"
-        runs.append((f.as_list(), trace.to_jsonl()))
-        # batches whose walk stops early, one of them on a pattern-3 group
-        g = build_graph(21, UNSEPARATED_GROUP_EDGES)
-        start = PartialColoring(21, 8, UNSEPARATED_GROUP_START)
-        for h, k, f0 in ((cubic, 4, None), (g, 8, start)):
-            f, trace = equitable_k_coloring(h, k, f0=f0, config=DriverConfig(batch_mode=True))
-            ledger = trace.ledger.to_json_dict()
-            # the flag adds each ledger step's prefix sums, nothing else
-            for step in ledger["steps"]:
-                step.pop("prefix_sums", None)
-            runs.append((f.as_list(), trace.to_jsonl(), trace.to_csv(), ledger))
+        for h, k, f0 in ((cubic, 4, None), (k33, 4, k33_start)):
+            for batch in (False, True):
+                f, trace = equitable_k_coloring(
+                    h, k, f0=f0, config=DriverConfig(batch_mode=batch)
+                )
+                runs.append((
+                    f.as_list(), trace.to_jsonl(), trace.to_csv(),
+                    trace.ledger.to_json_dict(),
+                ))
+        assert trace.records[0].kind == "move"
     # the debug checks observe the run without changing it
     assert runs[:len(runs) // 2] == runs[len(runs) // 2:]
-    # and each batch's prefix is compared with the full walk
-    monkeypatch.setattr(dynamics, "_full_walk", lambda f, moves: -1)
-    with pytest.raises(AssertionError, match="full walk"):
-        equitable_k_coloring(g, 8, f0=start, config=DriverConfig(batch_mode=True))
+    f, cubic_trace = equitable_k_coloring(cubic, 4, config=DriverConfig(batch_mode=True))
+    replay_trace(cubic, 4, f, cubic_trace, batch=True)
+    # and each round is compared with the rescan
+    take = _Pattern1Index.take
+    monkeypatch.setattr(_Pattern1Index, "take", lambda self, *args: take(self, *args)[1:])
+    with pytest.raises(AssertionError, match="rescan"):
+        equitable_k_coloring(cubic, 4, config=DriverConfig(batch_mode=True))
 
 
 def test_batch_driver_cubic_scales():
     # each batch rescanned every vertex for its candidates, so batch mode
-    # was quadratic here
+    # was quadratic here; a round that took at most 64 candidates made
+    # 1,195 rounds, one of half the class gap makes 35
     g = generate(InstanceSpec.parse("regular:n=100002,d=3", 0))
     t0 = time.perf_counter()
-    f, _ = equitable_k_coloring(g, 4, config=DriverConfig(batch_mode=True))
+    f, trace = equitable_k_coloring(g, 4, config=DriverConfig(batch_mode=True))
     elapsed = time.perf_counter() - t0
     assert f.gap() <= 1
     assert elapsed < 10.0, f"batch mode on cubic n={g.n} took {elapsed:.1f} s"
+    rounds = sum(1 for r in trace.records if r.kind == "batch")
+    assert rounds < 120, f"batch mode on cubic n={g.n} made {rounds} rounds"
 
 
 # (Δ+1)-colorings with gap 2 whose three pattern 1-3 candidates are all
@@ -601,3 +602,77 @@ def test_exhaustive_pass_finds_the_only_small_moves(edges, colors):
         assert [r.kind for r in trace.records] == ["move"]
         assert trace.records[0].vertices == move.domain
         assert out.gap() <= 1 and is_proper(g, out)
+
+
+def no_pattern1_coloring(rng):
+    """Seeded graph with n = 8..40 and max degree D <= 5, and a proper
+    (D+1)-coloring with gap >= 2 and no pattern-1 move: every vertex of a
+    class of size >= min + 2 gets a neighbor in every minimum class, then
+    random edges between classes are added within the degree cap."""
+    while True:
+        k = rng.randint(3, 6)
+        n = rng.randint(8, 40)
+        weights = [rng.random() + 0.3 for _ in range(k)]
+        colors = rng.choices(range(k), weights, k=n)
+        counts = [colors.count(c) for c in range(k)]
+        a = min(counts)
+        if a == 0 or max(counts) - a < 2:
+            continue
+        adj = [set() for _ in range(n)]
+
+        def link(u, v):
+            if (colors[u] == colors[v] or v in adj[u]
+                    or max(len(adj[u]), len(adj[v])) >= k - 1):
+                return False
+            adj[u].add(v)
+            adj[v].add(u)
+            return True
+
+        big = [x for x in range(n) if counts[colors[x]] >= a + 2]
+        mins = [c for c in range(k) if counts[c] == a]
+        blocked = True
+        for x in rng.sample(big, len(big)):
+            for alpha in mins:
+                if any(colors[w] == alpha for w in adj[x]):
+                    continue
+                free = [y for y in range(n) if colors[y] == alpha and len(adj[y]) < k - 1]
+                if not free or not link(x, rng.choice(free)):
+                    blocked = False
+        if not blocked:
+            continue
+        for _ in range(rng.randint(0, 2 * n)):
+            link(*rng.sample(range(n), 2))
+        g = build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        if g.max_degree == k - 1:
+            return g, PartialColoring(n, k, colors)
+
+
+def test_size_three_premise_without_pattern1_moves():
+    # the search finds a move exactly when the oracle does, and a driver
+    # round then falls back to it in both modes; none exists only on
+    # disconnected graphs, where moves cannot join components
+    from equicolor.graphs import components
+    from equicolor.oracle import OracleBudget
+    budget = OracleBudget(max_vertices=40)
+    rng = random.Random(20261019)
+    found = 0
+    for _ in range(400):
+        g, f = no_pattern1_coloring(rng)
+        assert is_proper(g, f) and f.gap() >= 2
+        assert next(_pattern1_moves(g, f), None) is None
+        move = find_improving_move(g, f)
+        assert (move is not None) == improving_move_exists(g, f, 3, budget)
+        for batch in (False, True):
+            config = DriverConfig(batch_mode=batch)
+            if move is None:
+                assert len(components(g)) > 1
+                with pytest.raises(Stalled):
+                    equitable_k_coloring(g, f.k, f0=f, config=config)
+                continue
+            assert admissible_witness(g, f, move) is not None
+            out, trace = equitable_k_coloring(g, f.k, f0=f, config=config)
+            first = trace.records[0]
+            assert first.kind == "move" and first.vertices == move.domain
+            assert out.gap() <= 1 and is_proper(g, out)
+        found += move is not None
+    assert found >= 390

@@ -176,9 +176,9 @@ def test_admissible_moves_strictly_improve(g, seed):
 )
 @settings(max_examples=80, deadline=None)
 def test_driver_moves_match_stateless_search(n, p, seed, extra, batch):
-    # replay the trace from the greedy start: every small serial move is the
-    # one the stateless search picks, and every batch the one the rescan
-    # gather picks, on the replayed coloring
+    # replay the trace from the greedy start: every round is the one the
+    # rescan picks, and every fallback move the one the stateless search
+    # picks, on the replayed coloring
     g = random_graph(n, p, seed)
     k = g.max_degree + extra
     f, trace = equitable_k_coloring(g, k, config=DriverConfig(batch_mode=batch))
