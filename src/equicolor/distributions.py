@@ -6,14 +6,18 @@ every comparison below is exact.  The ledger certifies, step by step, that a
 sequence of distributions is monotone in the more-equitable order, that each
 step's l1 movement is at most A times the gain of every strictly growing
 color, and that the cumulative l1 movement stays within the guaranteed
-budget (1+A)^(k+1)/A times the initial discrepancy.  A budget violation is
-reported as a driver bug, never silently absorbed.
+budget (1+A)^(k+1)/A times the initial discrepancy.  The ledger is exact on
+integer numerators over a common denominator, and compares its cumulative
+movement with the budget by cross-multiplication; a Fraction is built only
+when a value is read.  A budget violation is reported as a driver bug,
+never silently absorbed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -201,9 +205,21 @@ def _debug_scan_witness(omega, eta, ell, alpha) -> None:
 
 @dataclass
 class LedgerStep:
-    l1: Fraction
+    """One recorded step: its l1 movement and the gain of its witness (or of
+    the least-gaining color), as integer numerators over `denom`."""
+
+    moved: int
     witness: Optional[int]
-    gain: Fraction
+    gained: int
+    denom: int = 1
+
+    @property
+    def l1(self) -> Fraction:
+        return Fraction(self.moved, self.denom)
+
+    @property
+    def gain(self) -> Fraction:
+        return Fraction(self.gained, self.denom)
 
     def to_dict(self) -> dict:
         return {
@@ -215,13 +231,16 @@ class LedgerStep:
 
 @dataclass
 class ConvergenceLedger:
-    """Running certificate for a monotone improvement sequence."""
+    """Running certificate for a monotone improvement sequence.  The
+    cumulative movement is kept as integers `_num / _den`; `cumulative`
+    reads and assigns it as a Fraction."""
 
     a_param: Fraction
     k: int
     disc0: Fraction
-    cumulative: Fraction = field(default_factory=lambda: Fraction(0))
     steps: list[LedgerStep] = field(default_factory=list)
+    _num: int = field(default=0, init=False, repr=False)
+    _den: int = field(default=1, init=False, repr=False)
 
     def __post_init__(self):
         self.a_param = Fraction(self.a_param)
@@ -233,6 +252,15 @@ class ConvergenceLedger:
     @classmethod
     def for_initial(cls, a_param, d0: ColorDistribution) -> "ConvergenceLedger":
         return cls(Fraction(a_param), d0.k, discrepancy(d0))
+
+    @property
+    def cumulative(self) -> Fraction:
+        return Fraction(self._num, self._den)
+
+    @cumulative.setter
+    def cumulative(self, value) -> None:
+        value = Fraction(value)
+        self._num, self._den = value.numerator, value.denominator
 
     def bound(self) -> Fraction:
         return self._bound
@@ -255,12 +283,11 @@ class ConvergenceLedger:
             raise PaletteMismatch("ledger palette size mismatch")
         step_index = len(self.steps)
         # every check runs on integer numerators over the common denominator
-        # before.total * after.total, which is n*n for a coloring's steps
-        denom = before.total * after.total
-        diffs = [
-            a * before.total - b * after.total
-            for b, a in zip(before.counts, after.counts)
-        ]
+        # lcm(before.total, after.total), the total n itself for the steps
+        # of a coloring, and so is then the cumulative's denominator
+        denom = lcm(before.total, after.total)
+        b_scale, a_scale = denom // before.total, denom // after.total
+        diffs = [a * a_scale - b * b_scale for b, a in zip(before.counts, after.counts)]
         moved = sum(abs(d) for d in diffs)
         gain_set = [c for c, d in enumerate(diffs) if d > 0]
         # monotone: unchanged, or with a witness color (is_more_equitable)
@@ -269,31 +296,32 @@ class ConvergenceLedger:
                 f"step {step_index} is not monotone", step=(before, after)
             )
         if moved == 0:
-            self.steps.append(LedgerStep(Fraction(0), witness, Fraction(0)))
+            self.steps.append(LedgerStep(0, witness, 0))
             return self
         if witness is not None and witness not in gain_set:
             raise HypothesisViolation(
                 f"step {step_index}: witness {witness} does not gain mass",
                 step=(before, after),
             )
-        step_l1 = Fraction(moved, denom)
         min_gain = min(diffs[a] for a in gain_set)
         a_num, a_den = self.a_param.numerator, self.a_param.denominator
         if moved * a_den > a_num * min_gain:
             raise HypothesisViolation(
-                f"step {step_index}: l1 step {step_l1} exceeds "
+                f"step {step_index}: l1 step {Fraction(moved, denom)} exceeds "
                 f"A * minimal gain {self.a_param * Fraction(min_gain, denom)}",
                 step=(before, after),
             )
-        self.cumulative += step_l1
-        if self.cumulative > self._bound:
+        den = lcm(self._den, denom)
+        self._num = self._num * (den // self._den) + moved * (den // denom)
+        self._den = den
+        if self._num * self._bound.denominator > self._bound.numerator * self._den:
             raise BoundViolation(
                 f"step {step_index}: cumulative {self.cumulative} exceeds "
                 f"budget {self._bound}; the driver violated its contract",
                 step=(before, after),
             )
-        gain = Fraction(min_gain if witness is None else diffs[witness], denom)
-        self.steps.append(LedgerStep(step_l1, witness, gain))
+        gained = min_gain if witness is None else diffs[witness]
+        self.steps.append(LedgerStep(moved, witness, gained, denom))
         return self
 
     def observed_ratio(self) -> Optional[Fraction]:

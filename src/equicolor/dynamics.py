@@ -29,8 +29,10 @@ leave one class, so in a proper coloring they are pairwise non-adjacent: a
 separated set of moves with signature ({alpha}, {beta}), the paper's
 parallel round.  After t of them alpha is still no larger than beta exactly
 while t <= (c[beta] - c[alpha]) / 2, so the whole batch cap is the longest
-monotone prefix, and a batch round is still applied through the checked
-prefix walk.  Only when the index is empty does a round fall back to one
+monotone prefix.  One integer check of the take (strictly ascending, every
+vertex in beta with no alpha-neighbor, c[alpha] + t <= c[beta] - t) proves
+the round proper, separated and monotone, and the index then applies all
+of it at once.  Only when the index is empty does a round fall back to one
 step of patterns 2 and 3 or the exhaustive pass, in both modes.  The sparse
 pipeline's balancer drives the same index, with its heaps further split by
 an auxiliary class and its frozen vertices left out.
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .colorings import PartialColoring, greedy_extend_full, is_proper, palette_size
 from .distributions import (
@@ -56,6 +58,7 @@ from .distributions import (
 )
 from .errors import (
     ImproperSeed,
+    MonotonicityViolation,
     NotSeparated,
     OutOfRange,
     PaletteTooSmall,
@@ -296,9 +299,8 @@ def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove
 
 @dataclass(frozen=True)
 class Batch:
-    """Separated moves sharing one (growing, shrinking) signature, applied
-    as a monotone prefix: those of select_separated_batch, or a driver
-    round, one pattern-1 move per vertex popped from one index heap."""
+    """Separated moves sharing one (growing, shrinking) signature, as
+    select_separated_batch builds them, applied as a monotone prefix."""
 
     moves: tuple[RecoloringMove, ...]
     grows: frozenset[int]
@@ -348,78 +350,17 @@ def select_separated_batch(
     return Batch(tuple(_separated(g, candidates)), sig[0], sig[1], m)
 
 
-def _check_move(g: Graph, f: PartialColoring, mv: RecoloringMove, seen: set[int]) -> None:
-    """Raise unless mv keeps f proper and its domain is disjoint from and
-    non-adjacent to `seen`, the domains checked before it; then add its
-    domain to `seen`."""
-    if not is_acceptable(g, f, mv):
-        raise UnacceptableMove(f"move on {mv.domain} breaks properness")
-    for v in mv.domain:
-        if v in seen:
-            raise NotSeparated(f"vertex {v} in two move domains")
-        if any(w in seen for w in g.adjacency(v)):
-            raise NotSeparated(f"edge between move domains at vertex {v}")
-    seen.update(mv.domain)
-
-
 def _check_batch(g: Graph, f: PartialColoring, batch: Batch) -> None:
     seen: set[int] = set()
     for mv in batch.moves:
-        _check_move(g, f, mv, seen)
-
-
-def _prefix_is_monotone(before: Sequence[int], counts: Sequence[int]) -> bool:
-    """True iff counts is weakly more equitable than before (equal totals)."""
-    diffs = [c - b for c, b in zip(counts, before)]
-    return not any(diffs) or bool(witness_colors(diffs, counts))
-
-
-def _apply_monotone_prefix(
-    g: Graph, f: PartialColoring, batch: Batch, apply: Callable[[RecoloringMove], list[int]]
-) -> tuple[int, list[int]]:
-    """In place: apply, through `apply`, the longest prefix of the batch's
-    moves whose result stays weakly more equitable than f's distribution;
-    return the prefix length and the sorted recolored vertices.
-
-    Each move walked must keep f proper and be separated from the moves
-    before it, else UnacceptableMove or NotSeparated, and must have the
-    batch signature (G, S), else SignatureMismatch.  Then the counts of G
-    only rise along the walk and those of S only fall, so "some a in G has
-    a count <= every count in S" can turn from true to false but never
-    back: the longest monotone prefix ends just before the first failing
-    one.  The walk stops there, so at most one move past the prefix is
-    checked and none is tested.
-    """
-    if not batch.moves:
-        return 0, []
-    if not f.is_total():
-        raise OutOfRange("batch prefixes are compared on a total coloring")
-    grows, shrinks = batch.grows, batch.shrinks
-    before = f.counts()
-    counts = list(before)
-    seen: set[int] = set()
-    recolored: list[int] = []
-    best = 0
-    for mv in batch.moves:
-        _check_move(g, f, mv, seen)
-        deltas = move_deltas(f, mv)
-        if any((d > 0) != (c in grows) or (d < 0) != (c in shrinks)
-               for c, d in enumerate(deltas)):
-            raise SignatureMismatch(f"move on {mv.domain} is off the batch signature")
-        for c, d in enumerate(deltas):
-            counts[c] += d
-        if not _prefix_is_monotone(before, counts):
-            break
-        recolored += apply(mv)
-        best += 1
-    # both bounds in units of 1/n: l1 = moved/n, each gain = delta/n
-    moved = sum(abs(a - b) for a, b in zip(f.counts(), before))
-    m = batch.m if batch.m else 1
-    assert len(recolored) <= m * moved, "distance bound violated"
-    for a, b in zip(f.counts(), before):
-        if a > b:
-            assert moved <= 2 * m * (a - b), "l1-vs-gain bound violated"
-    return best, sorted(recolored)
+        if not is_acceptable(g, f, mv):
+            raise UnacceptableMove(f"move on {mv.domain} breaks properness")
+        for v in mv.domain:
+            if v in seen:
+                raise NotSeparated(f"vertex {v} in two move domains")
+            if any(w in seen for w in g.adjacency(v)):
+                raise NotSeparated(f"edge between move domains at vertex {v}")
+        seen.update(mv.domain)
 
 
 def apply_monotone_prefix(
@@ -427,11 +368,44 @@ def apply_monotone_prefix(
 ) -> tuple[PartialColoring, int]:
     """Apply the longest batch prefix whose result stays weakly more
     equitable than f's distribution; return the new coloring and the prefix
-    length.  Every move of the batch, applied or not, must keep f proper
-    and be separated from the others."""
+    length.
+
+    Every move of the batch, applied or not, must keep f proper and be
+    separated from the others, else UnacceptableMove or NotSeparated.  Each
+    move walked must have the batch signature (G, S), else
+    SignatureMismatch.  Then the counts of G only rise along the walk and
+    those of S only fall, so "some a in G has a count <= every count in S"
+    can turn from true to false but never back: the longest monotone prefix
+    ends just before the first failing one, and the walk stops there.
+    """
     _check_batch(g, f, batch)
     out = f.copy()
-    best, _ = _apply_monotone_prefix(g, out, batch, lambda mv: _assign_move(out, mv))
+    if not batch.moves:
+        return out, 0
+    if not f.is_total():
+        raise OutOfRange("batch prefixes are compared on a total coloring")
+    before = f.counts()
+    counts = list(before)
+    recolored = 0
+    best = 0
+    for mv in batch.moves:
+        deltas = move_deltas(f, mv)
+        if any((d > 0) != (c in batch.grows) or (d < 0) != (c in batch.shrinks)
+               for c, d in enumerate(deltas)):
+            raise SignatureMismatch(f"move on {mv.domain} is off the batch signature")
+        counts = [c + d for c, d in zip(counts, deltas)]
+        diffs = [c - b for c, b in zip(counts, before)]
+        if any(diffs) and not witness_colors(diffs, counts):
+            break
+        recolored += len(_assign_move(out, mv))
+        best += 1
+    # both bounds in units of 1/n: l1 = moved/n, each gain = delta/n
+    moved = sum(abs(a - b) for a, b in zip(out.counts(), before))
+    m = batch.m if batch.m else 1
+    assert recolored <= m * moved, "distance bound violated"
+    for a, b in zip(out.counts(), before):
+        if a > b:
+            assert moved <= 2 * m * (a - b), "l1-vs-gain bound violated"
     return out, best
 
 
@@ -456,8 +430,17 @@ class TraceRecord:
     new_colors: tuple[int, ...]
     witness: Optional[int]
     counts: tuple[int, ...]
-    l1: Fraction
-    cumulative: Fraction
+    # l1 movement of this step and of the run so far, in units of 1/n
+    moved: int
+    moved_total: int
+
+    @property
+    def l1(self) -> Fraction:
+        return Fraction(self.moved, sum(self.counts))
+
+    @property
+    def cumulative(self) -> Fraction:
+        return Fraction(self.moved_total, sum(self.counts))
 
     def to_dict(self) -> dict:
         return {
@@ -609,11 +592,11 @@ class _Pattern1Index:
                 taken.append(x)
         return taken
 
-    def first_move(self) -> Optional[RecoloringMove]:
-        """The first pattern-1 move of the scan order, or None: the smallest
-        valid heap top over minimum colors alpha and classes beta of size
-        >= min + 2, the smallest alpha on a tie.  Stale tops on the way are
-        dropped."""
+    def first_move(self) -> Optional[tuple[int, int]]:
+        """The first pattern-1 move (x, alpha) of the scan order, or None:
+        the smallest valid heap top over minimum colors alpha and classes
+        beta of size >= min + 2, the smallest alpha on a tie.  Stale tops on
+        the way are dropped."""
         f, nbr, k, heaps = self.f, self.nbr, self.k, self.heaps
         counts = f.counts()
         a = min(counts)
@@ -631,7 +614,26 @@ class _Pattern1Index:
                             best = (x, alpha)
                         break
                     heappop(heap)
-        return None if best is None else RecoloringMove((best,))
+        return best
+
+
+def _check_round(
+    index: _Pattern1Index, taken: Sequence[int], alpha: int, beta: int
+) -> None:
+    """Raise NotSeparated unless the take is strictly ascending,
+    UnacceptableMove unless every taken vertex is in beta with no
+    alpha-neighbor, and MonotonicityViolation unless alpha stays no larger
+    than beta after the round.  Then the round is proper, separated (one
+    class is independent) and monotone, with witness alpha."""
+    if any(a >= b for a, b in zip(taken, taken[1:])):
+        raise NotSeparated(f"round takes {list(taken)}, not strictly ascending")
+    f, nbr, k = index.f, index.nbr, index.k
+    for y in taken:
+        if f.get(y) != beta or nbr[y * k + alpha]:
+            raise UnacceptableMove(f"vertex {y} cannot move from {beta} to {alpha}")
+    t = len(taken)
+    if f.count_of(alpha) + t > f.count_of(beta) - t:
+        raise MonotonicityViolation(f"round of {t} from {beta} to {alpha} overshoots")
 
 
 def equitable_k_coloring(
@@ -681,7 +683,8 @@ def equitable_k_coloring(
     index = _Pattern1Index(g, f)
     # each applied step moves at least one vertex between classes, so its
     # l1 step is at least 2/n and the ledger budget caps the step count
-    step_cap = ledger.bound() * n / 2
+    step_cap = ledger.bound() * n // 2
+    moved_total = 0
 
     while f.gap() >= 2:
         if len(trace.records) > step_cap:
@@ -690,11 +693,11 @@ def equitable_k_coloring(
                 "this indicates a driver bug",
                 coloring=f, gap=f.gap(),
             )
-        move = index.first_move()
+        first = index.first_move()
         if debug:
-            assert move == next(_pattern1_moves(g, f), None), \
-                "pattern-1 index out of date"
-        if move is None:
+            scan = next(_pattern1_moves(g, f), None)
+            assert first == (scan and scan.assignments[0]), "pattern-1 index out of date"
+        if first is None:
             move = find_improving_move(g, f)
             if move is None:
                 raise Stalled(
@@ -706,7 +709,7 @@ def equitable_k_coloring(
             kind, changed = "move", move.domain
         else:
             # a pattern-1 round, admissible with its target color as witness
-            (x, alpha), = move.assignments
+            x, alpha = first
             beta = f.get(x)
             counts = f.counts()
             cap = (counts[beta] - counts[alpha]) // 2 if config.batch_mode else 1
@@ -716,31 +719,22 @@ def equitable_k_coloring(
                     y for y in range(n) if f.get(y) == beta
                     and all(f.get(w) != alpha for w in g.adjacency(y))
                 )[:cap], "round differs from the rescan"
-                assert admissible_witness(g, f, move) == alpha
+            _check_round(index, taken, alpha, beta)
+            index.apply((y, alpha) for y in taken)
             witness = alpha
-            if config.batch_mode:
-                round_moves = tuple(RecoloringMove(((y, alpha),)) for y in taken)
-                t, changed = _apply_monotone_prefix(
-                    g, f, Batch(round_moves, frozenset((alpha,)), frozenset((beta,)), 1),
-                    lambda mv: index.apply(mv.assignments),
-                )
-                # the popped vertices left the index, so every one must move
-                assert t == len(taken), "applied prefix differs from the take"
-                kind = "batch"
-            else:
-                # one pattern-1 move is admissible by itself, so a serial
-                # round skips the walk's checks, which cost it about a third
-                index.apply(move.assignments)
-                kind, changed = "move", move.domain
+            kind, changed = ("batch" if config.batch_mode else "move"), taken
         new_dist = ColorDistribution(f.counts(), n)
         ledger.record(dist, new_dist, witness)
         if debug:
             assert is_proper(g, f), "applied round broke properness"
             assert is_more_equitable(dist, new_dist, strict=True)
+        # steps between counts of one total n are kept over n
+        moved = ledger.steps[-1].moved
+        moved_total += moved
         trace.records.append(TraceRecord(
             kind, len(trace.records), tuple(changed),
             tuple(f.get(v) for v in changed), witness,
-            new_dist.counts, ledger.steps[-1].l1, ledger.cumulative,
+            new_dist.counts, moved, moved_total,
         ))
         dist = new_dist
 

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+
 import pytest
 
 from equicolor import (
@@ -184,10 +186,15 @@ def replay_trace(g, k, f, trace, batch):
     """Replay a driver trace from the greedy start.  Every round is
     `reference_round` cut by `reference_monotone_prefix`, which must apply
     all of it; when there is no round, the step is the move the stateless
-    search picks on the replayed coloring."""
+    search picks on the replayed coloring.  Each record's l1 step and
+    cumulative l1, and the ledger's steps and cumulative, must equal the
+    Fractions recomputed from consecutive counts."""
     replay = greedy_extend_full(g, k)
     assert replay.counts() == trace.initial_counts
-    for rec in trace.records:
+    ledger = trace.ledger.to_json_dict()
+    assert len(ledger["steps"]) == len(trace.records)
+    cumulative = Fraction(0)
+    for rec, step in zip(trace.records, ledger["steps"]):
         ref = reference_round(g, replay, batch)
         if ref is not None:
             out, applied = reference_monotone_prefix(g, replay, ref)
@@ -200,9 +207,15 @@ def replay_trace(g, k, f, trace, batch):
             assert rec.kind == "move"
             move = find_improving_move(g, replay)
             assert move == RecoloringMove(tuple(zip(rec.vertices, rec.new_colors)))
+        before = replay.counts()
         for v, c in zip(rec.vertices, rec.new_colors):
             replay.assign(v, c)
         assert replay.counts() == rec.counts
+        l1 = Fraction(sum(abs(a - b) for a, b in zip(rec.counts, before)), g.n)
+        cumulative += l1
+        assert (rec.l1, rec.cumulative) == (l1, cumulative)
+        assert (step["l1"], step["witness"]) == (str(l1), rec.witness)
+    assert ledger["cumulative"] == str(cumulative)
     assert replay == f
 
 

@@ -27,8 +27,6 @@ from equicolor.distributions import ColorDistribution, discrepancy
 from equicolor import dynamics
 from equicolor.dynamics import (
     Batch,
-    _apply_monotone_prefix,
-    _assign_move,
     _connected_domains,
     _pattern1_moves,
     _pattern23_moves,
@@ -39,6 +37,7 @@ from equicolor.dynamics import (
     move_deltas,
 )
 from equicolor.errors import (
+    MonotonicityViolation,
     NotSeparated,
     OutOfRange,
     PaletteTooSmall,
@@ -336,22 +335,14 @@ def test_early_stop_walk_matches_full_walk(inputs):
     for (grows, shrinks), group in groups:
         m = max(mv.size for mv in group)
         separated = Batch(tuple(_separated(g, group)), grows, shrinks, m)
-        expected, t_ref = reference_monotone_prefix(g, f, separated)
-        out = f.copy()
-        t, recolored = _apply_monotone_prefix(
-            g, out, separated, lambda mv: _assign_move(out, mv)
-        )
-        assert t == t_ref and out == expected
-        assert recolored == sorted(
-            v for mv in separated.moves[:t] for v, c in mv.assignments if f.get(v) != c
-        )
-        assert apply_monotone_prefix(g, f, separated) == (expected, t_ref)
+        assert apply_monotone_prefix(g, f, separated) == \
+            reference_monotone_prefix(g, f, separated)
     # a walked move off the batch signature is rejected
     for (sig, group), (other, foreign) in zip(groups, groups[1:]):
         if other != sig:
-            mixed = Batch((foreign[0],) + tuple(group), sig[0], sig[1], 3)
+            mixed = Batch(tuple(_separated(g, foreign[:1] + group)), sig[0], sig[1], 3)
             with pytest.raises(SignatureMismatch):
-                _apply_monotone_prefix(g, f.copy(), mixed, lambda mv: [])
+                apply_monotone_prefix(g, f, mixed)
 
 
 def test_walk_checks_separation_of_applied_moves(monkeypatch):
@@ -361,8 +352,8 @@ def test_walk_checks_separation_of_applied_moves(monkeypatch):
     f, trace = equitable_k_coloring(g, 3, f0=start, config=DriverConfig(batch_mode=True))
     assert f.gap() <= 1 and is_proper(g, f)
     assert trace.records[0].vertices == (0, 2)
-    # a take that hands over one vertex twice reaches the walk, and the
-    # check on applied moves stops it
+    # a take that hands over one vertex twice reaches the round check,
+    # which stops it before anything is applied
     take = _Pattern1Index.take
 
     def take_first_twice(self, *args):
@@ -372,6 +363,30 @@ def test_walk_checks_separation_of_applied_moves(monkeypatch):
     monkeypatch.setattr(_Pattern1Index, "take", take_first_twice)
     with pytest.raises(NotSeparated):
         equitable_k_coloring(g, 3, f0=start, config=DriverConfig(batch_mode=True))
+
+
+def test_round_check_rejects_alpha_neighbor_and_overshoot(monkeypatch):
+    # the first round of the path above takes (0, 2) from class 0 to color
+    # 2 at counts (5, 4, 1); vertex 8 is in class 0 next to vertex 9 of color 2
+    g = path(10)
+    start = PartialColoring(10, 3, [0, 1, 0, 1, 0, 1, 0, 1, 0, 2])
+    config = DriverConfig(batch_mode=True)
+    take = _Pattern1Index.take
+
+    def with_alpha_neighbor(self, alpha, r, beta, cap):
+        return take(self, alpha, r, beta, cap) + [8]
+
+    monkeypatch.setattr(_Pattern1Index, "take", with_alpha_neighbor)
+    with pytest.raises(UnacceptableMove):
+        equitable_k_coloring(g, 3, f0=start, config=config)
+    # one vertex past the cap, (0, 2, 4), would leave color 2 at 4 above
+    # class 0 at 2
+    monkeypatch.setattr(
+        _Pattern1Index, "take",
+        lambda self, alpha, r, beta, cap: take(self, alpha, r, beta, cap + 1),
+    )
+    with pytest.raises(MonotonicityViolation, match="overshoots"):
+        equitable_k_coloring(g, 3, f0=start, config=config)
 
 
 def test_driver_small_examples():
@@ -502,10 +517,11 @@ def test_pattern1_index_tracks_arbitrary_moves():
             assert index.apply(move.assignments) == expected
             assert is_proper(g, f)
             first = index.first_move()
-            assert first == next(_pattern1_moves(g, f), None)
+            scan = next(_pattern1_moves(g, f), None)
+            assert first == (scan and scan.assignments[0])
             if first is None or rng.random() < 0.5:
                 continue
-            (x, alpha), = first.assignments
+            x, alpha = first
             beta = f.get(x)
             movable = [
                 y for y in range(g.n) if f.get(y) == beta
