@@ -494,10 +494,11 @@ class DynamicsTrace:
         writer = csv.writer(buf)
         writer.writerow(["step", "disc", "l1", "cumulative"])
         k = self.k
+        # int true division rounds correctly, as float(Fraction) does
         for r in self.records:
             total = sum(r.counts)
-            disc = max(abs(Fraction(c, total) - Fraction(1, k)) for c in r.counts)
-            writer.writerow([r.step, float(disc), float(r.l1), float(r.cumulative)])
+            disc = max(abs(c * k - total) for c in r.counts) / (total * k)
+            writer.writerow([r.step, disc, r.moved / total, r.moved_total / total])
         return buf.getvalue()
 
 

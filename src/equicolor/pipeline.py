@@ -10,7 +10,9 @@ average degree at most D/5, the pipeline:
    D-coloring of X whose classes all stay large,
 3. extends greedily to the whole graph (vertices outside X have degree
    below D, so the extension is total),
-4. balances class sizes with pairwise transfers that never touch X.
+4. balances class sizes without touching X: each vertex of a class above
+   its target size moves straight to a class below target that none of
+   its neighbors has, and pairwise transfers run only on what that leaves.
 
 Every inequality used along the way is evaluated exactly on normalized
 counts and recorded in the report with a three-valued verdict: holds,
@@ -160,21 +162,28 @@ def quick_balance(
     """Balance class sizes by moving vertices from larger to smaller classes
     without touching the frozen set.
 
-    Rounds over triples (aux class, target color, source color): movable
-    vertices are those of the source class outside the frozen set with no
-    neighbor in the target class and the given aux color (the aux coloring
-    is proper, so each batch is independent and the recoloring stays
-    proper).  A batch takes the smallest movable vertices, at most half
-    the current size difference, floor-divided.
+    Targets are fixed first: with the classes sorted by (-count, color), the
+    first n mod k get ceil(n/k) vertices and the rest floor(n/k).  The
+    direct pass visits the vertices in (aux class, vertex) order and moves
+    each unfrozen vertex of a class above its target to the color furthest
+    below its target (the smallest on a tie) among those none of its
+    neighbors has.  The aux coloring is proper, so the moves within one aux
+    class form an independent batch and the recoloring stays proper.  A
+    ceil(n/k) class started no smaller than any floor(n/k) class, so it can
+    be short only while no floor class is over target: every move goes
+    between classes differing by at least 2, and drops the pairwise-
+    difference potential by at least 2.  The pass moves each vertex at most
+    once, in O(n*k + m) work.
 
-    Every move is a pattern-1 move, so the batches come from the driver's
-    incremental index, with its heaps keyed by (target, aux class, source)
-    and the frozen set left out: a batch pops its vertices from one heap,
-    and moving a vertex updates only its neighbors' counts.  The
-    pairwise-difference potential drops by at least twice the number of
-    moved vertices per batch, so there are at most half the initial
-    potential moves, and a pass that moves nothing ends the loop.  The work
-    is O(m + nk) heap pushes to build the index, O(deg + k) more per moved
+    Only if classes still differ by 2 or more after that pass is the
+    driver's pattern-1 index built, with its heaps keyed by (target, aux
+    class, source) and the frozen set left out.  Its loop rounds over those
+    triples, each batch popping the smallest movable vertices of one heap,
+    at most half the current size difference, floor-divided; so a vertex may
+    reach a short class through an intermediate one.  The potential drops by
+    at least twice the batch size, so there are at most half the initial
+    potential moves, and a pass that moves nothing ends the loop.  That costs
+    O(m + nk) heap pushes to build the index, O(deg + k) more per moved
     vertex, and one heap lookup per triple per pass.  At the fixpoint,
     classes differing by 2 or more have no movable vertex left.
     """
@@ -184,37 +193,65 @@ def quick_balance(
         raise ImproperAux("auxiliary coloring must be total and proper")
     frozen_set = frozenset(frozen)
     out = f.copy()
-    index = _Pattern1Index(g, out, aux, frozen_set)
-    debug = debug_checks_enabled()
+    k = out.k
     counts = out.counts()
 
-    while True:
-        moved_this_pass = 0
-        for r in range(aux.k):
-            for alpha in range(out.k):
-                for beta in range(out.k):
-                    if alpha == beta or counts[beta] - counts[alpha] < 2:
-                        continue
-                    cap = (counts[beta] - counts[alpha]) // 2
-                    batch = index.take(alpha, r, beta, cap)
-                    if debug:
-                        assert batch == sorted(
-                            y for y in range(g.n)
-                            if out.get(y) == beta and aux.get(y) == r
-                            and y not in frozen_set
-                            and all(out.get(w) != alpha for w in g.adjacency(y))
-                        )[:cap], "balance index out of date"
-                    if not batch:
-                        continue
-                    before = _potential(counts)
-                    index.apply((y, alpha) for y in batch)
-                    counts = out.counts()
-                    after = _potential(counts)
-                    assert 2 * len(batch) <= before - after, \
-                        "balance potential must drop by twice the batch size"
-                    moved_this_pass += len(batch)
-        if moved_this_pass == 0:
-            break
+    q, extra = divmod(g.n, k)
+    need = [0] * k
+    for i, c in enumerate(sorted(range(k), key=lambda c: (-counts[c], c))):
+        need[c] = q + (i < extra) - counts[c]
+    layers: list[list[int]] = [[] for _ in range(aux.k)]
+    for v in range(g.n):
+        layers[aux.get(v)].append(v)
+    for y in (y for layer in layers for y in layer):
+        beta = out.get(y)
+        if need[beta] >= 0 or y in frozen_set:
+            continue
+        seen = {out.get(w) for w in g.adjacency(y)}
+        best = max(
+            ((need[a], -a) for a in range(k) if need[a] > 0 and a not in seen),
+            default=None,
+        )
+        if best is None:
+            continue
+        alpha = -best[1]
+        assert out.count_of(beta) - out.count_of(alpha) >= 2, \
+            "a direct move must go between classes differing by 2 or more"
+        out.assign(y, alpha)
+        need[beta] += 1
+        need[alpha] -= 1
+    counts = out.counts()
+
+    if out.gap() >= 2:
+        index = _Pattern1Index(g, out, aux, frozen_set)
+        debug = debug_checks_enabled()
+        while True:
+            moved_this_pass = 0
+            for r in range(aux.k):
+                for alpha in range(out.k):
+                    for beta in range(out.k):
+                        if alpha == beta or counts[beta] - counts[alpha] < 2:
+                            continue
+                        cap = (counts[beta] - counts[alpha]) // 2
+                        batch = index.take(alpha, r, beta, cap)
+                        if debug:
+                            assert batch == sorted(
+                                y for y in range(g.n)
+                                if out.get(y) == beta and aux.get(y) == r
+                                and y not in frozen_set
+                                and all(out.get(w) != alpha for w in g.adjacency(y))
+                            )[:cap], "balance index out of date"
+                        if not batch:
+                            continue
+                        before = _potential(counts)
+                        index.apply((y, alpha) for y in batch)
+                        counts = out.counts()
+                        after = _potential(counts)
+                        assert 2 * len(batch) <= before - after, \
+                            "balance potential must drop by twice the batch size"
+                        moved_this_pass += len(batch)
+            if moved_this_pass == 0:
+                break
 
     assert is_proper(g, out)
     for v in frozen_set:

@@ -142,13 +142,37 @@ def reference_monotone_prefix(g, f, batch):
 
 
 def reference_quick_balance(g, f, frozen, aux):
-    """The scan balancer: for every (aux class, target, source) triple of a
+    """The scan balancer.  Targets: with the classes sorted by (-count,
+    color), the first n mod k get ceil(n/k) and the rest floor(n/k).  The
+    direct pass visits the vertices in (aux class, vertex) order and moves
+    each unfrozen vertex of a class above its target to the free color
+    furthest below its target, the smallest on a tie, rescanning its
+    neighbors.  Then, for every (aux class, target, source) triple of a
     pass, rescan the source class for its movable vertices and move the
     smallest of them, at most half the size difference."""
     frozen = frozenset(frozen)
     out = f.copy()
+    k = out.k
     counts = list(out.counts())
-    members = [[] for _ in range(out.k)]
+    ranked = sorted(range(k), key=lambda c: (-counts[c], c))
+    target = {c: g.n // k + (i < g.n % k) for i, c in enumerate(ranked)}
+    for r in range(aux.k):
+        for y in range(g.n):
+            if aux.get(y) != r or y in frozen:
+                continue
+            beta = out.get(y)
+            if out.count_of(beta) <= target[beta]:
+                continue
+            free = [
+                a for a in range(k)
+                if out.count_of(a) < target[a]
+                and all(out.get(w) != a for w in g.adjacency(y))
+            ]
+            if free:
+                alpha = min(free, key=lambda a: (out.count_of(a) - target[a], a))
+                out.assign(y, alpha)
+    counts = list(out.counts())
+    members = [[] for _ in range(k)]
     for v in range(g.n):
         members[out.get(v)].append(v)
 

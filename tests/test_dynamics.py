@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import time
@@ -475,6 +477,25 @@ def test_trace_serialization():
     csv_text = trace.to_csv()
     assert csv_text.splitlines()[0] == "step,disc,l1,cumulative"
     assert len(csv_text.splitlines()) == 1 + trace.step_count + trace.restarts
+
+
+def test_trace_csv_matches_fraction_reference():
+    # the CSV divides integers; floats of the exact Fractions give the same bytes
+    g = generate(InstanceSpec.parse("gnp:n=300,p=0.02", 5))
+    k = g.max_degree + 1
+    for batch in (False, True):
+        _, trace = equitable_k_coloring(g, k, config=DriverConfig(batch_mode=batch))
+        assert trace.step_count > 10
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["step", "disc", "l1", "cumulative"])
+        for r in trace.records:
+            total = sum(r.counts)
+            disc = max(abs(Fraction(c, total) - Fraction(1, k)) for c in r.counts)
+            writer.writerow([r.step, float(disc),
+                             float(Fraction(r.moved, total)),
+                             float(Fraction(r.moved_total, total))])
+        assert trace.to_csv() == buf.getvalue()
 
 
 def test_driver_every_step_monotone_and_ledgered():
