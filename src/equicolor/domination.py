@@ -7,17 +7,11 @@ seed.  The recursion peels removable vertices one at a time, keeping counts
 non-decreasing via a color-shift swap when the peeled vertex is uncolored,
 toward the least vertex of an anchored block that is neither a clique nor an
 odd cycle.  If that vertex is left uncolored, the block alone (its lists less
-the colors of its outside neighbors) is solved by one of:
-
-* a vertex with a list strictly larger than its degree (greedy completion),
-* an edge with unequal lists (remove one endpoint, recurse with a surplus),
-* an even cycle (parity extension),
-* a regular block with all lists equal (exhaustive backtracking with
-  per-color count lower bounds).  This search is exponential in the block
-  size and recurses once per vertex: it raises RecursionError on
-  `regular:n=2000,d=3` seed 0 from a tight seed, and does not finish on
-  some cubic blocks of 120 vertices.  A constructive solver for this case
-  is open item 1 of ROADMAP.md.
+the colors of its outside neighbors) is solved by a hole walk: the uncolored
+vertex takes a neighbor's color and passes the hole on, along shortest paths
+chosen so that the hole ends at a vertex with a free color.  Class counts
+never change on the way, and the walk makes at most 2n - 2 shifts on an
+n-vertex block (see `_solve_block`).
 
 `dominating_full_coloring` and `forests.dominating_delta_coloring` share
 this anchored-block path.
@@ -25,6 +19,7 @@ this anchored-block path.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -166,30 +161,17 @@ def color_all_but_one(inst: DominationInstance) -> PartialColoring:
     return out
 
 
-def _extend_at(
-    g: Graph, lists: ListAssignment, f: PartialColoring, v: int
-) -> Optional[PartialColoring]:
-    """Assign v a free list color if one exists."""
-    taken = {f.get(w) for w in g.adjacency(v)}
-    free = [c for c in lists[v] if c not in taken]
-    if not free:
-        return None
-    out = f.copy()
-    out.assign(v, min(free))
-    return out
-
-
 def _large_list_completion(
     g: Graph, lists: ListAssignment, seed: PartialColoring, x: int
 ) -> PartialColoring:
     """Total dominating coloring when |L(x)| > deg(x): color everything but
     x, then x always has a spare color."""
     f = _all_but_one(g, lists, seed, x)
-    if f.is_assigned(x):
-        return f
-    out = _extend_at(g, lists, f, x)
-    assert out is not None, "a list larger than the degree always leaves a spare color"
-    return out
+    if not f.is_assigned(x):
+        free = lists[x] - {f.get(w) for w in g.adjacency(x)}
+        assert free, "a list larger than the degree always leaves a spare color"
+        f.assign(x, min(free))
+    return f
 
 
 def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
@@ -206,111 +188,118 @@ def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
     return out
 
 
-def _regular_block_search(
-    g: Graph, common: frozenset[int], required: list[int], k: int
-) -> Optional[PartialColoring]:
-    """Exhaustive search for a total proper coloring from one shared list
-    with per-color count lower bounds."""
-    n = g.n
-    colors = sorted(common)
-    need = list(required)
-    assign: list[Optional[int]] = [None] * n
+def _bfs_tree(h: Graph, root: int, avoid: frozenset[int] = frozenset()) -> dict[int, int]:
+    """Breadth-first parent of every vertex reachable from root in h - avoid;
+    the root is its own parent."""
+    parent = {root: root}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in h.adjacency(v):
+            if w not in parent and w not in avoid:
+                parent[w] = v
+                queue.append(w)
+    return parent
 
-    def deficit() -> int:
-        return sum(max(0, d) for d in need)
 
-    def backtrack(v: int) -> bool:
-        if v == n:
-            return deficit() == 0
-        if deficit() > n - v:
-            return False
-        taken = {assign[w] for w in g.adjacency(v) if w < v}
-        for c in colors:
-            if c in taken:
-                continue
-            assign[v] = c
-            need[c] -= 1
-            if backtrack(v + 1):
-                return True
-            need[c] += 1
-            assign[v] = None
-        return False
-
-    if backtrack(0):
-        return PartialColoring(n, k, assign)
-    return None
+def _lovasz_triple(h: Graph) -> tuple[int, int, int]:
+    """A vertex x with non-adjacent neighbors a, b such that h - {a, b} is
+    connected.  Lovász (1975) shows one exists in every 2-connected regular
+    graph of degree >= 3 that is not complete.  Trying every candidate costs
+    O(n * deg^2 * (n + m)) at worst; in a 3-connected graph the first
+    non-adjacent pair is accepted."""
+    triple = next((
+        (x, a, b)
+        for x in range(h.n)
+        for i, a in enumerate(h.adjacency(x))
+        for b in h.adjacency(x)[i + 1:]
+        if not h.has_edge(a, b) and len(_bfs_tree(h, x, frozenset((a, b)))) == h.n - 2
+    ), None)
+    assert triple is not None, "a non-complete 2-connected regular block has a Lovász triple"
+    return triple
 
 
 def _solve_block(
     h: Graph, lists: ListAssignment, seed: PartialColoring, pivot: int
 ) -> PartialColoring:
     """Total dominating list coloring of a 2-connected block that is neither
-    a clique nor an odd cycle."""
-    k = seed.k
-    n = h.n
+    a clique nor an odd cycle, from a seed coloring every vertex but the
+    pivot, with every list at least the vertex degree.
 
+    The uncolored vertex is the hole.  A hole with a free list color takes
+    it and the solve ends.  A stuck hole sees each of its list colors on
+    exactly one neighbor, so it can take any neighbor's color, and that
+    neighbor becomes the hole.  Class counts never change, so filling the
+    hole always dominates the seed.  `walk(to, avoid)` moves the hole along
+    a shortest path to `to` in h - avoid and fills it at the first vertex
+    with a free color:
+
+    1. Fill at the pivot.  This settles every even cycle: its colored path
+       alternates, so the pivot's two neighbors agree.
+    2. Walk to a vertex whose list exceeds its degree; it is never stuck.
+    3. Else, for an edge xy with beta in L(x) - L(y), walk to x.  If x is
+       stuck it takes beta from its one beta-neighbor, and the hole walks
+       to y in h - x (connected, h is 2-connected).  y has a free color
+       there, because its neighbor x holds a color outside L(y).
+    4. Else all lists are equal and h is regular of degree >= 3.  Take a
+       Lovász triple x, a, b and walk to a.  If a is stuck it takes b's
+       color from its one neighbor holding it, and the hole walks to x in
+       h - {a, b}, where x sees that color twice.
+
+    Each walk follows a shortest path, so the solve makes at most
+    (n - 1) + 1 + (n - 2) = 2n - 2 shifts.
+    """
+    n = h.n
+    assert all(seed.is_assigned(v) == (v != pivot) for v in range(n)), (
+        "the block seed must color every vertex except the pivot"
+    )
+    f = seed.copy()
+    hole = pivot
+
+    def fill() -> bool:
+        free = lists[hole] - {f.get(w) for w in h.adjacency(hole)}
+        if free:
+            f.assign(hole, min(free))
+        return bool(free)
+
+    def take(c: int) -> None:
+        # a stuck hole sees each of its list colors on exactly one neighbor
+        nonlocal hole
+        y = next(w for w in h.adjacency(hole) if f.get(w) == c)
+        f.unassign(y)
+        f.assign(hole, c)
+        hole = y
+
+    def walk(to: int, avoid: frozenset[int] = frozenset()) -> bool:
+        toward = _bfs_tree(h, to, avoid)
+        while not fill():
+            if hole == to:
+                return False
+            take(f.get(toward[hole]))
+        return True
+
+    if fill():
+        return f
     surplus = next((v for v in range(n) if len(lists[v]) > h.degree(v)), None)
     if surplus is not None:
-        return _large_list_completion(h, lists, seed, surplus)
-
-    # all lists now have size exactly the degree
-    for x in range(n):
-        for y in h.adjacency(x):
-            extra = lists[x] - lists[y]
-            if not extra:
-                continue
-            beta = min(extra)
-            f1 = _all_but_one(h, lists, seed, x)
-            if f1.is_assigned(x):
-                return f1
-            done = _extend_at(h, lists, f1, x)
-            if done is not None:
-                return done
-            # every color of L(x) sits on exactly one neighbor; move beta
-            # out of the way and recurse on h - x where y gains a surplus
-            zs = [w for w in h.adjacency(x) if f1.get(w) == beta]
-            assert len(zs) == 1
-            z = zs[0]
-            assert z != y
-            keep = [v for v in range(n) if v != x]
-            sub, _ = h.induced_subgraph(keep)
-            sub_lists = ListAssignment(tuple(
-                lists[v] - {beta} if h.has_edge(v, x) else lists[v]
-                for v in keep
-            ))
-            sub_seed = PartialColoring(
-                sub.n, k, [None if v == z else f1.get(v) for v in keep]
-            )
-            y_new = keep.index(y)
-            assert len(sub_lists[y_new]) > sub.degree(y_new)
-            f2 = _large_list_completion(sub, sub_lists, sub_seed, y_new)
-            out = PartialColoring(n, k)
-            for v_new, v_old in enumerate(keep):
-                out.assign(v_old, f2.get(v_new))
-            out.assign(x, beta)
-            return out
-
-    # equal lists everywhere, so the block is regular of degree |L|
-    common = lists[0]
-    s = len(common)
-    assert all(h.degree(v) == s for v in range(n))
-    if s == 2:
-        # even cycle: color all but the pivot, whose two neighbors then
-        # agree, and use the remaining list color
-        f1 = _all_but_one(h, lists, seed, pivot)
-        if f1.is_assigned(pivot):
-            return f1
-        nbr_colors = {f1.get(w) for w in h.adjacency(pivot)}
-        assert len(nbr_colors) == 1, "an even path alternates, endpoints agree"
-        spare = min(common - nbr_colors)
-        f1.assign(pivot, spare)
-        return f1
-    found = _regular_block_search(h, common, [seed.count_of(c) for c in range(k)], k)
-    assert found is not None, (
-        "a regular non-complete block of degree >= 3 always admits a "
-        "dominating coloring"
-    )
-    return found
+        done = walk(surplus)
+    elif (edge := next(
+        ((x, y) for x in range(n) for y in h.adjacency(x) if lists[x] - lists[y]), None
+    )) is not None:
+        x, y = edge
+        done = walk(x)
+        if not done:
+            take(min(lists[x] - lists[y]))
+            done = walk(y, frozenset((x,)))
+    else:
+        assert len(lists[hole]) >= 3, "an even cycle is settled at the pivot"
+        x, a, b = _lovasz_triple(h)
+        done = walk(a)
+        if not done:
+            take(f.get(b))
+            done = walk(x, frozenset((a, b)))
+    assert done, "the walk's last vertex always has a free color"
+    return f
 
 
 def _restrict(

@@ -211,8 +211,8 @@ def test_forest_recolor_long_path_scales():
 def test_dominating_delta_coloring_cubic_scales():
     # the per-round peel re-maximalized and rebuilt the whole remaining
     # graph for each of the n peeled vertices.  Generator seed 0 leaves the
-    # pivot colored; seed 1 ends in the exhaustive regular-block search,
-    # which cannot finish at this size (ROADMAP open item 1).
+    # pivot colored; seed 1, which ends in the block walk, is a repro test
+    # in test_domination.py.
     g = generate(InstanceSpec.parse("regular:n=8000,d=3", 0))
     seed = tight_seed(g)
     t0 = time.perf_counter()
