@@ -33,9 +33,7 @@ monotone prefix.  One integer check of the take (strictly ascending, every
 vertex in beta with no alpha-neighbor, c[alpha] + t <= c[beta] - t) proves
 the round proper, separated and monotone, and the index then applies all
 of it at once.  Only when the index is empty does a round fall back to one
-step of patterns 2 and 3 or the exhaustive pass, in both modes.  The sparse
-pipeline's balancer drives the same index, with its heaps further split by
-an auxiliary class and its frozen vertices left out.
+step of patterns 2 and 3 or the exhaustive pass, in both modes.
 """
 
 from __future__ import annotations
@@ -155,21 +153,18 @@ def is_acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
 def admissible_witness(g: Graph, f: PartialColoring, move: RecoloringMove) -> Optional[int]:
     """Witness for admissibility: improvement plus no-overshoot.
 
-    The witness class, after the move, must still be no larger than every
-    strictly shrinking class after the move.
+    The witness class starts strictly below every strictly shrinking class
+    and, after the move, is still no larger than any of them: one of the
+    `witness_colors` of the move that was also below them before it.
     """
     if not is_acceptable(g, f, move):
         return None
     deltas = move_deltas(f, move)
     counts = f.counts()
-    losing = [b for b in range(f.k) if deltas[b] < 0]
-    pre_cap = min(counts[b] for b in losing) if losing else None
-    post_cap = min(counts[b] + deltas[b] for b in losing) if losing else None
+    pre_cap = min((c for c, d in zip(counts, deltas) if d < 0), default=None)
     witnesses = [
-        a for a in range(f.k)
-        if deltas[a] > 0
-        and (pre_cap is None or counts[a] < pre_cap)
-        and (post_cap is None or counts[a] + deltas[a] <= post_cap)
+        a for a in witness_colors(deltas, [c + d for c, d in zip(counts, deltas)])
+        if pre_cap is None or counts[a] < pre_cap
     ]
     if not witnesses:
         return None
@@ -503,49 +498,32 @@ class DynamicsTrace:
 
 
 class _Pattern1Index:
-    """Pattern-1 moves of a total coloring that is only ever changed
-    through `apply`: the driver's rounds and the balancer's batches.
+    """Pattern-1 moves of a total coloring that the driver only ever changes
+    through `apply`.
 
-    `nbr[x*k + c]` counts the neighbors of x colored c.  With an auxiliary
-    coloring aux (one class r = 0 for all vertices without one),
-    `heaps[alpha][r*k + beta]` holds every vertex x with aux(x) = r,
-    f(x) = beta, no neighbor colored alpha and x not frozen, plus stale
-    entries that are dropped when they reach the top.  Frozen vertices are
-    never pushed.  `slot[x]` is x's heap offset aux(x)*k.  `first_move`
-    peeks at heap tops and `take` pops a round; each moved vertex costs
-    O(deg + k) pushes in `apply`.
+    `nbr[x*k + c]` counts the neighbors of x colored c.  `heaps[alpha][beta]`
+    holds every vertex x with f(x) = beta and no neighbor colored alpha,
+    plus stale entries that are dropped when they reach the top.
+    `first_move` peeks at heap tops and `take` pops a round; each moved
+    vertex costs O(deg + k) pushes in `apply`.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        f: PartialColoring,
-        aux: Optional[PartialColoring] = None,
-        frozen: Iterable[int] = (),
-    ):
+    def __init__(self, g: Graph, f: PartialColoring):
         self.g, self.f, self.k = g, f, f.k
         k = f.k
-        self.slot = [0] * g.n if aux is None else [aux.get(v) * k for v in range(g.n)]
-        self.frozen = bytearray(g.n)
-        for v in frozen:
-            self.frozen[v] = 1
         self.nbr = [0] * (g.n * k)
         for v in range(g.n):
             for w in g.adjacency(v):
                 self.nbr[v * k + f.get(w)] += 1
-        slots = k if aux is None else aux.k * k
-        self.heaps: list[list[list[int]]] = [[[] for _ in range(slots)] for _ in range(k)]
+        self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
         for v in range(g.n):
             self._push(v)
 
     def _push(self, v: int) -> None:
-        if self.frozen[v]:
-            return
         beta, base, nbr = self.f.get(v), v * self.k, self.nbr
-        slot = self.slot[v] + beta
         for alpha in range(self.k):
             if alpha != beta and nbr[base + alpha] == 0:
-                heappush(self.heaps[alpha][slot], v)
+                heappush(self.heaps[alpha][beta], v)
 
     def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
         """Recolor the (vertex, color) pairs in place, in order; return the
@@ -566,15 +544,14 @@ class _Pattern1Index:
                     emptied.append((w, old))
         for v in recolored:
             self._push(v)
-        frozen, slot = self.frozen, self.slot
         for w, c in emptied:
             beta = f.get(w)
-            if c != beta and nbr[w * k + c] == 0 and not frozen[w]:
-                heappush(self.heaps[c][slot[w] + beta], w)
+            if c != beta and nbr[w * k + c] == 0:
+                heappush(self.heaps[c][beta], w)
         return recolored
 
-    def take(self, alpha: int, r: int, beta: int, cap: int) -> list[int]:
-        """Pop from heap (alpha, r, beta) up to `cap` distinct vertices of
+    def take(self, alpha: int, beta: int, cap: int) -> list[int]:
+        """Pop from heap (alpha, beta) up to `cap` distinct vertices of
         class beta that have no alpha-neighbor, in ascending order; stale
         entries on the way are dropped.
 
@@ -582,7 +559,7 @@ class _Pattern1Index:
         to alpha through `apply`.
         """
         f, nbr, k = self.f, self.nbr, self.k
-        heap = self.heaps[alpha][r * k + beta]
+        heap = self.heaps[alpha][beta]
         taken: list[int] = []
         while heap and len(taken) < cap:
             x = heappop(heap)
@@ -658,6 +635,8 @@ def equitable_k_coloring(
             f"need k >= max degree + 1 = {g.max_degree + 1}, got {size}"
         )
     if f0 is not None:
+        if f0.n != g.n:
+            raise ImproperSeed(f"initial coloring covers {f0.n} vertices, graph has {g.n}")
         if not is_proper(g, f0):
             raise ImproperSeed("initial coloring is not proper")
         if f0.k != size:
@@ -714,7 +693,7 @@ def equitable_k_coloring(
             beta = f.get(x)
             counts = f.counts()
             cap = (counts[beta] - counts[alpha]) // 2 if config.batch_mode else 1
-            taken = index.take(alpha, 0, beta, cap)
+            taken = index.take(alpha, beta, cap)
             if debug:
                 assert taken == sorted(
                     y for y in range(n) if f.get(y) == beta

@@ -287,13 +287,6 @@ def improving_move_exists(
 # small-graph atlases
 
 
-def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices (2^(n choose 2) of them)."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
 def _vertex_signature(g: Graph, v: int) -> tuple:
     nbr_degs = tuple(sorted(g.degree(w) for w in g.adjacency(v)))
     triangles = sum(

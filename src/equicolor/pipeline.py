@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .colorings import (
     ListAssignment,
@@ -37,10 +37,11 @@ from .colorings import (
     greedy_maximal,
     is_proper,
 )
-from .dynamics import _Pattern1Index, equitable_k_coloring
+from .dynamics import equitable_k_coloring
 from .errors import (
     ImproperAux,
     ImproperInput,
+    OutOfRange,
     PreconditionViolated,
     debug_checks_enabled,
 )
@@ -75,6 +76,9 @@ def _cost_value(g: Graph, xs: frozenset[int]) -> tuple[Fraction, int, int]:
 
 def cost(g: Graph, x: Iterable[int]) -> CostReport:
     xs = frozenset(x)
+    outside = [v for v in xs if not 0 <= v < g.n]
+    if outside:
+        raise OutOfRange(f"vertex {min(outside)} outside [0, {g.n})")
     value, boundary, internal = _cost_value(g, xs)
     if debug_checks_enabled() and len(xs) >= 2:
         _check_cost_additivity(g, xs)
@@ -145,14 +149,6 @@ def _dense_set(g: Graph, t: Fraction, aux: PartialColoring) -> tuple[int, ...]:
     return out
 
 
-def _potential(counts: Sequence[int]) -> int:
-    """Sum of |c_a - c_b| over color pairs, from the sorted counts: the
-    i-th smallest count is the larger one in i pairs and the smaller one
-    in k-1-i."""
-    k = len(counts)
-    return sum(c * (2 * i - (k - 1)) for i, c in enumerate(sorted(counts)))
-
-
 def quick_balance(
     g: Graph,
     f: PartialColoring,
@@ -162,50 +158,56 @@ def quick_balance(
     """Balance class sizes by moving vertices from larger to smaller classes
     without touching the frozen set.
 
+    Both passes below visit the unfrozen vertices in (aux class, vertex)
+    order.  The aux coloring is proper, so the moves within one aux class
+    form an independent batch; every move checks the current colors of the
+    mover's neighbors, so the recoloring stays proper.
+
     Targets are fixed first: with the classes sorted by (-count, color), the
     first n mod k get ceil(n/k) vertices and the rest floor(n/k).  The
-    direct pass visits the vertices in (aux class, vertex) order and moves
-    each unfrozen vertex of a class above its target to the color furthest
-    below its target (the smallest on a tie) among those none of its
-    neighbors has.  The aux coloring is proper, so the moves within one aux
-    class form an independent batch and the recoloring stays proper.  A
-    ceil(n/k) class started no smaller than any floor(n/k) class, so it can
-    be short only while no floor class is over target: every move goes
-    between classes differing by at least 2, and drops the pairwise-
-    difference potential by at least 2.  The pass moves each vertex at most
-    once, in O(n*k + m) work.
+    direct pass moves each vertex of a class above its target to the color
+    furthest below its target (the smallest on a tie) among those none of
+    its neighbors has.  A ceil(n/k) class started no smaller than any
+    floor(n/k) class, so it can be short only while no floor class is over
+    target: every move goes between classes differing by at least 2, and
+    drops the pairwise-difference potential by at least 2.  The pass moves
+    each vertex at most once, in O(n*k + m) work.
 
-    Only if classes still differ by 2 or more after that pass is the
-    driver's pattern-1 index built, with its heaps keyed by (target, aux
-    class, source) and the frozen set left out.  Its loop rounds over those
-    triples, each batch popping the smallest movable vertices of one heap,
-    at most half the current size difference, floor-divided; so a vertex may
-    reach a short class through an intermediate one.  The potential drops by
-    at least twice the batch size, so there are at most half the initial
-    potential moves, and a pass that moves nothing ends the loop.  That costs
-    O(m + nk) heap pushes to build the index, O(deg + k) more per moved
-    vertex, and one heap lookup per triple per pass.  At the fixpoint,
-    classes differing by 2 or more have no movable vertex left.
+    Only if classes still differ by 2 or more after that pass do pairwise
+    passes run, until the gap is at most 1 or a pass moves nothing.  A pass
+    skips each vertex of a class less than 2 above the minimum count and
+    moves any other to its least-count free color (the smallest on a tie)
+    when that class is at least 2 smaller; so a vertex may reach a short
+    class through an intermediate one.  Each move drops the potential by at
+    least 2, which bounds the number of passes; a pass costs O(deg + k) per
+    vertex it does not skip.  When a pass moves nothing, no vertex of a
+    class 2 or more above another can move into it: the fixpoint.
     """
+    if f.n != g.n:
+        raise ImproperInput(f"coloring covers {f.n} vertices, graph has {g.n}")
+    if aux.n != g.n:
+        raise ImproperAux(f"auxiliary coloring covers {aux.n} vertices, graph has {g.n}")
+    frozen_set = frozenset(frozen)
+    outside = [v for v in frozen_set if not 0 <= v < g.n]
+    if outside:
+        raise OutOfRange(f"frozen vertex {min(outside)} outside [0, {g.n})")
     if not f.is_total() or not is_proper(g, f):
         raise ImproperInput("balance requires a total proper coloring")
     if not aux.is_total() or not is_proper(g, aux):
         raise ImproperAux("auxiliary coloring must be total and proper")
-    frozen_set = frozenset(frozen)
     out = f.copy()
     k = out.k
     counts = out.counts()
+    # sorting is stable, so ties within an aux class keep vertex order
+    order = sorted((v for v in range(g.n) if v not in frozen_set), key=aux.get)
 
     q, extra = divmod(g.n, k)
     need = [0] * k
     for i, c in enumerate(sorted(range(k), key=lambda c: (-counts[c], c))):
         need[c] = q + (i < extra) - counts[c]
-    layers: list[list[int]] = [[] for _ in range(aux.k)]
-    for v in range(g.n):
-        layers[aux.get(v)].append(v)
-    for y in (y for layer in layers for y in layer):
+    for y in order:
         beta = out.get(y)
-        if need[beta] >= 0 or y in frozen_set:
+        if need[beta] >= 0:
             continue
         seen = {out.get(w) for w in g.adjacency(y)}
         best = max(
@@ -220,42 +222,39 @@ def quick_balance(
         out.assign(y, alpha)
         need[beta] += 1
         need[alpha] -= 1
-    counts = out.counts()
 
-    if out.gap() >= 2:
-        index = _Pattern1Index(g, out, aux, frozen_set)
-        debug = debug_checks_enabled()
-        while True:
-            moved_this_pass = 0
-            for r in range(aux.k):
-                for alpha in range(out.k):
-                    for beta in range(out.k):
-                        if alpha == beta or counts[beta] - counts[alpha] < 2:
-                            continue
-                        cap = (counts[beta] - counts[alpha]) // 2
-                        batch = index.take(alpha, r, beta, cap)
-                        if debug:
-                            assert batch == sorted(
-                                y for y in range(g.n)
-                                if out.get(y) == beta and aux.get(y) == r
-                                and y not in frozen_set
-                                and all(out.get(w) != alpha for w in g.adjacency(y))
-                            )[:cap], "balance index out of date"
-                        if not batch:
-                            continue
-                        before = _potential(counts)
-                        index.apply((y, alpha) for y in batch)
-                        counts = out.counts()
-                        after = _potential(counts)
-                        assert 2 * len(batch) <= before - after, \
-                            "balance potential must drop by twice the batch size"
-                        moved_this_pass += len(batch)
-            if moved_this_pass == 0:
-                break
+    counts = list(out.counts())
+    get, adjacency = out.get, g.adjacency
+
+    def rank(a: int) -> tuple[int, int]:
+        return counts[a], a
+
+    moved = True
+    while moved and max(counts) - min(counts) >= 2:
+        moved = False
+        # the first free color of this ranking is the least-count one
+        ranked = sorted(range(k), key=rank)
+        for y in order:
+            beta = get(y)
+            top = counts[beta] - 2
+            if counts[ranked[0]] > top:
+                continue
+            seen = {get(w) for w in adjacency(y)}
+            for alpha in ranked:
+                if counts[alpha] > top:
+                    break
+                if alpha not in seen:
+                    out.assign(y, alpha)
+                    counts[beta] -= 1
+                    counts[alpha] += 1
+                    ranked.sort(key=rank)
+                    moved = True
+                    break
 
     assert is_proper(g, out)
     for v in frozen_set:
         assert out.get(v) == f.get(v), "frozen vertices must keep their colors"
+    counts = out.counts()
     members: list[list[int]] = [[] for _ in range(out.k)]
     for v in range(g.n):
         members[out.get(v)].append(v)

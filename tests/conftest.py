@@ -141,69 +141,73 @@ def reference_monotone_prefix(g, f, batch):
     return out, best
 
 
-def reference_quick_balance(g, f, frozen, aux):
-    """The scan balancer.  Targets: with the classes sorted by (-count,
-    color), the first n mod k get ceil(n/k) and the rest floor(n/k).  The
-    direct pass visits the vertices in (aux class, vertex) order and moves
-    each unfrozen vertex of a class above its target to the free color
-    furthest below its target, the smallest on a tie, rescanning its
-    neighbors.  Then, for every (aux class, target, source) triple of a
-    pass, rescan the source class for its movable vertices and move the
-    smallest of them, at most half the size difference."""
-    frozen = frozenset(frozen)
+def _balance_order(g, frozen, aux):
+    """The unfrozen vertices in (aux class, vertex) order."""
+    return [
+        y for r in range(aux.k) for y in range(g.n)
+        if aux.get(y) == r and y not in frozen
+    ]
+
+
+def _free_colors(g, f, y):
+    return [
+        a for a in range(f.k) if a != f.get(y)
+        and all(f.get(w) != a for w in g.adjacency(y))
+    ]
+
+
+def reference_direct_pass(g, f, frozen, aux):
+    """The scan balancer's direct pass.  Targets: with the classes sorted by
+    (-count, color), the first n mod k get ceil(n/k) and the rest
+    floor(n/k).  The pass visits the unfrozen vertices in (aux class,
+    vertex) order and moves each vertex of a class above its target to the
+    free color furthest below its target, the smallest on a tie, rescanning
+    its neighbors."""
     out = f.copy()
     k = out.k
-    counts = list(out.counts())
+    counts = out.counts()
     ranked = sorted(range(k), key=lambda c: (-counts[c], c))
     target = {c: g.n // k + (i < g.n % k) for i, c in enumerate(ranked)}
-    for r in range(aux.k):
-        for y in range(g.n):
-            if aux.get(y) != r or y in frozen:
-                continue
-            beta = out.get(y)
-            if out.count_of(beta) <= target[beta]:
-                continue
-            free = [
-                a for a in range(k)
-                if out.count_of(a) < target[a]
-                and all(out.get(w) != a for w in g.adjacency(y))
-            ]
-            if free:
-                alpha = min(free, key=lambda a: (out.count_of(a) - target[a], a))
-                out.assign(y, alpha)
-    counts = list(out.counts())
-    members = [[] for _ in range(k)]
-    for v in range(g.n):
-        members[out.get(v)].append(v)
+    for y in _balance_order(g, frozenset(frozen), aux):
+        beta = out.get(y)
+        if out.count_of(beta) <= target[beta]:
+            continue
+        free = [a for a in _free_colors(g, out, y) if out.count_of(a) < target[a]]
+        if free:
+            alpha = min(free, key=lambda a: (out.count_of(a) - target[a], a))
+            out.assign(y, alpha)
+    return out
+
+
+def reference_quick_balance(g, f, frozen, aux):
+    """The scan balancer: `reference_direct_pass`, then, while classes
+    differ by 2 or more, passes in the same order move every vertex whose
+    least-count free color (the smallest on a tie) is at least 2 smaller
+    than its class into it, until a pass moves nothing.  Each move must
+    drop the pairwise-difference potential by at least 2."""
+    out = reference_direct_pass(g, f, frozen, aux)
+    order = _balance_order(g, frozenset(frozen), aux)
 
     def potential(cs):
         return sum(abs(a - b) for i, a in enumerate(cs) for b in cs[i + 1:])
 
-    while True:
+    while out.gap() >= 2:
         moved = 0
-        for r in range(aux.k):
-            for alpha in range(out.k):
-                for beta in range(out.k):
-                    if alpha == beta or counts[beta] - counts[alpha] < 2:
-                        continue
-                    movable = sorted(
-                        y for y in members[beta]
-                        if y not in frozen and aux.get(y) == r
-                        and all(out.get(w) != alpha for w in g.adjacency(y))
-                    )
-                    batch = movable[:(counts[beta] - counts[alpha]) // 2]
-                    if not batch:
-                        continue
-                    before = potential(counts)
-                    for y in batch:
-                        out.assign(y, alpha)
-                        members[beta].remove(y)
-                        members[alpha].append(y)
-                    counts = list(out.counts())
-                    assert 2 * len(batch) <= before - potential(counts)
-                    moved += len(batch)
+        for y in order:
+            beta = out.get(y)
+            free = _free_colors(g, out, y)
+            if not free:
+                continue
+            alpha = min(free, key=lambda a: (out.count_of(a), a))
+            if out.count_of(beta) - out.count_of(alpha) < 2:
+                continue
+            before = potential(out.counts())
+            out.assign(y, alpha)
+            assert 2 <= before - potential(out.counts())
+            moved += 1
         if moved == 0:
             return out
+    return out
 
 
 def replay_trace(g, k, f, trace, batch):

@@ -39,6 +39,7 @@ from equicolor.dynamics import (
     move_deltas,
 )
 from equicolor.errors import (
+    ImproperSeed,
     MonotonicityViolation,
     NotSeparated,
     OutOfRange,
@@ -375,8 +376,8 @@ def test_round_check_rejects_alpha_neighbor_and_overshoot(monkeypatch):
     config = DriverConfig(batch_mode=True)
     take = _Pattern1Index.take
 
-    def with_alpha_neighbor(self, alpha, r, beta, cap):
-        return take(self, alpha, r, beta, cap) + [8]
+    def with_alpha_neighbor(self, alpha, beta, cap):
+        return take(self, alpha, beta, cap) + [8]
 
     monkeypatch.setattr(_Pattern1Index, "take", with_alpha_neighbor)
     with pytest.raises(UnacceptableMove):
@@ -385,7 +386,7 @@ def test_round_check_rejects_alpha_neighbor_and_overshoot(monkeypatch):
     # class 0 at 2
     monkeypatch.setattr(
         _Pattern1Index, "take",
-        lambda self, alpha, r, beta, cap: take(self, alpha, r, beta, cap + 1),
+        lambda self, alpha, beta, cap: take(self, alpha, beta, cap + 1),
     )
     with pytest.raises(MonotonicityViolation, match="overshoots"):
         equitable_k_coloring(g, 3, f0=start, config=config)
@@ -405,6 +406,14 @@ def test_driver_small_examples():
 def test_driver_rejects_small_palette():
     with pytest.raises(PaletteTooSmall):
         equitable_k_coloring(star(3), 2)
+
+
+def test_driver_rejects_seed_of_other_size():
+    # n - 1 vertices raised a bare IndexError, n + 1 a misleading count sum
+    g = path(4)
+    for colors in ([0, 1, 0], [0, 1, 0, 1, 0]):
+        with pytest.raises(ImproperSeed):
+            equitable_k_coloring(g, 3, f0=PartialColoring(len(colors), 3, colors))
 
 
 def test_driver_respects_initial_coloring_bound():
@@ -549,7 +558,7 @@ def test_pattern1_index_tracks_arbitrary_moves():
                 and all(f.get(w) != alpha for w in g.adjacency(y))
             ]
             cap = rng.choice((1, 2, 5, len(movable) + 1))
-            taken = index.take(alpha, 0, beta, cap)
+            taken = index.take(alpha, beta, cap)
             assert taken == movable[:cap] and taken[0] == x
             index.apply((y, alpha) for y in taken)
             assert is_proper(g, f)
