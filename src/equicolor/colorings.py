@@ -6,8 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ImproperSeed, NotIndependent, OutOfRange, PaletteTooSmall
-from .graphs import Graph
+from .errors import (
+    ImproperInput,
+    ImproperSeed,
+    NotIndependent,
+    OutOfRange,
+    PaletteTooSmall,
+    debug_checks_enabled,
+)
+from .graphs import Graph, OneEndedForest
 
 
 def palette_size(k: int) -> int:
@@ -144,6 +151,8 @@ class ListAssignment:
 
 def is_proper(g: Graph, f: PartialColoring) -> bool:
     """No edge with both endpoints assigned the same color."""
+    if f.n != g.n:
+        raise ImproperInput(f"coloring covers {f.n} vertices, graph has {g.n}")
     for u in range(g.n):
         cu = f.get(u)
         if cu is None:
@@ -202,6 +211,71 @@ def _greedy_fill(
         free = [c for c in lists[v] if c not in taken]
         if free:
             f.assign(v, min(free))
+
+
+def _forest_sweep(
+    g: Graph, lists: ListAssignment, seed: PartialColoring, forest: OneEndedForest
+) -> tuple[PartialColoring, list[bool]]:
+    """Proper partial list coloring covering every non-anchor vertex, with
+    class counts at least the seed's, and for each vertex whether a child
+    took its color.  Every list must be at least the vertex degree.
+
+    Sweeps strata by height on one working coloring.  At each stage the
+    coloring is first greedily maximalized (after stage 0 only the parents
+    that lost their color and their uncolored neighbors can be colorable);
+    an uncolored stratum vertex then has exactly one neighbor of every list
+    color, so it can take its parent's color while the parent is
+    uncolored.  The parent has a strictly larger height, so it is handled
+    at its own stage, and a class only loses a vertex to a child entering
+    it.
+    """
+    debug = debug_checks_enabled()
+    strata: list[list[int]] = [[] for _ in range(forest.max_height() + 1)]
+    for v, hv in enumerate(forest.heights):
+        if v not in forest.anchors:
+            strata[hv].append(v)
+    f = seed.copy()
+    stolen = [False] * g.n
+    frontier: Iterable[int] = range(g.n)
+
+    for stage, stratum in enumerate(strata):
+        prev = f.copy() if debug else f
+        _greedy_fill(g, lists, f, frontier)
+        stealers = {x: f.get(forest.parent[x]) for x in stratum if not f.is_assigned(x)}
+        if debug:
+            assert f == greedy_maximal(g, lists, prev), "frontier fill missed a vertex"
+            for x, c in stealers.items():
+                assert sum(1 for w in g.adjacency(x) if f.get(w) == c) == 1, \
+                    "parent must be the unique neighbor with its color"
+        stolen_from = {forest.parent[x] for x in stealers}
+        for p in stolen_from:
+            f.unassign(p)
+            stolen[p] = True
+        for x, c in stealers.items():
+            assert c is not None, "maximal coloring left an uncolored neighbor"
+            f.assign(x, c)
+        frontier = sorted(stolen_from.union(
+            w for p in stolen_from for w in g.adjacency(p) if not f.is_assigned(w)
+        ))
+        if debug:
+            assert is_proper_list_coloring(g, lists, f)
+            for v in range(g.n):
+                if forest.heights[v] < stage and prev.is_assigned(v):
+                    assert f.get(v) == prev.get(v), "settled strata must not change"
+                if forest.heights[v] < stage + 1 and v not in forest.anchors:
+                    assert f.is_assigned(v), "swept strata must be covered"
+            for alpha in range(f.k):
+                left = [
+                    y for y in range(g.n)
+                    if prev.get(y) == alpha and f.get(y) != alpha
+                ]
+                for y in left:
+                    assert any(
+                        forest.parent.get(x) == y and f.get(x) == alpha
+                        and forest.heights[x] == stage
+                        for x in stealers
+                    ), "a leaving color needs an entering child"
+    return f, stolen
 
 
 def greedy_extend_full(

@@ -3,15 +3,17 @@
 Given a degree-list assignment (every list at least as large as the vertex
 degree) and a proper partial list coloring, the solver produces a total
 proper list coloring whose per-color class counts are at least those of the
-seed.  The recursion peels removable vertices one at a time, keeping counts
-non-decreasing via a color-shift swap when the peeled vertex is uncolored,
-toward the least vertex of an anchored block that is neither a clique nor an
-odd cycle.  If that vertex is left uncolored, the block alone (its lists less
-the colors of its outside neighbors) is solved by a hole walk: the uncolored
-vertex takes a neighbor's color and passes the hole on, along shortest paths
-chosen so that the hole ends at a vertex with a free color.  Class counts
-never change on the way, and the walk makes at most 2n - 2 shifts on an
-n-vertex block (see `_solve_block`).
+seed.  All vertices but one pivot are colored by the forest sweep of
+`colorings._forest_sweep` on the breadth-first forest toward the pivot: an
+uncolored vertex takes its parent's color and passes the hole on toward the
+pivot, so counts never fall.  The pivot is the least vertex of an anchored
+block that is neither a clique nor an odd cycle.  If the sweep leaves it
+uncolored, the block alone (its lists less the colors of its outside
+neighbors) is solved by a hole walk: the uncolored vertex takes a
+neighbor's color and passes the hole on, along shortest paths chosen so
+that the hole ends at a vertex with a free color.  Class counts never
+change on the way, and the walk makes at most 2n - 2 shifts on an n-vertex
+block (see `_solve_block`).
 
 `dominating_full_coloring` and `forests.dominating_delta_coloring` share
 this anchored-block path.
@@ -21,25 +23,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .colorings import (
     ListAssignment,
     PartialColoring,
-    _greedy_fill,
+    _check_seed,
+    _forest_sweep,
     dominates,
-    greedy_maximal,
-    is_proper,
+    is_proper_list_coloring,
 )
-from .errors import (
-    GallaiTree,
-    ImproperSeed,
-    NotConnected,
-    NotDegreeList,
-    OutOfRange,
-    debug_checks_enabled,
-)
-from .graphs import Graph, _anchor_blocks, components
+from .errors import GallaiTree, NotConnected, NotDegreeList, OutOfRange
+from .graphs import Graph, _anchor_blocks, build_one_ended_subforest, components
 
 
 @dataclass(frozen=True)
@@ -66,89 +61,24 @@ def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
         raise NotDegreeList(
             f"vertex {bad}: list size {len(lists[bad])} < degree {g.degree(bad)}"
         )
-    if seed.n != g.n:
-        raise ImproperSeed("seed size mismatch")
+    _check_seed(g, lists, seed)
     if lists.max_color() >= seed.k:
         raise OutOfRange(
             f"list color {lists.max_color()} outside the seed palette {seed.k}"
         )
-    if not is_proper(g, seed):
-        raise ImproperSeed("seed not proper")
-    for v in range(g.n):
-        c = seed.get(v)
-        if c is not None and c not in lists[v]:
-            raise ImproperSeed(f"seed color {c} at vertex {v} outside its list")
     if need_pivot and inst.pivot is None:
         raise OutOfRange("pivot vertex required")
     if inst.pivot is not None and not (0 <= inst.pivot < g.n):
         raise OutOfRange(f"pivot {inst.pivot} outside range")
 
 
-def _postorder(g: Graph, root: int) -> list[int]:
-    """Vertices in the order a DFS from root finishes them; the root comes
-    last.  Deleting the first of them leaves the rest of that DFS unchanged,
-    so this is also the order of repeatedly peeling the first-finished
-    vertex."""
-    seen = [False] * g.n
-    seen[root] = True
-    order: list[int] = []
-    stack = [(root, 0)]
-    while stack:
-        v, i = stack.pop()
-        nbrs = g.adjacency(v)
-        while i < len(nbrs):
-            w = nbrs[i]
-            i += 1
-            if not seen[w]:
-                seen[w] = True
-                stack.append((v, i))
-                stack.append((w, 0))
-                break
-        else:
-            order.append(v)
-    return order
-
-
 def _all_but_one(
     g: Graph, lists: ListAssignment, seed: PartialColoring, pivot: int
 ) -> PartialColoring:
     """Proper partial list coloring covering every vertex except possibly the
-    pivot, with class counts at least the seed's.
-
-    Peels a spanning-tree leaf z (keeping the rest connected) per round.  If
-    the maximalized coloring leaves z uncolored, z's neighbors hold each of
-    z's list colors exactly once, so z can take the color of its smallest
-    neighbor y while y is uncolored; counts are unchanged and the recursion
-    proceeds on the smaller graph with y now playing z's former role.  A
-    peeled vertex keeps its color, which blocks its neighbors as deleting
-    that color from their lists would, so one coloring serves every round;
-    the next round re-maximalizes only y and its uncolored neighbors.
-    """
-    f = seed.copy()
-    deleted = [False] * g.n
-    pending: Iterable[int] = range(g.n)
-    debug = debug_checks_enabled()
-
-    for z in _postorder(g, pivot)[:-1]:
-        prev = f.copy() if debug else f
-        _greedy_fill(g, lists, f, pending)
-        if debug:
-            assert f == greedy_maximal(g, lists, prev), "pending fill missed a vertex"
-        pending = ()
-        if not f.is_assigned(z):
-            # maximality: all neighbors colored, each list color exactly once
-            y = min(w for w in g.adjacency(z) if not deleted[w])
-            cy = f.get(y)
-            assert cy is not None, "uncolored vertex with uncolored neighbor in maximal coloring"
-            if debug:
-                assert cy in lists[z]
-                assert sum(1 for w in g.adjacency(z) if f.get(w) == cy) == 1
-            f.unassign(y)
-            f.assign(z, cy)
-            pending = sorted([y] + [
-                w for w in g.adjacency(y) if not f.is_assigned(w)
-            ])
-        deleted[z] = True
+    pivot, with class counts at least the seed's: the forest sweep toward
+    the pivot.  Its last stage fills the pivot if a list color is free."""
+    f, _ = _forest_sweep(g, lists, seed, build_one_ended_subforest(g, [pivot]))
     return f
 
 
@@ -167,10 +97,7 @@ def _large_list_completion(
     """Total dominating coloring when |L(x)| > deg(x): color everything but
     x, then x always has a spare color."""
     f = _all_but_one(g, lists, seed, x)
-    if not f.is_assigned(x):
-        free = lists[x] - {f.get(w) for w in g.adjacency(x)}
-        assert free, "a list larger than the degree always leaves a spare color"
-        f.assign(x, min(free))
+    assert f.is_assigned(x), "a list larger than the degree always leaves a spare color"
     return f
 
 
@@ -234,8 +161,9 @@ def _solve_block(
     a shortest path to `to` in h - avoid and fills it at the first vertex
     with a free color:
 
-    1. Fill at the pivot.  This settles every even cycle: its colored path
-       alternates, so the pivot's two neighbors agree.
+    1. The pivot is stuck, or the sweep before the solve would have filled
+       it.  This settles every even cycle: its colored path alternates, so
+       the pivot's two neighbors agree.
     2. Walk to a vertex whose list exceeds its degree; it is never stuck.
     3. Else, for an edge xy with beta in L(x) - L(y), walk to x.  If x is
        stuck it takes beta from its one beta-neighbor, and the hole walks
@@ -253,6 +181,7 @@ def _solve_block(
     assert all(seed.is_assigned(v) == (v != pivot) for v in range(n)), (
         "the block seed must color every vertex except the pivot"
     )
+    assert lists[pivot] <= {seed.get(w) for w in h.adjacency(pivot)}, "the pivot is stuck"
     f = seed.copy()
     hole = pivot
 
@@ -278,8 +207,6 @@ def _solve_block(
             take(f.get(toward[hole]))
         return True
 
-    if fill():
-        return f
     surplus = next((v for v in range(n) if len(lists[v]) > h.degree(v)), None)
     if surplus is not None:
         done = walk(surplus)
@@ -308,6 +235,9 @@ def _restrict(
     """The block's induced subgraph and its mapping to g, the block's lists
     less the colors of colored neighbors outside it, and f restricted to
     the block."""
+    if len(block) == g.n:
+        # no outside, as on a 2-connected regular graph: copy no graph
+        return g, tuple(range(g.n)), lists, f.copy()
     h, mapping = g.induced_subgraph(block)
     h_lists = ListAssignment(tuple(
         lists[old] - {f.get(w) for w in g.adjacency(old)
@@ -321,7 +251,7 @@ def _anchored_block_coloring(
     g: Graph, lists: ListAssignment, seed: PartialColoring, block: frozenset[int]
 ) -> PartialColoring:
     """Total dominating list coloring of g anchored at a block that is
-    neither a clique nor an odd cycle: peel toward the block's least vertex
+    neither a clique nor an odd cycle: sweep toward the block's least vertex
     and, if it is left uncolored, solve the block with the rest fixed."""
     u = min(block)
     f = _all_but_one(g, lists, seed, u)
@@ -332,9 +262,7 @@ def _anchored_block_coloring(
         for new, old in enumerate(mapping):
             f.assign(old, f_block.get(new))
 
-    assert f.is_total()
-    assert is_proper(g, f)
-    assert all(f.get(v) in lists[v] for v in range(g.n))
+    assert f.is_total() and is_proper_list_coloring(g, lists, f)
     assert dominates(f, seed, lists.union_colors())
     return f
 

@@ -466,7 +466,7 @@ class DynamicsTrace:
 
     @property
     def step_count(self) -> int:
-        return sum(1 for r in self.records if r.kind != "restart")
+        return len(self.records)
 
     @property
     def restarts(self) -> int:

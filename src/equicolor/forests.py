@@ -1,103 +1,39 @@
-"""Anchored one-ended subforests and the height-stratified dominating
-recoloring built on them.
+"""The height-stratified dominating recoloring on an anchored one-ended
+subforest (`graphs.OneEndedForest`), and dominating max-degree colorings
+built on it.
 
-A forest here is a parent map on the non-anchor vertices pointing along
-edges toward an anchor set that meets every component, with no cycles.  The
-height of a vertex is the length of the longest parent-chain below it; the
-recoloring sweeps strata of equal height, letting each still-uncolored
-vertex steal its parent's color (the parent becomes uncolored and will be
-handled at its own, strictly larger, height).  Stolen colors never shrink a
-class without an equal replacement entering it, which is what makes the
-final coloring dominate the seed; the witness map records where each seed
-vertex's color went.
+The recoloring is the forest sweep of `colorings._forest_sweep` with the
+whole palette as every list: each still-uncolored vertex steals its
+parent's color, and the parent is handled at its own, strictly larger,
+height.  Stolen colors never shrink a class without an equal replacement
+entering it, which is what makes the final coloring dominate the seed; the
+witness map records where each seed vertex's color went.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 from .colorings import (
     ListAssignment,
     PartialColoring,
-    _greedy_fill,
+    _forest_sweep,
     dominates,
-    greedy_maximal,
     is_proper,
     palette_size,
 )
 from .domination import _anchored_block_coloring, _restrict
 from .errors import (
-    ComponentMissesAnchor,
     ImproperSeed,
     OutOfRange,
     PaletteTooSmall,
     RegularGallaiComponent,
-    debug_checks_enabled,
 )
-from .graphs import Graph, _anchor_blocks, components
-
-
-@dataclass
-class OneEndedForest:
-    anchors: frozenset[int]
-    parent: dict[int, int]          # defined exactly on non-anchor vertices
-    heights: tuple[int, ...]
-
-    def max_height(self) -> int:
-        return max(self.heights, default=0)
-
-    def validate(self, g: Graph) -> None:
-        for v in range(g.n):
-            if v in self.anchors:
-                assert v not in self.parent
-            else:
-                p = self.parent[v]
-                assert g.has_edge(v, p), f"parent of {v} is not a neighbor"
-                assert self.heights[p] > self.heights[v], "heights must rise along parents"
-        # no parent cycles: every chain must reach an anchor within n steps
-        for v in range(g.n):
-            x, steps = v, 0
-            while x not in self.anchors:
-                x = self.parent[x]
-                steps += 1
-                assert steps <= g.n, f"parent chain from {v} does not terminate"
-
-
-def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedForest:
-    """Multi-source BFS from the anchor set; parents point toward the
-    anchors, heights are the longest child-chain lengths."""
-    anchor_set = frozenset(anchors)
-    if g.n and not anchor_set:
-        raise ComponentMissesAnchor("anchor set is empty")
-    parent: dict[int, int] = {}
-    dist = [-1] * g.n
-    queue: list[int] = sorted(anchor_set)
-    for a in queue:
-        dist[a] = 0
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in g.adjacency(v):
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    missing = [v for v in range(g.n) if dist[v] == -1]
-    if missing:
-        raise ComponentMissesAnchor(
-            f"no anchor in the component of vertex {missing[0]}"
-        )
-    heights = [0] * g.n
-    for v in sorted(range(g.n), key=lambda u: -dist[u]):
-        if v not in anchor_set:
-            p = parent[v]
-            heights[p] = max(heights[p], heights[v] + 1)
-    forest = OneEndedForest(anchor_set, parent, tuple(heights))
-    if debug_checks_enabled():
-        forest.validate(g)
-    return forest
+from .graphs import (
+    Graph,
+    OneEndedForest,
+    _anchor_blocks,
+    build_one_ended_subforest,
+    components,
+)
 
 
 def forest_recolor(
@@ -109,14 +45,11 @@ def forest_recolor(
     """Proper partial coloring covering every non-anchor vertex and
     dominating the seed, together with the witness map.
 
-    Sweeps strata by height on one working coloring.  At each stage the
-    coloring is first greedily maximalized (after stage 0 only the parents
-    that lost their color and their uncolored neighbors can be colorable);
-    an uncolored stratum vertex then has exactly one neighbor of every color
-    (this needs palette size >= max degree), so it can take its parent's
-    color while the parent is uncolored.  The witness map sends each vertex
-    that kept its seed color to itself and every other vertex to its parent;
-    its image over a class covers the seed's class.
+    The forest sweep of `colorings._forest_sweep` with every list the whole
+    palette (so the palette must be at least the max degree).  The witness
+    map sends each vertex that kept its seed color to itself and every
+    other vertex to its parent; its image over a class covers the seed's
+    class.
     """
     ksize = palette_size(k)
     if ksize < g.max_degree:
@@ -130,54 +63,7 @@ def forest_recolor(
     if not is_proper(g, seed):
         raise ImproperSeed("seed not proper")
 
-    lists = ListAssignment.uniform(g.n, ksize)
-    debug = debug_checks_enabled()
-    strata: list[list[int]] = [[] for _ in range(forest.max_height() + 1)]
-    for v, hv in enumerate(forest.heights):
-        if v not in forest.anchors:
-            strata[hv].append(v)
-    f = seed.copy()
-    stolen = [False] * g.n
-    frontier: Iterable[int] = range(g.n)
-
-    for stage, stratum in enumerate(strata):
-        prev = f.copy() if debug else f
-        _greedy_fill(g, lists, f, frontier)
-        stealers = {x: f.get(forest.parent[x]) for x in stratum if not f.is_assigned(x)}
-        if debug:
-            assert f == greedy_maximal(g, lists, prev), "frontier fill missed a vertex"
-            for x, c in stealers.items():
-                assert sum(1 for w in g.adjacency(x) if f.get(w) == c) == 1, \
-                    "parent must be the unique neighbor with its color"
-        stolen_from = {forest.parent[x] for x in stealers}
-        for p in stolen_from:
-            f.unassign(p)
-            stolen[p] = True
-        for x, c in stealers.items():
-            assert c is not None, "maximal coloring left an uncolored neighbor"
-            f.assign(x, c)
-        frontier = sorted(stolen_from.union(
-            w for p in stolen_from for w in g.adjacency(p) if not f.is_assigned(w)
-        ))
-        if debug:
-            assert is_proper(g, f)
-            for v in range(g.n):
-                if forest.heights[v] < stage and prev.is_assigned(v):
-                    assert f.get(v) == prev.get(v), "settled strata must not change"
-                if forest.heights[v] < stage + 1 and v not in forest.anchors:
-                    assert f.is_assigned(v), "swept strata must be covered"
-            for alpha in range(ksize):
-                left = [
-                    y for y in range(g.n)
-                    if prev.get(y) == alpha and f.get(y) != alpha
-                ]
-                for y in left:
-                    assert any(
-                        forest.parent.get(x) == y and f.get(x) == alpha
-                        and forest.heights[x] == stage
-                        for x in stealers
-                    ), "a leaving color needs an entering child"
-
+    f, stolen = _forest_sweep(g, ListAssignment.uniform(g.n, ksize), seed, forest)
     psi = {
         v: v if (v in forest.anchors or (seed.is_assigned(v) and not stolen[v]))
         else forest.parent[v]
@@ -202,11 +88,11 @@ def dominating_delta_coloring(
     dominating the seed.
 
     Per component: if some vertex has degree below the palette size, the
-    low-degree vertices anchor the forest and greedy maximality colors them
-    afterwards; otherwise the component must not be a Gallai tree, and one
-    of its blocks that is neither a clique nor an odd cycle is anchored and
-    finished on its own by the anchored-block path of the dominating
-    list-coloring solver.  Components that are
+    low-degree vertices anchor the forest and the sweep's last, maximalizing
+    stage colors them; otherwise the component must not be a Gallai tree,
+    and one of its blocks that is neither a clique nor an odd cycle is
+    anchored and finished on its own by the anchored-block path of the
+    dominating list-coloring solver.  Components that are
     full-degree-regular Gallai trees are rejected: a finite connected
     k-regular Gallai tree is a complete graph on k+1 vertices or (k = 2) an
     odd cycle, since any end-block of a multi-block Gallai tree contains a
@@ -238,11 +124,10 @@ def dominating_delta_coloring(
     forest = build_one_ended_subforest(g, anchors)
     f, _ = forest_recolor(g, forest, seed, ksize)
     lists = ListAssignment.uniform(g.n, ksize)
-    _greedy_fill(g, lists, f, range(g.n))
 
     for block in block_anchored:
         # g outside the anchored blocks is colored and stays fixed, so only
-        # the block is peeled and solved
+        # the block is swept and solved
         h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
         f_block = _anchored_block_coloring(h, h_lists, h_seed, frozenset(range(h.n)))
         for new, old in enumerate(mapping):

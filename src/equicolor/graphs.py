@@ -12,11 +12,13 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    ComponentMissesAnchor,
     DuplicateEdge,
     EmptyGraph,
     NotAComponent,
     OutOfRange,
     SelfLoop,
+    debug_checks_enabled,
 )
 
 
@@ -125,6 +127,73 @@ def component_of(g: Graph, v: int) -> frozenset[int]:
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
+
+
+@dataclass
+class OneEndedForest:
+    """A parent map on the non-anchor vertices, pointing along edges toward
+    an anchor set that meets every component, with no cycles.  The height
+    of a vertex is the length of the longest parent chain below it."""
+
+    anchors: frozenset[int]
+    parent: dict[int, int]          # defined exactly on non-anchor vertices
+    heights: tuple[int, ...]
+
+    def max_height(self) -> int:
+        return max(self.heights, default=0)
+
+    def validate(self, g: Graph) -> None:
+        for v in range(g.n):
+            if v in self.anchors:
+                assert v not in self.parent
+            else:
+                p = self.parent[v]
+                assert g.has_edge(v, p), f"parent of {v} is not a neighbor"
+                assert self.heights[p] > self.heights[v], "heights must rise along parents"
+        # no parent cycles: every chain must reach an anchor within n steps
+        for v in range(g.n):
+            x, steps = v, 0
+            while x not in self.anchors:
+                x = self.parent[x]
+                steps += 1
+                assert steps <= g.n, f"parent chain from {v} does not terminate"
+
+
+def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedForest:
+    """Multi-source BFS from the anchor set; parents point toward the
+    anchors, heights are the longest child-chain lengths."""
+    anchor_set = frozenset(anchors)
+    if g.n and not anchor_set:
+        raise ComponentMissesAnchor("anchor set is empty")
+    parent: dict[int, int] = {}
+    dist = [-1] * g.n
+    queue: list[int] = sorted(anchor_set)
+    for a in queue:
+        dist[a] = 0
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in g.adjacency(v):
+            if dist[w] == -1:
+                dist[w] = dist[v] + 1
+                parent[w] = v
+                queue.append(w)
+    missing = [v for v in range(g.n) if dist[v] == -1]
+    if missing:
+        raise ComponentMissesAnchor(
+            f"no anchor in the component of vertex {missing[0]}"
+        )
+    heights = [0] * g.n
+    # the queue holds the anchors first, then every child after its parent
+    for v in reversed(queue[len(anchor_set):]):
+        p = parent[v]
+        if heights[p] <= heights[v]:
+            heights[p] = heights[v] + 1
+    forest = OneEndedForest(anchor_set, parent, tuple(heights))
+    if debug_checks_enabled():
+        forest.validate(g)
+    return forest
 
 
 @dataclass(frozen=True)

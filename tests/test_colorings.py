@@ -12,7 +12,13 @@ from equicolor import (
     is_proper,
     maximal_independent_superset,
 )
-from equicolor.errors import ImproperSeed, NotIndependent, OutOfRange, PaletteTooSmall
+from equicolor.errors import (
+    ImproperInput,
+    ImproperSeed,
+    NotIndependent,
+    OutOfRange,
+    PaletteTooSmall,
+)
 
 from conftest import complete, cycle, random_graph
 
@@ -23,6 +29,11 @@ def test_is_proper_examples():
     k3 = complete(3)
     assert not is_proper(k3, PartialColoring(3, 2, [0, 0, None]))
     assert is_proper(k3, PartialColoring(3, 2))
+    # a coloring of another size was accepted (5 vertices) or raised a bare
+    # IndexError (3 vertices)
+    for n in (3, 5):
+        with pytest.raises(ImproperInput):
+            is_proper(c4, PartialColoring(n, 2))
 
 
 def test_counts_cache():

@@ -39,10 +39,12 @@ from conftest import (
 
 
 def test_all_but_one_single_vertex():
+    # the sweep's last stage maximalizes, so a pivot with a free color
+    # ends colored
     g = build_graph(1, [])
     inst = DominationInstance(g, ListAssignment.of([[0]]), PartialColoring(1, 1), pivot=0)
     out = color_all_but_one(inst)
-    assert out.domain_size == 0
+    assert out.as_list() == [0]
 
 
 def test_all_but_one_edge_forced():
@@ -157,7 +159,7 @@ def test_even_cycle_block():
 
 def test_regular_block_base_case():
     # complete bipartite K_{3,3} is 3-regular, 2-connected, not a clique or
-    # odd cycle, with equal 3-lists: the regular case, though here the peel
+    # odd cycle, with equal 3-lists: the regular case, though here the sweep
     # already colors the pivot (the K4 - e rings below reach the block walk)
     g = build_graph(6, [(a, 3 + b) for a in range(3) for b in range(3)])
     lists = ListAssignment.of([[0, 1, 2]] * 6)
@@ -191,8 +193,8 @@ def test_exhaustive_small_graphs_against_oracle():
 
 
 def test_recursion_depth_linear():
-    # long even cycle: the peel is a loop, one vertex per round, so the
-    # length costs no stack depth
+    # long even cycle: the sweep is a loop over strata, so the length costs
+    # no stack depth
     g = cycle(40)
     lists = ListAssignment.of([[0, 1]] * 40)
     out = dominating_full_coloring(DominationInstance(g, lists, PartialColoring(40, 2)))
@@ -227,11 +229,11 @@ def _count_block_solves(monkeypatch):
 
 @pytest.mark.parametrize("spec, sd", [
     ("regular:n=120,d=3", 7),
-    ("regular:n=2000,d=3", 0),
-    ("regular:n=8000,d=3", 1),
+    ("regular:n=2000,d=3", 15),
+    ("regular:n=8000,d=3", 3),
 ])
 def test_dominating_delta_coloring_regular_block_repros(monkeypatch, spec, sd):
-    # the peel leaves the pivot of an equal-list cubic block stuck, so the
+    # the sweep leaves the pivot of an equal-list cubic block stuck, so the
     # block walk runs, on blocks of up to 8,000 vertices
     g = generate(InstanceSpec.parse(spec, sd))
     seed = tight_seed(g)
@@ -246,7 +248,7 @@ def test_dominating_delta_coloring_regular_block_repros(monkeypatch, spec, sd):
 def test_pipeline_regular_block_repro(monkeypatch):
     # the pipeline's dominating step on this padded cubic graph runs the
     # block walk; every claim holds and the classes end equal
-    g = generate(InstanceSpec.parse("regular:n=120,d=3", 19))
+    g = generate(InstanceSpec.parse("regular:n=120,d=3", 0))
     g = build_graph(g.n + 480, g.edges())
     solves = _count_block_solves(monkeypatch)
     with _wall_clock_limit(5.0):

@@ -1,11 +1,10 @@
-"""The in-place domination peel and forest sweep against the per-round and
-per-stage constructions they replace, plus scaling checks.
+"""The in-place forest sweep, on its own and as the domination peel
+toward a pivot, against the per-stage construction it replaces, plus
+scaling checks.
 
-`reference_all_but_one` rebuilds the peeled graph, its lists and a fully
-re-maximalized coloring every round; `reference_forest_recolor` runs a full
-greedy pass and a full stratum scan every stage.  Both are quadratic and
-serve only as ground truth: the package must return identical colorings and
-witness maps.
+`reference_forest_recolor` runs a full greedy pass and a full stratum scan
+every stage.  It is quadratic and serves only as ground truth: the package
+must return identical colorings and witness maps.
 """
 
 import random
@@ -43,63 +42,7 @@ from conftest import (
 )
 
 
-def _first_postorder_leaf(g, root):
-    seen = [False] * g.n
-    seen[root] = True
-    stack = [(root, 0)]
-    while stack:
-        v, i = stack.pop()
-        nbrs = g.adjacency(v)
-        while i < len(nbrs):
-            w = nbrs[i]
-            i += 1
-            if not seen[w]:
-                seen[w] = True
-                stack.append((v, i))
-                stack.append((w, 0))
-                break
-        else:
-            return v
-    raise AssertionError("DFS finished without emitting a vertex")
-
-
-def reference_all_but_one(g, lists, seed, pivot):
-    k = seed.k
-    work_g, work_lists, work_seed = g, lists, seed.copy()
-    idmap = list(range(g.n))
-    pivot_w = pivot
-    attached = []
-    while work_g.n > 1:
-        work_seed = greedy_maximal(work_g, work_lists, work_seed)
-        z = _first_postorder_leaf(work_g, pivot_w)
-        if not work_seed.is_assigned(z):
-            y = min(work_g.adjacency(z))
-            cy = work_seed.get(y)
-            work_seed.unassign(y)
-            work_seed.assign(z, cy)
-        cz = work_seed.get(z)
-        attached.append((idmap[z], cz))
-        keep = [v for v in range(work_g.n) if v != z]
-        new_lists = tuple(
-            work_lists[v] - {cz} if work_g.has_edge(v, z) else work_lists[v]
-            for v in keep
-        )
-        sub, _ = work_g.induced_subgraph(keep)
-        work_seed = PartialColoring(sub.n, k, [work_seed.get(v) for v in keep])
-        work_lists = ListAssignment(new_lists)
-        idmap = [idmap[v] for v in keep]
-        pivot_w = keep.index(pivot_w)
-        work_g = sub
-    out = PartialColoring(g.n, k)
-    if work_g.n == 1 and work_seed.is_assigned(0):
-        out.assign(idmap[0], work_seed.get(0))
-    for v, c in attached:
-        out.assign(v, c)
-    return out
-
-
-def reference_forest_recolor(g, forest, seed, k):
-    lists = ListAssignment.uniform(g.n, k)
+def reference_forest_recolor(g, forest, seed, lists):
     f = seed.copy()
     changed = [False] * g.n
     for stage in range(forest.max_height() + 1):
@@ -153,6 +96,10 @@ def test_peel_and_sweep_match_reference(g, sd):
     seed = random_partial_list_coloring(g, lists, k, rng)
     pivot = rng.randrange(g.n)
 
+    def reference_all_but_one(g, lists, seed, pivot):
+        forest = build_one_ended_subforest(g, [pivot])
+        return reference_forest_recolor(g, forest, seed, lists)[0]
+
     inst = DominationInstance(g, lists, seed, pivot=pivot)
     assert color_all_but_one(inst) == reference_all_but_one(g, lists, seed, pivot)
     if not is_gallai_tree(g, range(g.n)):
@@ -169,7 +116,7 @@ def test_peel_and_sweep_match_reference(g, sd):
         g, ListAssignment.uniform(g.n, ku), ku, rng, density=rng.choice((0.3, 0.6, 0.9))
     )
     assert forest_recolor(g, forest, useed, ku) == \
-        reference_forest_recolor(g, forest, useed, ku)
+        reference_forest_recolor(g, forest, useed, ListAssignment.uniform(g.n, ku))
 
 
 def _cut_torus(cols):
@@ -209,10 +156,10 @@ def test_forest_recolor_long_path_scales():
 
 
 def test_dominating_delta_coloring_cubic_scales():
-    # the per-round peel re-maximalized and rebuilt the whole remaining
-    # graph for each of the n peeled vertices.  Generator seed 0 leaves the
-    # pivot colored; seed 1, which ends in the block walk, is a repro test
-    # in test_domination.py.
+    # a per-round peel that re-maximalized and rebuilt the whole remaining
+    # graph for each of the n peeled vertices was quadratic here.
+    # Generator seed 0 never reaches the block walk; seed 3, which does, is
+    # a repro test in test_domination.py.
     g = generate(InstanceSpec.parse("regular:n=8000,d=3", 0))
     seed = tight_seed(g)
     t0 = time.perf_counter()
