@@ -258,7 +258,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except EquicolorError as exc:
+    except (EquicolorError, OSError) as exc:
         payload = {
             "error": type(exc).__name__,
             "message": str(exc),

@@ -127,7 +127,10 @@ class ListAssignment:
 
     @classmethod
     def of(cls, lists: Iterable[Iterable[int]]) -> "ListAssignment":
-        return cls(tuple(frozenset(l) for l in lists))
+        out = cls(tuple(frozenset(l) for l in lists))
+        if any(c < 0 for l in out.lists for c in l):
+            raise OutOfRange("negative color in a list")
+        return out
 
     def __len__(self) -> int:
         return len(self.lists)
@@ -312,4 +315,6 @@ def maximal_independent_superset(g: Graph, j: Iterable[int]) -> frozenset[int]:
 
 def dominates(f: PartialColoring, h: PartialColoring, colors: Iterable[int]) -> bool:
     """True iff f's class counts are >= h's for every listed color."""
+    if f.n != h.n:
+        raise ImproperInput(f"colorings cover {f.n} and {h.n} vertices")
     return all(f.count_of(a) >= h.count_of(a) for a in colors)

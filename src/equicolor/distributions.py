@@ -11,6 +11,12 @@ integer numerators over a common denominator, and compares its cumulative
 movement with the budget by cross-multiplication; a Fraction is built only
 when a value is read.  A budget violation is reported as a driver bug,
 never silently absorbed.
+
+`ConvergenceLedger.record_counts` holds the ledger's one set of checks, on
+two integer count sequences over one total; when that total is the running
+denominator, as for every round of a coloring, a step adds to the numerator
+with no lcm.  `record` scales two distributions to a common total and
+calls it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     BoundViolation,
     HypothesisViolation,
+    LedgerViolation,
     MonotonicityViolation,
     NotComparable,
     OutOfRange,
@@ -130,11 +137,9 @@ def witness_colors(diffs: Sequence[int], after: Sequence[int]) -> list[int]:
     exactly when this list is nonempty, and weakly when it is nonempty or no
     color's mass changes.
     """
-    cap = min((a for a, d in zip(after, diffs) if d < 0), default=None)
-    return [
-        c for c, (a, d) in enumerate(zip(after, diffs))
-        if d > 0 and (cap is None or a <= cap)
-    ]
+    losing = [a for a, d in zip(after, diffs) if d < 0]
+    cap = min(losing) if losing else None
+    return [c for c, d in enumerate(diffs) if d > 0 and (cap is None or after[c] <= cap)]
 
 
 def _strict_witnesses(omega: ColorDistribution, eta: ColorDistribution) -> list[int]:
@@ -271,7 +276,30 @@ class ConvergenceLedger:
         after: ColorDistribution,
         witness: Optional[int] = None,
     ) -> "ConvergenceLedger":
-        """Assert the step hypotheses and accumulate the l1 movement.
+        """`record_counts` on the two distributions' counts scaled to the
+        common total lcm(before.total, after.total); a violation carries the
+        distributions as its step."""
+        denom = lcm(before.total, after.total)
+        b_scale, a_scale = denom // before.total, denom // after.total
+        try:
+            return self.record_counts(
+                [c * b_scale for c in before.counts],
+                [c * a_scale for c in after.counts],
+                denom, witness,
+            )
+        except LedgerViolation as exc:
+            exc.step = (before, after)
+            raise
+
+    def record_counts(
+        self,
+        before: Sequence[int],
+        after: Sequence[int],
+        denom: int,
+        witness: Optional[int] = None,
+    ) -> "ConvergenceLedger":
+        """Assert the step hypotheses on integer class counts over the one
+        total `denom` and accumulate the l1 movement.
 
         Raises MonotonicityViolation if the step is not weakly more
         equitable, HypothesisViolation if some growing color's gain is too
@@ -279,46 +307,44 @@ class ConvergenceLedger:
         growing color), and BoundViolation if the cumulative total exceeds
         the budget.
         """
-        if before.k != self.k or after.k != self.k:
+        k = self.k
+        if len(before) != k or len(after) != k:
             raise PaletteMismatch("ledger palette size mismatch")
-        step_index = len(self.steps)
-        # every check runs on integer numerators over the common denominator
-        # lcm(before.total, after.total), the total n itself for the steps
-        # of a coloring, and so is then the cumulative's denominator
-        denom = lcm(before.total, after.total)
-        b_scale, a_scale = denom // before.total, denom // after.total
-        diffs = [a * a_scale - b * b_scale for b, a in zip(before.counts, after.counts)]
-        moved = sum(abs(d) for d in diffs)
-        gain_set = [c for c, d in enumerate(diffs) if d > 0]
-        # monotone: unchanged, or with a witness color (is_more_equitable)
-        if moved and not witness_colors(diffs, after.counts):
-            raise MonotonicityViolation(
-                f"step {step_index} is not monotone", step=(before, after)
-            )
+        if sum(before) != denom or sum(after) != denom:
+            raise OutOfRange(f"step counts must both sum to the total {denom}")
+        diffs = [a - b for b, a in zip(before, after)]
+        moved = sum(map(abs, diffs))
         if moved == 0:
             self.steps.append(LedgerStep(0, witness, 0))
             return self
-        if witness is not None and witness not in gain_set:
+        step_index = len(self.steps)
+        step = (before, after)
+        # monotone: unchanged, or with a witness color (is_more_equitable)
+        if not witness_colors(diffs, after):
+            raise MonotonicityViolation(f"step {step_index} is not monotone", step=step)
+        if witness is not None and not (0 <= witness < k and diffs[witness] > 0):
             raise HypothesisViolation(
-                f"step {step_index}: witness {witness} does not gain mass",
-                step=(before, after),
+                f"step {step_index}: witness {witness} does not gain mass", step=step
             )
-        min_gain = min(diffs[a] for a in gain_set)
+        min_gain = min([d for d in diffs if d > 0])
         a_num, a_den = self.a_param.numerator, self.a_param.denominator
         if moved * a_den > a_num * min_gain:
             raise HypothesisViolation(
                 f"step {step_index}: l1 step {Fraction(moved, denom)} exceeds "
                 f"A * minimal gain {self.a_param * Fraction(min_gain, denom)}",
-                step=(before, after),
+                step=step,
             )
-        den = lcm(self._den, denom)
-        self._num = self._num * (den // self._den) + moved * (den // denom)
-        self._den = den
+        if denom == self._den:
+            self._num += moved
+        else:
+            den = lcm(self._den, denom)
+            self._num = self._num * (den // self._den) + moved * (den // denom)
+            self._den = den
         if self._num * self._bound.denominator > self._bound.numerator * self._den:
             raise BoundViolation(
                 f"step {step_index}: cumulative {self.cumulative} exceeds "
                 f"budget {self._bound}; the driver violated its contract",
-                step=(before, after),
+                step=step,
             )
         gained = min_gain if witness is None else diffs[witness]
         self.steps.append(LedgerStep(moved, witness, gained, denom))

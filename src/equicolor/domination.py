@@ -211,7 +211,8 @@ def _solve_block(
     if surplus is not None:
         done = walk(surplus)
     elif (edge := next(
-        ((x, y) for x in range(n) for y in h.adjacency(x) if lists[x] - lists[y]), None
+        ((x, y) for x in range(n) for y in h.adjacency(x) if not lists[x] <= lists[y]),
+        None,
     )) is not None:
         x, y = edge
         done = walk(x)

@@ -34,6 +34,13 @@ vertex in beta with no alpha-neighbor, c[alpha] + t <= c[beta] - t) proves
 the round proper, separated and monotone, and the index then applies all
 of it at once.  Only when the index is empty does a round fall back to one
 step of patterns 2 and 3 or the exhaustive pass, in both modes.
+
+A round builds no distribution.  The index aliases the coloring's color
+and count lists, and the driver carries the class counts from round to
+round as one tuple, which the ledger's integer entry point `record_counts`
+checks over the total n and the trace record keeps.  A serial round thus
+costs O(Δ + k) list operations and heap pushes, plus one heap peek per
+pair of minimum color and class of size at least min + 2.
 """
 
 from __future__ import annotations
@@ -90,9 +97,11 @@ def make_move(g: Graph, assignments: dict[int, int]) -> RecoloringMove:
     """Validated move: nonempty domain inside a single connected component."""
     if not assignments:
         raise OutOfRange("recoloring move must have a nonempty domain")
-    for v in assignments:
+    for v, c in assignments.items():
         if not (0 <= v < g.n):
             raise OutOfRange(f"vertex {v} outside range")
+        if c < 0:
+            raise OutOfRange(f"negative color {c} for vertex {v}")
     dom = sorted(assignments)
     comp = component_of(g, dom[0])
     if any(v not in comp for v in dom):
@@ -501,51 +510,59 @@ class _Pattern1Index:
     """Pattern-1 moves of a total coloring that the driver only ever changes
     through `apply`.
 
-    `nbr[x*k + c]` counts the neighbors of x colored c.  `heaps[alpha][beta]`
-    holds every vertex x with f(x) = beta and no neighbor colored alpha,
-    plus stale entries that are dropped when they reach the top.
-    `first_move` peeks at heap tops and `take` pops a round; each moved
-    vertex costs O(deg + k) pushes in `apply`.
+    `colors` and `counts` alias f's color and class-count lists, so
+    `apply` recolors f itself (its domain size stays n).  `nbr[x*k + c]`
+    counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
+    vertex x with f(x) = beta and no neighbor colored alpha, plus stale
+    entries that are dropped when they reach the top.  `first_move` peeks
+    at heap tops and `take` pops a round; each moved vertex costs
+    O(deg + k) pushes in `apply`.
     """
 
     def __init__(self, g: Graph, f: PartialColoring):
-        self.g, self.f, self.k = g, f, f.k
-        k = f.k
-        self.nbr = [0] * (g.n * k)
+        k, colors = f.k, f._assign
+        self.g, self.k, self.colors, self.counts = g, k, colors, f._counts
+        self.nbr = nbr = [0] * (g.n * k)
         for v in range(g.n):
+            base = v * k
             for w in g.adjacency(v):
-                self.nbr[v * k + f.get(w)] += 1
+                nbr[base + colors[w]] += 1
         self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
         for v in range(g.n):
             self._push(v)
 
     def _push(self, v: int) -> None:
-        beta, base, nbr = self.f.get(v), v * self.k, self.nbr
+        beta, base, nbr, heaps = self.colors[v], v * self.k, self.nbr, self.heaps
         for alpha in range(self.k):
             if alpha != beta and nbr[base + alpha] == 0:
-                heappush(self.heaps[alpha][beta], v)
+                heappush(heaps[alpha][beta], v)
 
     def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
         """Recolor the (vertex, color) pairs in place, in order; return the
         recolored vertices."""
-        f, nbr, k = self.f, self.nbr, self.k
+        colors, counts, nbr, k, g = self.colors, self.counts, self.nbr, self.k, self.g
         recolored: list[int] = []
         emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
         for v, c in assignments:
-            old = f.get(v)
+            old = colors[v]
             if old == c:
                 continue
-            f.assign(v, c)
+            if not 0 <= c < k:
+                raise OutOfRange(f"color {c} outside palette of size {k}")
+            colors[v] = c
+            counts[old] -= 1
+            counts[c] += 1
             recolored.append(v)
-            for w in self.g.adjacency(v):
-                nbr[w * k + c] += 1
-                nbr[w * k + old] -= 1
-                if nbr[w * k + old] == 0:
+            for w in g.adjacency(v):
+                base = w * k
+                nbr[base + c] += 1
+                nbr[base + old] -= 1
+                if nbr[base + old] == 0:
                     emptied.append((w, old))
         for v in recolored:
             self._push(v)
         for w, c in emptied:
-            beta = f.get(w)
+            beta = colors[w]
             if c != beta and nbr[w * k + c] == 0:
                 heappush(self.heaps[c][beta], w)
         return recolored
@@ -558,12 +575,12 @@ class _Pattern1Index:
         The taken vertices leave the heap, so the caller moves each of them
         to alpha through `apply`.
         """
-        f, nbr, k = self.f, self.nbr, self.k
+        colors, nbr, k = self.colors, self.nbr, self.k
         heap = self.heaps[alpha][beta]
         taken: list[int] = []
         while heap and len(taken) < cap:
             x = heappop(heap)
-            if f.get(x) != beta or nbr[x * k + alpha]:
+            if colors[x] != beta or nbr[x * k + alpha]:
                 continue
             # duplicate entries of one vertex pop consecutively
             if not taken or taken[-1] != x:
@@ -575,8 +592,7 @@ class _Pattern1Index:
         the smallest valid heap top over minimum colors alpha and classes
         beta of size >= min + 2, the smallest alpha on a tie.  Stale tops on
         the way are dropped."""
-        f, nbr, k, heaps = self.f, self.nbr, self.k, self.heaps
-        counts = f.counts()
+        colors, counts, nbr, k, heaps = self.colors, self.counts, self.nbr, self.k, self.heaps
         a = min(counts)
         big = [beta for beta in range(k) if counts[beta] >= a + 2]
         best: Optional[tuple[int, int]] = None
@@ -587,7 +603,7 @@ class _Pattern1Index:
                 heap = heaps[alpha][beta]
                 while heap:
                     x = heap[0]
-                    if f.get(x) == beta and nbr[x * k + alpha] == 0:
+                    if colors[x] == beta and nbr[x * k + alpha] == 0:
                         if best is None or x < best[0]:
                             best = (x, alpha)
                         break
@@ -605,12 +621,12 @@ def _check_round(
     class is independent) and monotone, with witness alpha."""
     if any(a >= b for a, b in zip(taken, taken[1:])):
         raise NotSeparated(f"round takes {list(taken)}, not strictly ascending")
-    f, nbr, k = index.f, index.nbr, index.k
+    colors, counts, nbr, k = index.colors, index.counts, index.nbr, index.k
     for y in taken:
-        if f.get(y) != beta or nbr[y * k + alpha]:
+        if colors[y] != beta or nbr[y * k + alpha]:
             raise UnacceptableMove(f"vertex {y} cannot move from {beta} to {alpha}")
     t = len(taken)
-    if f.count_of(alpha) + t > f.count_of(beta) - t:
+    if counts[alpha] + t > counts[beta] - t:
         raise MonotonicityViolation(f"round of {t} from {beta} to {alpha} overshoots")
 
 
@@ -651,22 +667,24 @@ def equitable_k_coloring(
         return f, trace
 
     n = g.n
-    trace = DynamicsTrace(n, size, f.counts())
+    counts = f.counts()
+    trace = DynamicsTrace(n, size, counts)
     debug = debug_checks_enabled()
 
     # f is the one working coloring: every move below is applied in place
-    # through index.apply
+    # through index.apply, which also keeps f's class counts
     start_colors = f.as_list()
-    dist = ColorDistribution.from_coloring(f)
-    ledger = ConvergenceLedger.for_initial(LEDGER_A, dist)
+    ledger = ConvergenceLedger.for_initial(LEDGER_A, ColorDistribution.from_coloring(f))
     trace.ledgers.append(ledger)
     index = _Pattern1Index(g, f)
+    colors = index.colors
     # each applied step moves at least one vertex between classes, so its
     # l1 step is at least 2/n and the ledger budget caps the step count
     step_cap = ledger.bound() * n // 2
     moved_total = 0
 
-    while f.gap() >= 2:
+    # `counts` holds the class counts before each round, as a tuple
+    while max(counts) - min(counts) >= 2:
         if len(trace.records) > step_cap:
             raise Stalled(
                 "step cap exceeded while the ledger accepted every step; "
@@ -687,11 +705,11 @@ def equitable_k_coloring(
             witness = admissible_witness(g, f, move)
             index.apply(move.assignments)
             kind, changed = "move", move.domain
+            new_colors = tuple(c for _, c in move.assignments)
         else:
             # a pattern-1 round, admissible with its target color as witness
             x, alpha = first
-            beta = f.get(x)
-            counts = f.counts()
+            beta = colors[x]
             cap = (counts[beta] - counts[alpha]) // 2 if config.batch_mode else 1
             taken = index.take(alpha, beta, cap)
             if debug:
@@ -700,28 +718,30 @@ def equitable_k_coloring(
                     and all(f.get(w) != alpha for w in g.adjacency(y))
                 )[:cap], "round differs from the rescan"
             _check_round(index, taken, alpha, beta)
-            index.apply((y, alpha) for y in taken)
+            index.apply([(y, alpha) for y in taken])
             witness = alpha
             kind, changed = ("batch" if config.batch_mode else "move"), taken
-        new_dist = ColorDistribution(f.counts(), n)
-        ledger.record(dist, new_dist, witness)
+            new_colors = (alpha,) * len(taken)
+        new_counts = tuple(index.counts)
+        # steps between counts of one total n are kept over n
+        ledger.record_counts(counts, new_counts, n, witness)
         if debug:
             assert is_proper(g, f), "applied round broke properness"
-            assert is_more_equitable(dist, new_dist, strict=True)
-        # steps between counts of one total n are kept over n
+            assert is_more_equitable(
+                ColorDistribution(counts, n), ColorDistribution(new_counts, n), strict=True
+            )
         moved = ledger.steps[-1].moved
         moved_total += moved
         trace.records.append(TraceRecord(
-            kind, len(trace.records), tuple(changed),
-            tuple(f.get(v) for v in changed), witness,
-            new_dist.counts, moved, moved_total,
+            kind, len(trace.records), tuple(changed), new_colors, witness,
+            new_counts, moved, moved_total,
         ))
-        dist = new_dist
+        counts = new_counts
 
     assert f.is_total() and f.gap() <= 1
     # stability: recolored fraction within the guaranteed budget of the
     # start, whose discrepancy is the ledger's disc0
-    changed = sum(1 for v in range(n) if f.get(v) != start_colors[v])
+    changed = sum(1 for c, c0 in zip(colors, start_colors) if c != c0)
     budget = Fraction((1 + LEDGER_A) ** (size + 1), 2) * ledger.disc0
     assert Fraction(changed, n) <= budget, "stability bound violated"
     return f, trace

@@ -165,6 +165,9 @@ def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedFores
     anchor_set = frozenset(anchors)
     if g.n and not anchor_set:
         raise ComponentMissesAnchor("anchor set is empty")
+    bad = [a for a in anchor_set if not 0 <= a < g.n]
+    if bad:
+        raise OutOfRange(f"anchor {min(bad)} outside range")
     parent: dict[int, int] = {}
     dist = [-1] * g.n
     queue: list[int] = sorted(anchor_set)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .colorings import ListAssignment, PartialColoring
+from .colorings import ListAssignment, PartialColoring, palette_size
 from .errors import BudgetExceeded
 from .graphs import Graph, build_graph
 
@@ -134,6 +134,7 @@ def equitable_exists(g: Graph, k: int, budget: OracleBudget = OracleBudget()) ->
     """True iff some proper k-coloring has class sizes within 1 of each
     other (empty classes count)."""
     budget.check_graph(g)
+    k = palette_size(k)
     budget.check_palette(k)
     deadline = budget.deadline()
     n = g.n

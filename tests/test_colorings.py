@@ -168,3 +168,12 @@ def test_dominates():
     f2 = PartialColoring(3, 2, [0, 0, 1])
     h2 = PartialColoring(3, 2, [0, 1, 1])
     assert not dominates(f2, h2, [0, 1])
+    # colorings of different sizes are not compared: this returned True
+    with pytest.raises(ImproperInput):
+        dominates(f, f2, [0, 1])
+
+
+def test_list_assignment_rejects_negative_colors():
+    assert ListAssignment.of([[0, 1], [2]]).max_color() == 2
+    with pytest.raises(OutOfRange):
+        ListAssignment.of([{-1}, {0, 1}])

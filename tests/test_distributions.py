@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equicolor import (
     ColorDistribution,
@@ -16,6 +18,7 @@ from equicolor.distributions import d_plus
 from equicolor.errors import (
     BoundViolation,
     HypothesisViolation,
+    LedgerViolation,
     MonotonicityViolation,
     NotComparable,
     OutOfRange,
@@ -250,3 +253,138 @@ def test_ledger_unequal_totals_exact():
     with pytest.raises(MonotonicityViolation):
         ConvergenceLedger(Fraction(6), 2, Fraction(1, 2)).record(
             ColorDistribution((1, 1)), ColorDistribution((3, 1)))
+
+
+# one-step ledger runs (A, k, disc0, [(before, after, witness, scales)]) that
+# every check must see, with the violation each one raises
+LEDGER_CASES = {
+    "zero step": ((Fraction(6), 3, Fraction(1, 2), [((3, 2, 1), (3, 2, 1), None, (1, 1))]),
+                  None),
+    "not monotone": ((Fraction(6), 3, Fraction(1), [((2, 2, 2), (3, 2, 1), 0, (1, 1))]),
+                     MonotonicityViolation),
+    "witness does not gain": ((Fraction(6), 2, Fraction(1, 2), [((2, 0), (1, 1), 0, (1, 1))]),
+                              HypothesisViolation),
+    "over the A bound": ((Fraction(1), 2, Fraction(1, 2), [((8, 0), (4, 4), 1, (1, 1))]),
+                         HypothesisViolation),
+    "over the budget": ((Fraction(6), 2, Fraction(0), [((2, 0), (1, 1), 1, (1, 1))]),
+                        BoundViolation),
+    "mixed totals": ((Fraction(6), 3, Fraction(1, 2),
+                      [((5, 2, 1), (4, 3, 1), 1, (1, 3)), ((3, 1, 0), (2, 1, 1), None, (2, 1))]),
+                     None),
+    "one total twice": ((Fraction(6), 3, Fraction(1, 2),
+                         [((5, 2, 1), (4, 3, 1), 1, (1, 1)), ((4, 3, 1), (3, 3, 2), 2, (1, 1))]),
+                        None),
+}
+
+
+@st.composite
+def ledger_runs(draw):
+    """A ledger and up to four steps, each a pair of count vectors of one
+    total, a witness, and the scales by which `record` multiplies the two
+    distributions' totals.  In a chained run each step starts where the
+    last one ended, over one total, as the driver's rounds do."""
+    k = draw(st.integers(2, 5))
+    a_param = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(6)]))
+    disc0 = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 2)]))
+    chained = draw(st.booleans())
+    steps = []
+    after = None
+    for _ in range(draw(st.integers(1, 4))):
+        if after is None or not chained:
+            before = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+        else:
+            before = after
+        after = list(before)
+        # unit transfers, so zero, monotone and non-monotone steps all occur
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                                st.integers(0, k - 1)), max_size=6)):
+            if after[src]:
+                after[src] -= 1
+                after[dst] += 1
+        witness = draw(st.none() | st.integers(0, k - 1))
+        scales = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+        steps.append((tuple(before), tuple(after), witness, scales))
+    return a_param, k, disc0, steps
+
+
+def _ledger_outcome(record_step, run):
+    a_param, k, disc0, steps = run
+    led = ConvergenceLedger(a_param, k, disc0)
+    error = None
+    try:
+        for before, after, witness, scales in steps:
+            record_step(led, before, after, witness, scales)
+    except LedgerViolation as exc:
+        error = type(exc)
+    return [s.to_dict() for s in led.steps], led.cumulative, error
+
+
+def _record_counts(led, before, after, witness, scales):
+    led.record_counts(before, after, sum(before), witness)
+
+
+def _record_scaled(led, before, after, witness, scales):
+    # the same values over the totals sum * scale, so lcm differs from both
+    s1, s2 = scales
+    led.record(ColorDistribution([c * s1 for c in before]),
+               ColorDistribution([c * s2 for c in after]), witness)
+
+
+def _reference_outcome(run):
+    """The ledger's rules on Fractions, through the public order."""
+    a_param, k, disc0, steps = run
+    bound = (1 + a_param) ** (k + 1) / a_param * disc0
+    dicts, cumulative = [], Fraction(0)
+    for before, after, witness, _ in steps:
+        d1, d2 = ColorDistribution(before), ColorDistribution(after)
+        if not is_more_equitable(d1, d2, strict=False):
+            return dicts, cumulative, MonotonicityViolation
+        if d1 == d2:
+            dicts.append({"l1": "0", "witness": witness, "gain": "0"})
+            continue
+        gains = {a: d2.value(a) - d1.value(a) for a in d_plus(d1, d2)}
+        if witness is not None and witness not in gains:
+            return dicts, cumulative, HypothesisViolation
+        l1 = l1_distance(d1, d2)
+        if l1 > a_param * min(gains.values()):
+            return dicts, cumulative, HypothesisViolation
+        cumulative += l1
+        if cumulative > bound:
+            return dicts, cumulative, BoundViolation
+        gain = min(gains.values()) if witness is None else gains[witness]
+        dicts.append({"l1": str(l1), "witness": witness, "gain": str(gain)})
+    return dicts, cumulative, None
+
+
+@pytest.mark.parametrize("name", list(LEDGER_CASES))
+def test_ledger_cases_raise_their_violation(name):
+    run, expected = LEDGER_CASES[name]
+    assert _ledger_outcome(_record_counts, run)[2] is expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(ledger_runs())
+@example(LEDGER_CASES["zero step"][0])
+@example(LEDGER_CASES["not monotone"][0])
+@example(LEDGER_CASES["witness does not gain"][0])
+@example(LEDGER_CASES["over the A bound"][0])
+@example(LEDGER_CASES["over the budget"][0])
+@example(LEDGER_CASES["mixed totals"][0])
+@example(LEDGER_CASES["one total twice"][0])
+def test_record_counts_matches_record_and_reference(run):
+    # the integer entry point, the distribution wrapper at mixed totals and
+    # the Fraction rules agree on steps, cumulative and the violation raised
+    outcome = _ledger_outcome(_record_counts, run)
+    assert _ledger_outcome(_record_scaled, run) == outcome
+    assert _reference_outcome(run) == outcome
+
+
+def test_record_counts_rejects_malformed_counts():
+    led = ConvergenceLedger(Fraction(6), 2, Fraction(1, 2))
+    with pytest.raises(PaletteMismatch):
+        led.record_counts((2, 0, 0), (1, 1, 0), 2)
+    with pytest.raises(PaletteMismatch):
+        led.record(ColorDistribution((2, 0, 0)), ColorDistribution((1, 1, 0)))
+    with pytest.raises(OutOfRange):
+        led.record_counts((2, 0), (1, 1), 3)
+    assert led.steps == []

@@ -25,7 +25,7 @@ from equicolor import (
     make_move,
     select_separated_batch,
 )
-from equicolor.distributions import ColorDistribution, discrepancy
+from equicolor.distributions import ColorDistribution, ConvergenceLedger, discrepancy
 from equicolor import dynamics
 from equicolor.dynamics import (
     Batch,
@@ -71,6 +71,8 @@ def test_make_move_validation():
         make_move(g, {})
     with pytest.raises(OutOfRange):
         make_move(g, {0: 1, 2: 0})  # spans two components
+    with pytest.raises(OutOfRange):
+        make_move(g, {0: -1})
 
 
 def test_delta_alpha_examples():
@@ -520,6 +522,25 @@ def test_driver_every_step_monotone_and_ledgered():
         assert is_more_equitable(prev, cur, strict=False)
         assert l1_distance(prev, cur) == rec.l1
         prev = cur
+
+
+def test_trace_counts_replay_through_record():
+    # the driver ledgers each round on integer counts; replaying the trace's
+    # counts through the distribution entry point gives the same ledger
+    k33 = complete_bipartite(3, 3)
+    k33_start = PartialColoring(6, 4, [1, 1, 1, 3, 0, 2])
+    gnp = generate(InstanceSpec.parse("gnp:n=300,p=0.02", 5))
+    for g, k, f0 in ((gnp, gnp.max_degree + 1, None), (k33, 4, k33_start)):
+        for batch in (False, True):
+            _, trace = equitable_k_coloring(g, k, f0=f0, config=DriverConfig(batch_mode=batch))
+            assert trace.step_count > 0
+            prev = ColorDistribution(trace.initial_counts)
+            ledger = ConvergenceLedger.for_initial(dynamics.LEDGER_A, prev)
+            for rec in trace.records:
+                cur = ColorDistribution(rec.counts)
+                ledger.record(prev, cur, rec.witness)
+                prev = cur
+            assert ledger.to_json_dict() == trace.ledger.to_json_dict()
 
 
 def test_pattern1_index_tracks_arbitrary_moves():

@@ -65,6 +65,11 @@ def test_forest_missing_anchor():
         build_one_ended_subforest(g, {0})
     with pytest.raises(ComponentMissesAnchor):
         build_one_ended_subforest(g, set())
+    # an anchor outside the graph raised a bare IndexError (9) or gave
+    # parents pointing at vertex -1
+    for bad in (9, -1):
+        with pytest.raises(OutOfRange):
+            build_one_ended_subforest(g, [0, 2, bad])
 
 
 def test_forest_invariants_random():

@@ -180,3 +180,13 @@ def test_cli_dominate(tmp_path, capsys):
 
 def test_cli_usage_error():
     assert main(["color-equitable"]) == 2
+
+
+def test_cli_missing_file_error(tmp_path, capsys):
+    # a file the CLI cannot open is a domain error with structured JSON,
+    # not a traceback
+    missing = tmp_path / "missing.col"
+    assert main(["color-equitable", "--graph", str(missing), "--k", "3"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "FileNotFoundError"
+    assert "missing.col" in payload["message"]

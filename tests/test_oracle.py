@@ -9,7 +9,7 @@ from equicolor import (
     equitable_exists,
     improving_move_exists,
 )
-from equicolor.errors import BudgetExceeded
+from equicolor.errors import BudgetExceeded, OutOfRange
 from equicolor.oracle import (
     are_isomorphic,
     canonical_graphs,
@@ -65,6 +65,10 @@ def test_equitable_exists_examples():
     assert equitable_exists(complete(4), 5)
     assert not equitable_exists(complete_bipartite(3, 3), 3)
     assert not equitable_exists(cycle(5), 2)
+    # an empty palette raised ZeroDivisionError
+    for k in (0, -2):
+        with pytest.raises(OutOfRange):
+            equitable_exists(path(3), k)
 
 
 def test_domination_exists_examples():
