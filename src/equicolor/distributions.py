@@ -13,10 +13,9 @@ when a value is read.  A budget violation is reported as a driver bug,
 never silently absorbed.
 
 `ConvergenceLedger.record_counts` holds the ledger's one set of checks, on
-two integer count sequences over one total; when that total is the running
-denominator, as for every round of a coloring, a step adds to the numerator
-with no lcm.  `record` scales two distributions to a common total and
-calls it.
+two integer count sequences over one total; the driver passes every round
+of a coloring to it over the total n.  `record` scales two distributions
+to a common total and calls it.
 """
 
 from __future__ import annotations
@@ -334,12 +333,9 @@ class ConvergenceLedger:
                 f"A * minimal gain {self.a_param * Fraction(min_gain, denom)}",
                 step=step,
             )
-        if denom == self._den:
-            self._num += moved
-        else:
-            den = lcm(self._den, denom)
-            self._num = self._num * (den // self._den) + moved * (den // denom)
-            self._den = den
+        den = lcm(self._den, denom)
+        self._num = self._num * (den // self._den) + moved * (den // denom)
+        self._den = den
         if self._num * self._bound.denominator > self._bound.numerator * self._den:
             raise BoundViolation(
                 f"step {step_index}: cumulative {self.cumulative} exceeds "

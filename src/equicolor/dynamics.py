@@ -510,8 +510,8 @@ class _Pattern1Index:
     """Pattern-1 moves of a total coloring that the driver only ever changes
     through `apply`.
 
-    `colors` and `counts` alias f's color and class-count lists, so
-    `apply` recolors f itself (its domain size stays n).  `nbr[x*k + c]`
+    `colors` and `counts` alias f's color and class-count lists for
+    reading; `apply` recolors through `f.assign`.  `nbr[x*k + c]`
     counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
     vertex x with f(x) = beta and no neighbor colored alpha, plus stale
     entries that are dropped when they reach the top.  `first_move` peeks
@@ -521,7 +521,8 @@ class _Pattern1Index:
 
     def __init__(self, g: Graph, f: PartialColoring):
         k, colors = f.k, f._assign
-        self.g, self.k, self.colors, self.counts = g, k, colors, f._counts
+        self.g, self.f, self.k = g, f, k
+        self.colors, self.counts = colors, f._counts
         self.nbr = nbr = [0] * (g.n * k)
         for v in range(g.n):
             base = v * k
@@ -540,18 +541,14 @@ class _Pattern1Index:
     def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
         """Recolor the (vertex, color) pairs in place, in order; return the
         recolored vertices."""
-        colors, counts, nbr, k, g = self.colors, self.counts, self.nbr, self.k, self.g
+        colors, nbr, k, g, f = self.colors, self.nbr, self.k, self.g, self.f
         recolored: list[int] = []
         emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
         for v, c in assignments:
             old = colors[v]
             if old == c:
                 continue
-            if not 0 <= c < k:
-                raise OutOfRange(f"color {c} outside palette of size {k}")
-            colors[v] = c
-            counts[old] -= 1
-            counts[c] += 1
+            f.assign(v, c)
             recolored.append(v)
             for w in g.adjacency(v):
                 base = w * k
