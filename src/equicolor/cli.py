@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .colorings import ListAssignment, PartialColoring
+from .colorings import ListAssignment, PartialColoring, _check_lists
 from .distributions import ColorDistribution, discrepancy
 from .domination import DominationInstance, dominating_full_coloring
 from .dynamics import DriverConfig, equitable_k_coloring
-from .errors import EquicolorError
+from .errors import EquicolorError, ParseError
 from .generators import InstanceSpec, generate
 from .graphio import read_graph
 from .graphs import Graph
@@ -54,19 +54,27 @@ def _emit(data: dict, out: Optional[str]) -> None:
         print(text)
 
 
+def _read_json(path: str, parse):
+    """parse(data) on the JSON document in the file; a malformed or
+    incomplete document raises ParseError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed or incomplete: {exc!r}",
+                         line=getattr(exc, "lineno", None)) from exc
+
+
 def _load_coloring(path: str, n: int, k: Optional[int] = None) -> PartialColoring:
-    data = json.loads(Path(path).read_text())
-    kk = k if k is not None else int(data["k"])
-    return PartialColoring(n, kk, data["assignment"])
+    return _read_json(path, lambda data: PartialColoring(
+        n, k if k is not None else int(data["k"]), data["assignment"]
+    ))
 
 
 def _load_lists(path: str, n: int):
-    data = json.loads(Path(path).read_text())
-    lists = ListAssignment.of(data["lists"])
-    partial = data.get("partial")
-    k = max(lists.max_color() + 1, 1)
-    seed = PartialColoring(n, k, partial if partial is not None else None)
-    return lists, seed
+    def parse(data):
+        lists = ListAssignment.of(data["lists"])
+        return lists, PartialColoring(n, max(lists.max_color() + 1, 1), data.get("partial"))
+    return _read_json(path, parse)
 
 
 def cmd_color_equitable(args) -> int:
@@ -128,10 +136,8 @@ def cmd_verify(args) -> int:
         report["equitable"] = f.is_total() and not violations and f.gap() <= 1
     if args.lists:
         lists, _ = _load_lists(args.lists, g.n)
-        bad = [
-            v for v in range(g.n)
-            if f.is_assigned(v) and f.get(v) not in lists[v]
-        ]
+        _check_lists(g, lists, error=ParseError)
+        bad = [v for v in f.domain() if f.get(v) not in lists[v]]
         report["in_lists"] = not bad
         report["list_violations"] = bad[:20]
     ok = report["proper"] and report.get("equitable", True) \

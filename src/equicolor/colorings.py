@@ -1,5 +1,12 @@
 """Partial colorings, list assignments, greedy maximal constructions, and
-the per-color-count domination order."""
+the per-color-count domination order.
+
+Each public entry point checks its inputs once, through one set of
+helpers that raise the error type the caller names: `graphs._check_vertices`
+(ids in [0, n)), `_check_coloring` (size, palette, totality, properness,
+list membership) and `_check_lists` (size, degree lists).  Internal stages
+call the unchecked private cores; each entry point asserts its output once.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    EquicolorError,
     ImproperInput,
     ImproperSeed,
     NotIndependent,
@@ -14,13 +22,16 @@ from .errors import (
     PaletteTooSmall,
     debug_checks_enabled,
 )
-from .graphs import Graph, OneEndedForest
+from .graphs import Graph, OneEndedForest, _check_vertices
 
 
-def palette_size(k: int) -> int:
+def palette_size(k: int, least: int = 1) -> int:
+    """k as a palette size: OutOfRange below 1, PaletteTooSmall below `least`."""
     size = int(k)
     if size < 1:
         raise OutOfRange(f"palette size must be >= 1, got {size}")
+    if size < least:
+        raise PaletteTooSmall(f"palette {size} is below {least}")
     return size
 
 
@@ -120,6 +131,11 @@ class ListAssignment:
 
     lists: tuple[frozenset[int], ...]
 
+    def __post_init__(self):
+        # uniform lists share one set, so each distinct list is checked once
+        if any(min(l) < 0 for l in set(self.lists) if l):
+            raise OutOfRange("negative color in a list")
+
     @classmethod
     def uniform(cls, n: int, k) -> "ListAssignment":
         full = frozenset(range(palette_size(k)))
@@ -127,10 +143,7 @@ class ListAssignment:
 
     @classmethod
     def of(cls, lists: Iterable[Iterable[int]]) -> "ListAssignment":
-        out = cls(tuple(frozenset(l) for l in lists))
-        if any(c < 0 for l in out.lists for c in l):
-            raise OutOfRange("negative color in a list")
-        return out
+        return cls(tuple(frozenset(l) for l in lists))
 
     def __len__(self) -> int:
         return len(self.lists)
@@ -147,9 +160,6 @@ class ListAssignment:
     def max_color(self) -> int:
         u = self.union_colors()
         return max(u) if u else -1
-
-    def is_degree_list(self, g: Graph) -> bool:
-        return all(len(self.lists[v]) >= g.degree(v) for v in range(g.n))
 
 
 def is_proper(g: Graph, f: PartialColoring) -> bool:
@@ -172,15 +182,36 @@ def is_proper_list_coloring(g: Graph, lists: ListAssignment, f: PartialColoring)
     )
 
 
-def _check_seed(g: Graph, lists: ListAssignment, seed: PartialColoring) -> None:
-    if seed.n != g.n:
-        raise ImproperSeed(f"seed covers {seed.n} vertices, graph has {g.n}")
-    if not is_proper(g, seed):
-        raise ImproperSeed("seed coloring is not proper")
-    for v in range(g.n):
-        c = seed.get(v)
-        if c is not None and c not in lists[v]:
-            raise ImproperSeed(f"seed color {c} at vertex {v} not in its list")
+def _check_coloring(
+    g: Graph, f: PartialColoring, k: Optional[int] = None, *, error: type[EquicolorError],
+    proper: bool = True, total: bool = False, lists: Optional[ListAssignment] = None,
+) -> None:
+    """Raise `error` unless f covers g, has palette k (if given), is total
+    (if asked), is proper (unless proper=False) and keeps to the lists."""
+    if f.n != g.n:
+        raise error(f"coloring covers {f.n} vertices, graph has {g.n}")
+    if k is not None and f.k != k:
+        raise error(f"coloring uses palette {f.k}, expected {k}")
+    if total and not f.is_total():
+        raise error("coloring is not total")
+    if proper and not is_proper(g, f):
+        raise error("coloring is not proper")
+    if lists is not None:
+        bad = [v for v in f.domain() if f.get(v) not in lists[v]]
+        if bad:
+            raise error(f"color {f.get(bad[0])} at vertex {bad[0]} not in its list")
+
+
+def _check_lists(
+    g: Graph, lists: ListAssignment, *, error: type[EquicolorError], degree: bool = False
+) -> None:
+    """Raise `error` unless the lists cover g and, if `degree`, each is at
+    least its vertex's degree."""
+    if len(lists) != g.n:
+        raise error(f"list assignment covers {len(lists)} vertices, graph has {g.n}")
+    short = [v for v in range(g.n) if len(lists[v]) < g.degree(v)] if degree else []
+    if short:
+        raise error(f"list of vertex {short[0]} is smaller than its degree")
 
 
 def greedy_maximal(
@@ -196,7 +227,9 @@ def greedy_maximal(
     neighbors.  A vertex left uncolored has every list color represented
     in its colored neighborhood, so the result is inclusion-maximal.
     """
-    _check_seed(g, lists, seed)
+    _check_lists(g, lists, error=OutOfRange)
+    _check_coloring(g, seed, error=ImproperSeed, lists=lists)
+    _check_vertices(g, order or ())
     out = seed.copy()
     _greedy_fill(g, lists, out, range(g.n) if order is None else order)
     return out
@@ -287,15 +320,15 @@ def greedy_extend_full(
     seed: Optional[PartialColoring] = None,
     order: Optional[Sequence[int]] = None,
 ) -> PartialColoring:
-    """Total proper k-coloring extending the seed; needs k >= max degree + 1."""
-    size = palette_size(k)
-    if size <= g.max_degree:
-        raise PaletteTooSmall(
-            f"need k >= max degree + 1 = {g.max_degree + 1}, got {size}"
-        )
-    if seed is None:
-        seed = PartialColoring(g.n, size)
-    out = greedy_maximal(g, ListAssignment.uniform(g.n, size), seed, order)
+    """Total proper k-coloring extending the seed, a proper coloring with
+    palette k; needs k >= max degree + 1."""
+    size = palette_size(k, g.max_degree + 1)
+    if seed is not None:
+        _check_coloring(g, seed, size, error=ImproperSeed)
+    _check_vertices(g, order or ())
+    out = PartialColoring(g.n, size) if seed is None else seed.copy()
+    lists = ListAssignment.uniform(g.n, size)
+    _greedy_fill(g, lists, out, range(g.n) if order is None else order)
     assert out.is_total(), "greedy cannot block when every list exceeds the degree"
     return out
 
@@ -303,14 +336,13 @@ def greedy_extend_full(
 def maximal_independent_superset(g: Graph, j: Iterable[int]) -> frozenset[int]:
     """Maximal independent set containing the given independent set."""
     j = frozenset(j)
+    _check_vertices(g, j)
     for v in j:
-        if not (0 <= v < g.n):
-            raise OutOfRange(f"vertex {v} outside range")
         if any(w in j for w in g.adjacency(v)):
             raise NotIndependent(f"input set has an edge at vertex {v}")
-    seed = PartialColoring(g.n, 1, [0 if v in j else None for v in range(g.n)])
-    colored = greedy_maximal(g, ListAssignment.uniform(g.n, 1), seed)
-    return frozenset(v for v in range(g.n) if colored.is_assigned(v))
+    f = PartialColoring(g.n, 1, [0 if v in j else None for v in range(g.n)])
+    _greedy_fill(g, ListAssignment.uniform(g.n, 1), f, range(g.n))
+    return frozenset(f.domain())
 
 
 def dominates(f: PartialColoring, h: PartialColoring, colors: Iterable[int]) -> bool:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
+from .colorings import palette_size
 from .errors import (
     BoundViolation,
     HypothesisViolation,
@@ -250,6 +251,7 @@ class ConvergenceLedger:
         self.a_param = Fraction(self.a_param)
         if self.a_param < 1:
             raise OutOfRange(f"A must be >= 1, got {self.a_param}")
+        self.k = palette_size(self.k)
         self.disc0 = Fraction(self.disc0)
         self._bound = (1 + self.a_param) ** (self.k + 1) / self.a_param * self.disc0
 

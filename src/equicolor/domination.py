@@ -28,13 +28,20 @@ from typing import Optional
 from .colorings import (
     ListAssignment,
     PartialColoring,
-    _check_seed,
+    _check_coloring,
+    _check_lists,
     _forest_sweep,
     dominates,
     is_proper_list_coloring,
 )
-from .errors import GallaiTree, NotConnected, NotDegreeList, OutOfRange
-from .graphs import Graph, _anchor_blocks, build_one_ended_subforest, components
+from .errors import GallaiTree, ImproperSeed, NotConnected, NotDegreeList, OutOfRange
+from .graphs import (
+    Graph,
+    _anchor_blocks,
+    _check_vertices,
+    build_one_ended_subforest,
+    components,
+)
 
 
 @dataclass(frozen=True)
@@ -54,22 +61,16 @@ def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
     count = len(components(g))
     if count != 1:
         raise NotConnected(f"graph has {count} components, need 1")
-    if len(lists) != g.n:
-        raise NotDegreeList(f"list assignment covers {len(lists)} vertices, graph has {g.n}")
-    if not lists.is_degree_list(g):
-        bad = next(v for v in range(g.n) if len(lists[v]) < g.degree(v))
-        raise NotDegreeList(
-            f"vertex {bad}: list size {len(lists[bad])} < degree {g.degree(bad)}"
-        )
-    _check_seed(g, lists, seed)
+    _check_lists(g, lists, error=NotDegreeList, degree=True)
+    _check_coloring(g, seed, error=ImproperSeed, lists=lists)
     if lists.max_color() >= seed.k:
         raise OutOfRange(
             f"list color {lists.max_color()} outside the seed palette {seed.k}"
         )
     if need_pivot and inst.pivot is None:
         raise OutOfRange("pivot vertex required")
-    if inst.pivot is not None and not (0 <= inst.pivot < g.n):
-        raise OutOfRange(f"pivot {inst.pivot} outside range")
+    if inst.pivot is not None:
+        _check_vertices(g, [inst.pivot], "pivot")
 
 
 def _all_but_one(
@@ -91,16 +92,6 @@ def color_all_but_one(inst: DominationInstance) -> PartialColoring:
     return out
 
 
-def _large_list_completion(
-    g: Graph, lists: ListAssignment, seed: PartialColoring, x: int
-) -> PartialColoring:
-    """Total dominating coloring when |L(x)| > deg(x): color everything but
-    x, then x always has a spare color."""
-    f = _all_but_one(g, lists, seed, x)
-    assert f.is_assigned(x), "a list larger than the degree always leaves a spare color"
-    return f
-
-
 def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
     """Total dominating coloring via a vertex whose list exceeds its degree;
     None when no such vertex exists."""
@@ -109,8 +100,8 @@ def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
     x = next((v for v in range(g.n) if len(lists[v]) > g.degree(v)), None)
     if x is None:
         return None
-    out = _large_list_completion(g, lists, inst.seed, x)
-    assert out.is_total()
+    out = _all_but_one(g, lists, inst.seed, x)
+    assert out.is_total(), "a list larger than the degree always leaves a spare color"
     assert dominates(out, inst.seed, lists.union_colors())
     return out
 

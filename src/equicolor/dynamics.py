@@ -54,7 +54,7 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .colorings import PartialColoring, greedy_extend_full, is_proper, palette_size
+from .colorings import PartialColoring, _check_coloring, greedy_extend_full, is_proper
 from .distributions import (
     ColorDistribution,
     ConvergenceLedger,
@@ -62,17 +62,17 @@ from .distributions import (
     witness_colors,
 )
 from .errors import (
+    ImproperInput,
     ImproperSeed,
     MonotonicityViolation,
     NotSeparated,
     OutOfRange,
-    PaletteTooSmall,
     SignatureMismatch,
     Stalled,
     UnacceptableMove,
     debug_checks_enabled,
 )
-from .graphs import Graph, component_of
+from .graphs import Graph, _check_vertices, component_of
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,8 @@ def make_move(g: Graph, assignments: dict[int, int]) -> RecoloringMove:
     """Validated move: nonempty domain inside a single connected component."""
     if not assignments:
         raise OutOfRange("recoloring move must have a nonempty domain")
+    _check_vertices(g, assignments)
     for v, c in assignments.items():
-        if not (0 <= v < g.n):
-            raise OutOfRange(f"vertex {v} outside range")
         if c < 0:
             raise OutOfRange(f"negative color {c} for vertex {v}")
     dom = sorted(assignments)
@@ -119,7 +118,15 @@ def _assign_move(f: PartialColoring, move: RecoloringMove) -> list[int]:
     return recolored
 
 
+def _check_moves(f: PartialColoring, moves: Iterable[RecoloringMove]) -> None:
+    """OutOfRange unless every vertex and color of the moves fits f."""
+    for v, c in chain.from_iterable(mv.assignments for mv in moves):
+        if not (0 <= v < f.n and 0 <= c < f.k):
+            raise OutOfRange(f"move of vertex {v} to color {c} does not fit the coloring")
+
+
 def apply_move(f: PartialColoring, move: RecoloringMove) -> PartialColoring:
+    _check_moves(f, [move])
     out = f.copy()
     _assign_move(out, move)
     return out
@@ -151,6 +158,12 @@ def is_acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
 
     Only the domain and its neighborhood are inspected.
     """
+    _check_coloring(g, f, error=ImproperInput, proper=False)
+    _check_moves(f, [move])
+    return _acceptable(g, f, move)
+
+
+def _acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
     new = move.as_dict()
     for v, c in move.assignments:
         for w in g.adjacency(v):
@@ -166,7 +179,7 @@ def admissible_witness(g: Graph, f: PartialColoring, move: RecoloringMove) -> Op
     and, after the move, is still no larger than any of them: one of the
     `witness_colors` of the move that was also below them before it.
     """
-    if not is_acceptable(g, f, move):
+    if not _acceptable(g, f, move):
         return None
     deltas = move_deltas(f, move)
     counts = f.counts()
@@ -285,8 +298,7 @@ def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove
     """First admissible move of size <= 3, scanning the patterns before the
     exhaustive pass over connected domains of size <= 3.  None when no such
     move exists."""
-    if not f.is_total():
-        raise ImproperSeed("move search requires a total coloring")
+    _check_coloring(g, f, error=ImproperSeed, proper=False, total=True)
     for move in chain(_pattern1_moves(g, f), _pattern23_moves(g, f)):
         if admissible_witness(g, f, move) is not None:
             return move
@@ -341,6 +353,8 @@ def select_separated_batch(
     All candidates must share one signature (same growing and shrinking
     color sets with respect to f); otherwise SignatureMismatch is raised.
     """
+    _check_coloring(g, f, error=ImproperInput, proper=False)
+    _check_moves(f, candidates)
     if not candidates:
         return Batch((), frozenset(), frozenset(), 0)
     sig = _signature(f, candidates[0])
@@ -357,7 +371,7 @@ def select_separated_batch(
 def _check_batch(g: Graph, f: PartialColoring, batch: Batch) -> None:
     seen: set[int] = set()
     for mv in batch.moves:
-        if not is_acceptable(g, f, mv):
+        if not _acceptable(g, f, mv):
             raise UnacceptableMove(f"move on {mv.domain} breaks properness")
         for v in mv.domain:
             if v in seen:
@@ -382,6 +396,8 @@ def apply_monotone_prefix(
     can turn from true to false but never back: the longest monotone prefix
     ends just before the first failing one, and the walk stops there.
     """
+    _check_coloring(g, f, error=ImproperInput, proper=False)
+    _check_moves(f, batch.moves)
     _check_batch(g, f, batch)
     out = f.copy()
     if not batch.moves:
@@ -642,22 +658,9 @@ def equitable_k_coloring(
     Stalled, with the coloring and its gap, when no move of size <= 3
     exists at gap >= 2.
     """
-    size = palette_size(k)
-    if size <= g.max_degree:
-        raise PaletteTooSmall(
-            f"need k >= max degree + 1 = {g.max_degree + 1}, got {size}"
-        )
-    if f0 is not None:
-        if f0.n != g.n:
-            raise ImproperSeed(f"initial coloring covers {f0.n} vertices, graph has {g.n}")
-        if not is_proper(g, f0):
-            raise ImproperSeed("initial coloring is not proper")
-        if f0.k != size:
-            raise ImproperSeed(f"initial coloring uses palette {f0.k}, expected {size}")
-        # the driver recolors in place, so a total seed is copied once
-        f = f0.copy() if f0.is_total() else greedy_extend_full(g, size, f0)
-    else:
-        f = greedy_extend_full(g, size)
+    # the driver recolors this copy of the seed in place
+    f = greedy_extend_full(g, k, f0)
+    size = f.k
     if g.n == 0:
         trace = DynamicsTrace(0, size, tuple([0] * size))
         trace.ledgers.append(ConvergenceLedger(Fraction(LEDGER_A), size, Fraction(0)))

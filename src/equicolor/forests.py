@@ -15,18 +15,14 @@ from __future__ import annotations
 from .colorings import (
     ListAssignment,
     PartialColoring,
+    _check_coloring,
     _forest_sweep,
     dominates,
     is_proper,
     palette_size,
 )
 from .domination import _anchored_block_coloring, _restrict
-from .errors import (
-    ImproperSeed,
-    OutOfRange,
-    PaletteTooSmall,
-    RegularGallaiComponent,
-)
+from .errors import ImproperSeed, RegularGallaiComponent
 from .graphs import (
     Graph,
     OneEndedForest,
@@ -49,20 +45,18 @@ def forest_recolor(
     palette (so the palette must be at least the max degree).  The witness
     map sends each vertex that kept its seed color to itself and every
     other vertex to its parent; its image over a class covers the seed's
-    class.
+    class.  The forest must be one of g (`OneEndedForest.validate`).
     """
-    ksize = palette_size(k)
-    if ksize < g.max_degree:
-        raise PaletteTooSmall(
-            f"stratified recoloring needs palette >= max degree {g.max_degree}"
-        )
-    if seed.n != g.n or seed.k != ksize:
-        raise ImproperSeed("seed shape mismatch")
-    if len(forest.heights) != g.n:
-        raise OutOfRange(f"forest covers {len(forest.heights)} vertices, graph has {g.n}")
-    if not is_proper(g, seed):
-        raise ImproperSeed("seed not proper")
+    ksize = palette_size(k, g.max_degree)
+    _check_coloring(g, seed, ksize, error=ImproperSeed)
+    forest.validate(g)
+    return _forest_recolor(g, forest, seed, ksize)
 
+
+def _forest_recolor(
+    g: Graph, forest: OneEndedForest, seed: PartialColoring, ksize: int
+) -> tuple[PartialColoring, dict[int, int]]:
+    """`forest_recolor` on checked inputs."""
     f, stolen = _forest_sweep(g, ListAssignment.uniform(g.n, ksize), seed, forest)
     psi = {
         v: v if (v in forest.anchors or (seed.is_assigned(v) and not stolen[v]))
@@ -99,17 +93,8 @@ def dominating_delta_coloring(
     non-cut vertex of too-small degree.  So for k >= 3 with no clique on
     k+1 vertices the rejected case never occurs.
     """
-    ksize = palette_size(k)
-    if ksize < g.max_degree:
-        raise PaletteTooSmall(
-            f"palette {ksize} below max degree {g.max_degree}"
-        )
-    if seed.n != g.n or seed.k != ksize:
-        raise ImproperSeed("seed shape mismatch")
-    if not is_proper(g, seed):
-        raise ImproperSeed("seed not proper")
-    if g.n == 0:
-        return seed.copy()
+    ksize = palette_size(k, g.max_degree)
+    _check_coloring(g, seed, ksize, error=ImproperSeed)
 
     full = [comp for comp in components(g) if min(map(g.degree, comp)) == ksize]
     block_anchored = _anchor_blocks(g, full)
@@ -122,7 +107,7 @@ def dominating_delta_coloring(
     anchors = {v for v in range(g.n) if g.degree(v) < ksize}.union(*block_anchored)
 
     forest = build_one_ended_subforest(g, anchors)
-    f, _ = forest_recolor(g, forest, seed, ksize)
+    f, _ = _forest_recolor(g, forest, seed, ksize)
     lists = ListAssignment.uniform(g.n, ksize)
 
     for block in block_anchored:

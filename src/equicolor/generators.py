@@ -157,8 +157,8 @@ def _hub(params: dict, rng: random.Random) -> Graph:
     n = int(params["n"])
     delta = int(params["delta"])
     target = Fraction(params.get("target_avg", Fraction(delta, 5)))
-    if delta >= n:
-        raise InfeasibleParameters(f"need delta < n, got delta={delta}, n={n}")
+    if not 1 <= delta < n:
+        raise InfeasibleParameters(f"need 1 <= delta < n, got delta={delta}, n={n}")
     max_edges = int(Fraction(n) * target / 2)
     if max_edges < delta:
         raise InfeasibleParameters(

@@ -96,6 +96,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
+def _check_vertices(g: Graph, ids: Iterable[int], what: str = "vertex") -> None:
+    """OutOfRange unless every id lies in [0, n)."""
+    bad = [v for v in ids if not 0 <= v < g.n]
+    if bad:
+        raise OutOfRange(f"{what} {min(bad)} outside [0, {g.n})")
+
+
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
     seen = [False] * g.n
@@ -143,20 +150,19 @@ class OneEndedForest:
         return max(self.heights, default=0)
 
     def validate(self, g: Graph) -> None:
+        """OutOfRange unless this is a forest of g: heights in [0, n), anchors
+        in range, and each other vertex's parent a neighbor of larger height
+        (so every parent chain ends at an anchor).  O(n)."""
+        if len(self.heights) != g.n:
+            raise OutOfRange(f"forest covers {len(self.heights)} vertices, graph has {g.n}")
+        _check_vertices(g, self.anchors, "anchor")
+        _check_vertices(g, self.heights, "height")
         for v in range(g.n):
-            if v in self.anchors:
-                assert v not in self.parent
-            else:
-                p = self.parent[v]
-                assert g.has_edge(v, p), f"parent of {v} is not a neighbor"
-                assert self.heights[p] > self.heights[v], "heights must rise along parents"
-        # no parent cycles: every chain must reach an anchor within n steps
-        for v in range(g.n):
-            x, steps = v, 0
-            while x not in self.anchors:
-                x = self.parent[x]
-                steps += 1
-                assert steps <= g.n, f"parent chain from {v} does not terminate"
+            p = self.parent.get(v)
+            if v not in self.anchors and (
+                p is None or not g.has_edge(v, p) or self.heights[p] <= self.heights[v]
+            ):
+                raise OutOfRange(f"parent of vertex {v} is not a neighbor of larger height")
 
 
 def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedForest:
@@ -165,9 +171,7 @@ def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedFores
     anchor_set = frozenset(anchors)
     if g.n and not anchor_set:
         raise ComponentMissesAnchor("anchor set is empty")
-    bad = [a for a in anchor_set if not 0 <= a < g.n]
-    if bad:
-        raise OutOfRange(f"anchor {min(bad)} outside range")
+    _check_vertices(g, anchor_set, "anchor")
     parent: dict[int, int] = {}
     dist = [-1] * g.n
     queue: list[int] = sorted(anchor_set)
@@ -318,10 +322,8 @@ def is_gallai_tree(g: Graph, component: Iterable[int]) -> bool:
     comp = frozenset(component)
     if not comp:
         raise NotAComponent("empty vertex set is not a component")
-    v0 = min(comp)
-    if not (0 <= v0 < g.n):
-        raise OutOfRange(f"vertex {v0} outside range")
-    if component_of(g, v0) != comp:
+    _check_vertices(g, comp)
+    if component_of(g, min(comp)) != comp:
         raise NotAComponent(f"{sorted(comp)} is not a connected component")
     sub, _ = g.induced_subgraph(comp)
     return _anchor_blocks(sub, [range(sub.n)]) == [None]

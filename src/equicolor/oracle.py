@@ -13,9 +13,15 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .colorings import ListAssignment, PartialColoring, palette_size
-from .errors import BudgetExceeded
-from .graphs import Graph, build_graph
+from .colorings import (
+    ListAssignment,
+    PartialColoring,
+    _check_coloring,
+    _check_lists,
+    palette_size,
+)
+from .errors import BudgetExceeded, ImproperSeed, OutOfRange, PreconditionViolated
+from .graphs import Graph, build_graph, components
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,14 @@ def enumerate_proper_colorings(
     Exactly one of palette (uniform colors) or lists must be given.
     """
     if (palette is None) == (lists is None):
-        raise ValueError("pass exactly one of palette or lists")
+        raise PreconditionViolated("pass exactly one of palette or lists", name="palette")
     budget.check_graph(g)
     if palette is not None:
+        palette = palette_size(palette)
         budget.check_palette(palette)
         allowed = [tuple(range(palette)) for _ in range(g.n)]
     else:
+        _check_lists(g, lists, error=OutOfRange)
         budget.check_lists(lists)
         allowed = [tuple(sorted(lists[v])) for v in range(g.n)]
     deadline = budget.deadline()
@@ -90,6 +98,7 @@ def enumerate_proper_colorings(
 
 def count_proper_colorings(g: Graph, k: int, budget: OracleBudget = OracleBudget()) -> int:
     """Number of proper k-colorings, with closed forms for paths and cycles."""
+    k = palette_size(k)
     shape = _path_or_cycle(g)
     if shape == "path" and g.n >= 1:
         return k * (k - 1) ** (g.n - 1)
@@ -99,7 +108,7 @@ def count_proper_colorings(g: Graph, k: int, budget: OracleBudget = OracleBudget
 
 
 def _path_or_cycle(g: Graph) -> Optional[str]:
-    if g.n == 0 or len(_components_local(g)) != 1:
+    if g.n == 0 or len(components(g)) != 1:
         return None
     degs = sorted(g.degree(v) for v in range(g.n))
     if g.n >= 3 and all(d == 2 for d in degs):
@@ -109,25 +118,6 @@ def _path_or_cycle(g: Graph) -> Optional[str]:
     if g.n >= 2 and degs[:2] == [1, 1] and all(d == 2 for d in degs[2:]):
         return "path"
     return None
-
-
-def _components_local(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp, stack = [s], [s]
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(comp)
-    return out
 
 
 def equitable_exists(g: Graph, k: int, budget: OracleBudget = OracleBudget()) -> bool:
@@ -172,6 +162,8 @@ def domination_exists(
 ) -> bool:
     """True iff some total proper list coloring has class counts at least
     the seed's on every color."""
+    _check_lists(g, lists, error=OutOfRange)
+    _check_coloring(g, seed, error=ImproperSeed, proper=False)
     budget.check_graph(g)
     budget.check_lists(lists)
     deadline = budget.deadline()
@@ -245,6 +237,7 @@ def improving_move_exists(
     strictly below every strictly shrinking class, and that class stays no
     larger than any shrinking class after the move.
     """
+    _check_coloring(g, f, error=ImproperSeed, proper=False, total=True)
     budget.check_graph(g)
     budget.check_palette(f.k)
     deadline = budget.deadline()
@@ -376,7 +369,7 @@ def canonical_graphs(n: int) -> list[Graph]:
 
 
 def connected_canonical_graphs(n: int) -> list[Graph]:
-    return [g for g in canonical_graphs(n) if len(_components_local(g)) == 1]
+    return [g for g in canonical_graphs(n) if len(components(g)) == 1]
 
 
 def colorings_up_to_color_permutation(g: Graph, k: int) -> Iterator[tuple[int, ...]]:

@@ -33,20 +33,20 @@ from typing import Iterable, Optional
 from .colorings import (
     ListAssignment,
     PartialColoring,
+    _check_coloring,
+    _greedy_fill,
     greedy_extend_full,
-    greedy_maximal,
     is_proper,
 )
 from .dynamics import equitable_k_coloring
 from .errors import (
     ImproperAux,
     ImproperInput,
-    OutOfRange,
     PreconditionViolated,
     debug_checks_enabled,
 )
 from .forests import dominating_delta_coloring
-from .graphs import Graph, average_degree, contains_clique
+from .graphs import Graph, _check_vertices, average_degree, contains_clique
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,15 @@ def _cost_value(g: Graph, xs: frozenset[int]) -> tuple[Fraction, int, int]:
     return value, boundary, internal_twice // 2
 
 
+def _require(holds: bool, message: str, name: str, **values) -> None:
+    """PreconditionViolated, with the precondition's name and values, unless it holds."""
+    if not holds:
+        raise PreconditionViolated(message, name=name, values=values)
+
+
 def cost(g: Graph, x: Iterable[int]) -> CostReport:
     xs = frozenset(x)
-    outside = [v for v in xs if not 0 <= v < g.n]
-    if outside:
-        raise OutOfRange(f"vertex {min(outside)} outside [0, {g.n})")
+    _check_vertices(g, xs)
     value, boundary, internal = _cost_value(g, xs)
     if debug_checks_enabled() and len(xs) >= 2:
         _check_cost_additivity(g, xs)
@@ -108,8 +112,7 @@ def extract_dense_set(g: Graph, t) -> tuple[int, ...]:
     neighbors outside.
     """
     t = Fraction(t)
-    if t < 0:
-        raise PreconditionViolated("threshold must be nonnegative", name="t")
+    _require(t >= 0, "threshold must be nonnegative", "t")
     if g.n == 0:
         return ()
     return _dense_set(g, t, greedy_extend_full(g, g.max_degree + 1))
@@ -183,18 +186,17 @@ def quick_balance(
     vertex it does not skip.  When a pass moves nothing, no vertex of a
     class 2 or more above another can move into it: the fixpoint.
     """
-    if f.n != g.n:
-        raise ImproperInput(f"coloring covers {f.n} vertices, graph has {g.n}")
-    if aux.n != g.n:
-        raise ImproperAux(f"auxiliary coloring covers {aux.n} vertices, graph has {g.n}")
+    _check_coloring(g, f, error=ImproperInput, total=True)
+    _check_coloring(g, aux, error=ImproperAux, total=True)
     frozen_set = frozenset(frozen)
-    outside = [v for v in frozen_set if not 0 <= v < g.n]
-    if outside:
-        raise OutOfRange(f"frozen vertex {min(outside)} outside [0, {g.n})")
-    if not f.is_total() or not is_proper(g, f):
-        raise ImproperInput("balance requires a total proper coloring")
-    if not aux.is_total() or not is_proper(g, aux):
-        raise ImproperAux("auxiliary coloring must be total and proper")
+    _check_vertices(g, frozen_set, "frozen vertex")
+    return _quick_balance(g, f, frozen_set, aux)
+
+
+def _quick_balance(
+    g: Graph, f: PartialColoring, frozen_set: frozenset[int], aux: PartialColoring
+) -> PartialColoring:
+    """`quick_balance` on checked inputs."""
     out = f.copy()
     k = out.k
     counts = out.counts()
@@ -453,40 +455,25 @@ def equitable_delta_coloring(
 ) -> tuple[PartialColoring, PipelineReport]:
     """Total proper coloring with palette size = max degree on a sparse
     graph, with a near-equitable class profile and a full claim report."""
-    if g.n == 0:
-        raise PreconditionViolated("empty graph", name="n", values={"n": 0})
-    if delta != g.max_degree:
-        raise PreconditionViolated(
-            f"palette {delta} must equal the max degree {g.max_degree}",
-            name="delta", values={"delta": delta, "max_degree": g.max_degree},
-        )
-    if delta < 3:
-        raise PreconditionViolated(
-            f"max degree must be at least 3, got {delta}",
-            name="delta", values={"delta": delta},
-        )
-    if contains_clique(g, delta + 1):
-        raise PreconditionViolated(
-            f"graph contains a clique on {delta + 1} vertices",
-            name="clique", values={"q": delta + 1},
-        )
-    avg = average_degree(g)
-    if avg > Fraction(delta, 5):
-        raise PreconditionViolated(
-            f"average degree {avg} exceeds {Fraction(delta, 5)}",
-            name="average_degree",
-            values={"average_degree": avg, "bound": Fraction(delta, 5)},
-        )
+    _require(g.n > 0, "empty graph", "n", n=0)
+    _require(delta == g.max_degree, f"palette {delta} must equal the max degree "
+             f"{g.max_degree}", "delta", delta=delta, max_degree=g.max_degree)
+    _require(delta >= 3, f"max degree must be at least 3, got {delta}", "delta", delta=delta)
+    _require(not contains_clique(g, delta + 1),
+             f"graph contains a clique on {delta + 1} vertices", "clique", q=delta + 1)
+    avg, bound = average_degree(g), Fraction(delta, 5)
+    _require(avg <= bound, f"average degree {avg} exceeds {bound}", "average_degree",
+             average_degree=avg, bound=bound)
 
     # one pinned greedy (D+1)-coloring serves the dense-set rounds and the
-    # balancer's batches
+    # balancer's batches; the colorings built here go to the unchecked cores
     aux = greedy_extend_full(g, delta + 1)
     x_set = _dense_set(g, Fraction(2 * delta, 5), aux)
     assert 4 * len(x_set) <= g.n, "dense set exceeded a quarter of the graph"
 
     dense_coloring = None
     hstar_counts: Optional[tuple[int, ...]] = None
-    seed_full = PartialColoring(g.n, delta)
+    g_ext = PartialColoring(g.n, delta)
     if x_set:
         sub, mapping = g.induced_subgraph(x_set)
         h, _ = equitable_k_coloring(sub, delta + 1)
@@ -508,19 +495,19 @@ def equitable_delta_coloring(
         assert all(c >= floor_share for c in hstar_counts), \
             "dominated classes fell below the floor share"
         for new, old in enumerate(mapping):
-            seed_full.assign(old, hstar.get(new))
+            g_ext.assign(old, hstar.get(new))
 
-    g_ext = greedy_maximal(g, ListAssignment.uniform(g.n, delta), seed_full)
+    _greedy_fill(g, ListAssignment.uniform(g.n, delta), g_ext, range(g.n))
     assert g_ext.is_total(), \
         "low outside degrees must force a total greedy extension"
 
-    f = quick_balance(g, g_ext, x_set, aux)
+    f = _quick_balance(g, g_ext, frozenset(x_set), aux)
 
     hstar_list = None
     if x_set:
         hstar_list = [None] * g.n
         for v in x_set:
-            hstar_list[v] = seed_full.get(v)
+            hstar_list[v] = g_ext.get(v)
     claims = _evaluate_claims(g, delta, x_set, hstar_counts, f)
     report = PipelineReport(
         n=g.n, delta=delta, average_degree=avg, x_set=x_set,
@@ -528,5 +515,4 @@ def equitable_delta_coloring(
         extended_coloring=g_ext.as_list(), final_coloring=f.as_list(),
         claims=claims, final_counts=f.counts(), final_gap=f.gap(),
     )
-    assert is_proper(g, f) and f.is_total()
     return f, report

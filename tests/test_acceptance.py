@@ -47,7 +47,6 @@ from equicolor.oracle import (
     enumerate_proper_colorings,
     equitable_exists,
     improving_move_exists,
-    _components_local,
 )
 from equicolor.pipeline import cost
 
@@ -259,7 +258,7 @@ def test_criterion_6_list_domination_exhaustive():
     oracle_confirmed = 0
     for n in range(2, 9):
         for g in canonical_graphs(n):
-            if len(_components_local(g)) != 1:
+            if len(components(g)) != 1:
                 continue
             if is_gallai_tree(g, range(g.n)):
                 continue

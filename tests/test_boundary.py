@@ -1,0 +1,392 @@
+"""Every callable exported from equicolor rejects malformed arguments of
+the right type with an EquicolorError subclass, and raises nothing else.
+
+`CALLS` has one row per exported entry point.  A row draws one malformed
+call on an otherwise valid connected graph: wrong sizes, out-of-range or
+negative vertex ids, negative colors or palettes, mismatched palettes, or a
+forest of another graph.  `EXEMPT` names the exported callables that take
+no argument such a call could get wrong, with the reason.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import equicolor as eq
+from equicolor.errors import EquicolorError
+
+EXEMPT = {
+    "Batch": "a record; apply_monotone_prefix checks the batch it is given",
+    "BlockDecomposition": "an output record",
+    "CostReport": "an output record",
+    "DominationInstance": "a record; the domination solvers check it",
+    "DriverConfig": "one boolean flag",
+    "DynamicsTrace": "an output record",
+    "EquicolorError": "the error base class",
+    "Graph": "the unchecked internal constructor; build_graph checks its input",
+    "InstanceSpec": "a record; generate checks its parameters",
+    "OneEndedForest": "a record; forest_recolor checks it against its graph",
+    "OracleBudget": "caps that each oracle call checks its input against",
+    "PipelineReport": "an output record",
+    "RecoloringMove": "a record; make_move and the move functions check moves",
+    "block_decomposition": "takes only a graph, which build_graph has checked",
+    "components": "takes only a graph, which build_graph has checked",
+    "discrepancy": "takes only a distribution, which checks itself when built",
+    "rearranged": "takes only a distribution, which checks itself when built",
+}
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 2..6 vertices plus random chords."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v}
+    return eq.build_graph(n, sorted(edges))
+
+
+def bad_id(data, g):
+    return data.draw(st.one_of(st.integers(-3, -1), st.integers(g.n, g.n + 3)))
+
+
+def bad_ids(data, g):
+    """Valid ids with one outside [0, n) among them."""
+    ids = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
+    return ids + [bad_id(data, g)]
+
+
+def bad_palette(data, low=1):
+    """A palette size below `low`, negative or zero."""
+    return data.draw(st.integers(-3, low - 1))
+
+
+def colors(data, n, k, total=False):
+    color = st.integers(0, k - 1)
+    return data.draw(st.lists(color if total else st.none() | color, min_size=n, max_size=n))
+
+
+def misfit(data, g, k, total=False):
+    """A coloring of one vertex more or one fewer than g has."""
+    n = data.draw(st.sampled_from([g.n - 1, g.n + 1]))
+    return eq.PartialColoring(n, k, colors(data, n, k, total))
+
+
+def improper(data, g, k, total=False):
+    """A coloring of g whose two ends of one edge share a color."""
+    u, v = data.draw(st.sampled_from(g.edges()))
+    assignment = eq.greedy_extend_full(g, k).as_list() if total else [None] * g.n
+    assignment[v] = assignment[u] = data.draw(st.integers(0, k - 1))
+    return eq.PartialColoring(g.n, k, assignment)
+
+
+def partial(data, g, k):
+    """A proper coloring of g with at least one vertex uncolored."""
+    f = eq.greedy_extend_full(g, k)
+    f.unassign(data.draw(st.integers(0, g.n - 1)))
+    return f
+
+
+def small_palette(data, g):
+    """An empty seed and a palette below the max degree, or below 1."""
+    k = data.draw(st.integers(-2, g.max_degree - 1))
+    return eq.PartialColoring(g.n, max(k, 1)), k
+
+
+def choose(data, *calls):
+    """Make one of the given malformed calls."""
+    return data.draw(st.sampled_from(calls))()
+
+
+def move(data, f):
+    """A one-vertex move outside f's vertices or palette."""
+    v = data.draw(st.integers(0, f.n - 1))
+    return choose(
+        data,
+        lambda: eq.RecoloringMove(((bad_id(data, f), 0),)),
+        lambda: eq.RecoloringMove(((v, data.draw(st.sampled_from([-1, f.k, f.k + 2]))),)),
+    )
+
+
+def domination_call(solver, pivot=0):
+    """Malformed calls of a domination solver around degree lists over the
+    palette max degree + 1 and an empty seed."""
+    def call(data, g):
+        k = g.max_degree + 1
+        lists, seed = eq.ListAssignment.uniform(g.n, k), eq.PartialColoring(g.n, k)
+        short = eq.ListAssignment(lists.lists[:-1])
+        below_degree = eq.ListAssignment((frozenset(),) + lists.lists[1:])
+        wide = eq.ListAssignment.of([range(k + 1)] * g.n)
+
+        def solve(lists=lists, seed=seed, pivot=pivot):
+            return solver(eq.DominationInstance(g, lists, seed, pivot))
+        return choose(
+            data,
+            lambda: solve(seed=misfit(data, g, k)),
+            lambda: solve(seed=improper(data, g, k)),
+            lambda: solve(seed=eq.PartialColoring(g.n, k + 1, [k] + [None] * (g.n - 1))),
+            lambda: solve(lists=short),
+            lambda: solve(lists=below_degree),
+            lambda: solve(lists=wide),
+            lambda: solve(pivot=bad_id(data, g)),
+        )
+    return call
+
+
+def foreign_forest(data, g):
+    """A forest of another graph, or one whose heights do not rise or lie
+    outside [0, n)."""
+    n = data.draw(st.sampled_from([g.n - 1, g.n, g.n + 1]))
+    others = [eq.build_graph(n, [(i, i + 1) for i in range(n - 1)]),
+              eq.build_graph(n, [(0, i) for i in range(1, n)]),
+              eq.build_graph(g.n + 1, g.edges() + [(g.n - 1, g.n)])]
+    forests = [eq.build_one_ended_subforest(h, [0]) for h in others]
+    own = eq.build_one_ended_subforest(g, [0])
+    for shift in (0, g.n, -g.n):
+        heights = (0,) * g.n if shift == 0 else tuple(h + shift for h in own.heights)
+        forests.append(eq.OneEndedForest(own.anchors, own.parent, heights))
+    foreign = [
+        forest for forest in forests
+        if len(forest.heights) != g.n or forest.max_height() == 0
+        or not 0 <= min(forest.heights) <= forest.max_height() < g.n
+        or any(not g.has_edge(v, p) for v, p in forest.parent.items())
+    ]
+    return data.draw(st.sampled_from(foreign))
+
+
+TMP = tempfile.TemporaryDirectory()
+
+
+def tmp_graph_file(text, suffix):
+    path = Path(TMP.name) / f"g{suffix}"
+    path.write_text(text)
+    return path
+
+
+def batch_of(moves):
+    return eq.Batch(tuple(moves), frozenset(), frozenset(), 1)
+
+
+CALLS = {
+    # colorings
+    "ListAssignment": lambda data, g: choose(
+        data,
+        lambda: eq.ListAssignment((frozenset({bad_palette(data, 0)}), frozenset({0}))),
+        lambda: eq.ListAssignment.of([[0], [bad_palette(data, 0), 1]]),
+        lambda: eq.ListAssignment.uniform(g.n, bad_palette(data)),
+    ),
+    "PartialColoring": lambda data, g: choose(
+        data,
+        lambda: eq.PartialColoring(g.n, bad_palette(data)),
+        lambda: eq.PartialColoring(g.n, 2, [0] * (g.n + 1)),
+        lambda: eq.PartialColoring(g.n, 2, [data.draw(st.sampled_from([-1, 2, 5]))] * g.n),
+    ),
+    "dominates": lambda data, g: eq.dominates(
+        eq.PartialColoring(g.n, 2), misfit(data, g, 2), [0, 1]
+    ),
+    "greedy_extend_full": lambda data, g: choose(
+        data,
+        lambda: eq.greedy_extend_full(g, data.draw(st.integers(-2, g.max_degree))),
+        lambda: eq.greedy_extend_full(g, g.max_degree + 1, misfit(data, g, g.max_degree + 1)),
+        lambda: eq.greedy_extend_full(g, g.max_degree + 1, order=bad_ids(data, g)),
+    ),
+    "greedy_maximal": lambda data, g: choose(
+        data,
+        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n - 1, 2),
+                                  eq.PartialColoring(g.n, 2)),
+        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2), misfit(data, g, 2)),
+        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2), improper(data, g, 2)),
+        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
+                                  eq.PartialColoring(g.n, 2), bad_ids(data, g)),
+    ),
+    "is_proper": lambda data, g: eq.is_proper(g, misfit(data, g, 2)),
+    "maximal_independent_superset": lambda data, g: eq.maximal_independent_superset(
+        g, [bad_id(data, g)]
+    ),
+    # distributions
+    "ColorDistribution": lambda data, g: choose(
+        data,
+        lambda: eq.ColorDistribution([2, bad_palette(data, 0)]),
+        lambda: eq.ColorDistribution([1, 2], data.draw(st.integers(-2, 2))),
+    ),
+    "ConvergenceLedger": lambda data, g: choose(
+        data,
+        lambda: eq.ConvergenceLedger(1, bad_palette(data), 0),
+        lambda: eq.ConvergenceLedger(bad_palette(data), 3, 0),
+    ),
+    "initial_sums_witness": lambda data, g: eq.initial_sums_witness(
+        eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
+    ),
+    "is_more_equitable": lambda data, g: eq.is_more_equitable(
+        eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
+    ),
+    "l1_distance": lambda data, g: eq.l1_distance(
+        eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
+    ),
+    # domination
+    "color_all_but_one": domination_call(eq.color_all_but_one),
+    "dominating_full_coloring": domination_call(eq.dominating_full_coloring, None),
+    "large_list_shortcut": domination_call(eq.large_list_shortcut, None),
+    # dynamics
+    "apply_monotone_prefix": lambda data, g: choose(
+        data,
+        lambda: eq.apply_monotone_prefix(g, misfit(data, g, 3, total=True), batch_of([])),
+        lambda: eq.apply_monotone_prefix(
+            g, f := eq.greedy_extend_full(g, g.max_degree + 1), batch_of([move(data, f)])
+        ),
+    ),
+    "apply_move": lambda data, g: eq.apply_move(
+        f := eq.greedy_extend_full(g, g.max_degree + 1), move(data, f)
+    ),
+    "equitable_k_coloring": lambda data, g: choose(
+        data,
+        lambda: eq.equitable_k_coloring(g, data.draw(st.integers(-2, g.max_degree))),
+        lambda: eq.equitable_k_coloring(g, k := g.max_degree + 1, misfit(data, g, k)),
+        lambda: eq.equitable_k_coloring(g, k := g.max_degree + 1, improper(data, g, k)),
+        lambda: eq.equitable_k_coloring(g, k := g.max_degree + 1,
+                                        eq.PartialColoring(g.n, k + 1)),
+    ),
+    "find_improving_move": lambda data, g: choose(
+        data,
+        lambda: eq.find_improving_move(g, misfit(data, g, 3, total=True)),
+        lambda: eq.find_improving_move(g, partial(data, g, g.max_degree + 1)),
+    ),
+    "is_acceptable": lambda data, g: choose(
+        data,
+        lambda: eq.is_acceptable(g, misfit(data, g, 3, total=True),
+                                 eq.RecoloringMove(((0, 1),))),
+        lambda: eq.is_acceptable(g, f := eq.greedy_extend_full(g, g.max_degree + 1),
+                                 move(data, f)),
+    ),
+    "make_move": lambda data, g: choose(
+        data,
+        lambda: eq.make_move(g, {}),
+        lambda: eq.make_move(g, {bad_id(data, g): 0}),
+        lambda: eq.make_move(g, {0: bad_palette(data, 0)}),
+    ),
+    "select_separated_batch": lambda data, g: choose(
+        data,
+        lambda: eq.select_separated_batch(g, misfit(data, g, 3, total=True), []),
+        lambda: eq.select_separated_batch(
+            g, f := eq.greedy_extend_full(g, g.max_degree + 1), [move(data, f)]
+        ),
+    ),
+    # forests
+    "build_one_ended_subforest": lambda data, g: eq.build_one_ended_subforest(
+        g, bad_ids(data, g)
+    ),
+    "dominating_delta_coloring": lambda data, g: choose(
+        data,
+        lambda: eq.dominating_delta_coloring(g, *small_palette(data, g)),
+        lambda: eq.dominating_delta_coloring(g, misfit(data, g, g.max_degree), g.max_degree),
+        lambda: eq.dominating_delta_coloring(g, improper(data, g, g.max_degree), g.max_degree),
+        lambda: eq.dominating_delta_coloring(
+            g, eq.PartialColoring(g.n, g.max_degree + 1), g.max_degree
+        ),
+    ),
+    "forest_recolor": lambda data, g: choose(
+        data,
+        lambda: eq.forest_recolor(g, foreign_forest(data, g),
+                                  eq.PartialColoring(g.n, g.max_degree), g.max_degree),
+        lambda: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
+                                  *small_palette(data, g)),
+        lambda: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
+                                  misfit(data, g, g.max_degree), g.max_degree),
+        lambda: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
+                                  improper(data, g, g.max_degree), g.max_degree),
+    ),
+    # generators and graph files
+    "generate": lambda data, g: eq.generate(eq.InstanceSpec.parse(data.draw(st.sampled_from([
+        "regular:n=-4,d=3", "regular:n=6,d=-1", "gnp:n=-3,p=1/2", "torus:rows=-3,cols=4",
+        "gallai_tree:n=-2", "hub:n=-5,delta=3", "hub:n=50,delta=0",
+    ])))),
+    "read_graph": lambda data, g: choose(
+        data,
+        lambda: eq.read_graph(tmp_graph_file(f"p edge {g.n} 1\ne 1 {g.n + 1}\n", ".col")),
+        lambda: eq.read_graph(tmp_graph_file(f"p edge {bad_palette(data, 0)} 0\n", ".col")),
+        lambda: eq.read_graph(
+            tmp_graph_file(f'{{"n": {g.n}, "edges": [[0, {bad_id(data, g)}]]}}', ".json")
+        ),
+    ),
+    "write_graph": lambda data, g: eq.write_graph(
+        g, Path(TMP.name) / "g.txt", "adjacency-matrix"
+    ),
+    # graphs
+    "average_degree": lambda data, g: eq.average_degree(eq.build_graph(0, [])),
+    "build_graph": lambda data, g: choose(
+        data,
+        lambda: eq.build_graph(bad_palette(data, 0), []),
+        lambda: eq.build_graph(g.n, [(0, bad_id(data, g))]),
+        lambda: eq.build_graph(g.n, [(1, 1)]),
+        lambda: eq.build_graph(g.n, [(0, 1), (1, 0)]),
+    ),
+    "contains_clique": lambda data, g: eq.contains_clique(g, bad_palette(data)),
+    "is_gallai_tree": lambda data, g: choose(
+        data,
+        lambda: eq.is_gallai_tree(g, bad_ids(data, g)),
+        lambda: eq.is_gallai_tree(g, []),
+    ),
+    # oracle
+    "domination_exists": lambda data, g: choose(
+        data,
+        lambda: eq.domination_exists(g, eq.ListAssignment.uniform(g.n - 1, 2),
+                                     eq.PartialColoring(g.n, 2)),
+        lambda: eq.domination_exists(g, eq.ListAssignment.uniform(g.n, 2), misfit(data, g, 2)),
+    ),
+    "enumerate_proper_colorings": lambda data, g: list(choose(
+        data,
+        lambda: eq.enumerate_proper_colorings(g, bad_palette(data)),
+        lambda: eq.enumerate_proper_colorings(g),
+        lambda: eq.enumerate_proper_colorings(g, 2, eq.ListAssignment.uniform(g.n, 2)),
+        lambda: eq.enumerate_proper_colorings(
+            g, lists=eq.ListAssignment.uniform(g.n - 1, 2)
+        ),
+    )),
+    "equitable_exists": lambda data, g: eq.equitable_exists(g, bad_palette(data)),
+    "improving_move_exists": lambda data, g: choose(
+        data,
+        lambda: eq.improving_move_exists(g, misfit(data, g, 3, total=True), 3),
+        lambda: eq.improving_move_exists(g, partial(data, g, g.max_degree + 1), 3),
+    ),
+    # pipeline
+    "cost": lambda data, g: eq.cost(g, bad_ids(data, g)),
+    "equitable_delta_coloring": lambda data, g: eq.equitable_delta_coloring(
+        g, data.draw(st.sampled_from([-1, 0, g.max_degree + 1]))
+    ),
+    "extract_dense_set": lambda data, g: eq.extract_dense_set(g, bad_palette(data, 0)),
+    "quick_balance": lambda data, g: choose(
+        data,
+        lambda: eq.quick_balance(g, misfit(data, g, 3, total=True), [],
+                                 eq.greedy_extend_full(g, g.max_degree + 1)),
+        lambda: eq.quick_balance(g, partial(data, g, g.max_degree + 1), [],
+                                 eq.greedy_extend_full(g, g.max_degree + 1)),
+        lambda: eq.quick_balance(g, improper(data, g, g.max_degree + 1, total=True), [],
+                                 eq.greedy_extend_full(g, g.max_degree + 1)),
+        lambda: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1), [],
+                                 misfit(data, g, 3, total=True)),
+        lambda: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1), [],
+                                 improper(data, g, g.max_degree + 1, total=True)),
+        lambda: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1),
+                                 bad_ids(data, g), eq.greedy_extend_full(g, g.max_degree + 1)),
+    ),
+}
+
+
+def test_every_export_has_a_row():
+    exported = {
+        name for name in dir(eq)
+        if not name.startswith("_") and callable(getattr(eq, name))
+    }
+    assert not set(CALLS) & set(EXEMPT)
+    assert exported == set(CALLS) | set(EXEMPT)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), g=connected_graphs())
+def test_malformed_arguments_raise_typed_errors(name, data, g):
+    with pytest.raises(EquicolorError):
+        CALLS[name](data, g)

@@ -80,6 +80,22 @@ def test_greedy_rejects_improper_seed():
         greedy_maximal(k3, lists, PartialColoring(3, 3, [0, 0, None]))
 
 
+def test_greedy_rejects_inputs_that_do_not_fit():
+    # short lists and order [9] raised a bare IndexError; order [-1]
+    # silently colored vertex n - 1
+    k3 = complete(3)
+    lists = ListAssignment.uniform(3, 3)
+    with pytest.raises(OutOfRange):
+        greedy_maximal(k3, ListAssignment.uniform(2, 3), PartialColoring(3, 3))
+    for order in ([9], [-1], [0, 1, 3]):
+        with pytest.raises(OutOfRange):
+            greedy_maximal(k3, lists, PartialColoring(3, 3), order)
+        with pytest.raises(OutOfRange):
+            greedy_extend_full(k3, 3, order=order)
+    with pytest.raises(ImproperSeed):
+        greedy_maximal(k3, lists, PartialColoring(4, 3))
+
+
 def test_greedy_maximal_blocked_vertices_see_all_their_colors():
     for seed in range(25):
         g = random_graph(8, 0.5, seed)
@@ -175,5 +191,7 @@ def test_dominates():
 
 def test_list_assignment_rejects_negative_colors():
     assert ListAssignment.of([[0, 1], [2]]).max_color() == 2
-    with pytest.raises(OutOfRange):
-        ListAssignment.of([{-1}, {0, 1}])
+    # built directly, the assignment accepted a negative color
+    for build in (ListAssignment.of, lambda lists: ListAssignment(tuple(map(frozenset, lists)))):
+        with pytest.raises(OutOfRange):
+            build([{-1}, {0, 1}])

@@ -25,7 +25,7 @@ from equicolor import (
 from equicolor import domination
 from equicolor.colorings import is_proper_list_coloring
 from equicolor.errors import GallaiTree, ImproperSeed, NotConnected, NotDegreeList, OutOfRange
-from equicolor.oracle import canonical_graphs, domination_exists, _components_local
+from equicolor.oracle import canonical_graphs, domination_exists
 from equicolor.generators import InstanceSpec
 from equicolor.graphs import is_gallai_tree
 
@@ -173,7 +173,7 @@ def test_exhaustive_small_graphs_against_oracle():
     checked = 0
     for n in range(2, 7):
         for g in canonical_graphs(n):
-            if len(_components_local(g)) != 1:
+            if len(components(g)) != 1:
                 continue
             if is_gallai_tree(g, range(g.n)):
                 continue

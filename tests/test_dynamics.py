@@ -39,6 +39,7 @@ from equicolor.dynamics import (
     move_deltas,
 )
 from equicolor.errors import (
+    ImproperInput,
     ImproperSeed,
     MonotonicityViolation,
     NotSeparated,
@@ -73,6 +74,29 @@ def test_make_move_validation():
         make_move(g, {0: 1, 2: 0})  # spans two components
     with pytest.raises(OutOfRange):
         make_move(g, {0: -1})
+
+
+def test_move_functions_reject_what_does_not_fit():
+    # each call raised a bare IndexError, and is_acceptable accepted the
+    # move of a vertex outside the coloring
+    g = path(4)
+    f = PartialColoring(4, 2, [0, 1, 0, 1])
+    short = PartialColoring(3, 2, [0, 1, 0])
+    with pytest.raises(ImproperSeed):
+        find_improving_move(g, short)
+    with pytest.raises(ImproperInput):
+        select_separated_batch(g, short, [RecoloringMove(((3, 0),))])
+    with pytest.raises(ImproperInput):
+        is_acceptable(g, short, RecoloringMove(((0, 1),)))
+    for mv in (RecoloringMove(((5, 0),)), RecoloringMove(((-1, 0),)), RecoloringMove(((0, 2),))):
+        with pytest.raises(OutOfRange):
+            apply_move(f, mv)
+        with pytest.raises(OutOfRange):
+            is_acceptable(g, f, mv)
+        with pytest.raises(OutOfRange):
+            select_separated_batch(g, f, [mv])
+        with pytest.raises(OutOfRange):
+            apply_monotone_prefix(g, f, Batch((mv,), frozenset({0}), frozenset({1}), 1))
 
 
 def test_delta_alpha_examples():

@@ -173,6 +173,43 @@ def test_forest_recolor_rejects_forest_of_another_graph():
             forest_recolor(g, forest, PartialColoring(4, 2), 2)
 
 
+def test_forest_recolor_rejects_foreign_forest_of_same_order():
+    # a forest of another cubic graph on the same 8 vertices gave improper
+    # colorings or bare AssertionErrors; it is rejected unless every
+    # parent is a neighbor in g with a larger height
+    rejected = 0
+    for seed in range(60):
+        g, h = (generate(InstanceSpec.parse("regular:n=8,d=3", 2 * seed + i)) for i in (0, 1))
+        forest = build_one_ended_subforest(h, [min(c) for c in components(h)])
+        fits = all(g.has_edge(v, p) for v, p in forest.parent.items())
+        rng = random.Random(seed)
+        colors = [rng.choice([None, 0, 1, 2]) for _ in range(8)]
+        seed_coloring = greedy_maximal_seed(g, colors)
+        if fits:
+            f, _ = forest_recolor(g, forest, seed_coloring, 3)
+            assert is_proper(g, f)
+        else:
+            rejected += 1
+            with pytest.raises(OutOfRange):
+                forest_recolor(g, forest, seed_coloring, 3)
+    assert rejected > 40
+    # a forest with parents whose heights do not rise
+    g = cycle(4)
+    forest = build_one_ended_subforest(g, [0])
+    flat = type(forest)(forest.anchors, forest.parent, (0, 0, 0, 0))
+    with pytest.raises(OutOfRange):
+        forest_recolor(g, flat, PartialColoring(4, 2), 2)
+
+
+def greedy_maximal_seed(g, colors):
+    """The given colors with every edge conflict uncolored."""
+    colors = list(colors)
+    for u, v in g.edges():
+        if colors[u] is not None and colors[u] == colors[v]:
+            colors[v] = None
+    return PartialColoring(g.n, 3, colors)
+
+
 def test_delta_coloring_tree():
     g = path(5)
     seed = PartialColoring(5, 2, [0, None, None, None, None])

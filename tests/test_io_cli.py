@@ -190,3 +190,24 @@ def test_cli_missing_file_error(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "FileNotFoundError"
     assert "missing.col" in payload["message"]
+
+
+def test_cli_malformed_json_input_error(tmp_path, capsys):
+    # a malformed or incomplete coloring or list file printed a
+    # JSONDecodeError or KeyError traceback
+    gp = tmp_path / "c4.col"
+    write_graph(cycle(4), gp)
+    bad = tmp_path / "bad.json"
+    cases = [
+        ("not json", ["verify", "--coloring"]),
+        ('{"k": 2}', ["verify", "--coloring"]),
+        ('[0, 1]', ["verify", "--coloring"]),
+        ('{"partial": [0, null, null, null]}', ["dominate", "--lists"]),
+        ('{"lists": 3}', ["dominate", "--lists"]),
+    ]
+    for text, command in cases:
+        bad.write_text(text)
+        assert main(command[:1] + ["--graph", str(gp)] + command[1:] + [str(bad)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ParseError"
+        assert "bad.json" in payload["message"]

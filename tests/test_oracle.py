@@ -9,7 +9,12 @@ from equicolor import (
     equitable_exists,
     improving_move_exists,
 )
-from equicolor.errors import BudgetExceeded, OutOfRange
+from equicolor.errors import (
+    BudgetExceeded,
+    ImproperSeed,
+    OutOfRange,
+    PreconditionViolated,
+)
 from equicolor.oracle import (
     are_isomorphic,
     canonical_graphs,
@@ -69,6 +74,31 @@ def test_equitable_exists_examples():
     for k in (0, -2):
         with pytest.raises(OutOfRange):
             equitable_exists(path(3), k)
+
+
+def test_palette_and_size_checks():
+    # a negative palette yielded nothing or counted 0 colorings, and the
+    # palette-or-lists choice raised a bare ValueError
+    p3 = path(3)
+    for k in (0, -1, -2):
+        with pytest.raises(OutOfRange):
+            list(enumerate_proper_colorings(p3, palette=k))
+        with pytest.raises(OutOfRange):
+            count_proper_colorings(p3, k)
+    with pytest.raises(OutOfRange):
+        count_proper_colorings(build_graph(3, []), -1)
+    for kwargs in ({}, {"palette": 2, "lists": ListAssignment.uniform(3, 2)}):
+        with pytest.raises(PreconditionViolated):
+            list(enumerate_proper_colorings(p3, **kwargs))
+    # sizes that do not fit the graph raised a bare IndexError
+    with pytest.raises(OutOfRange):
+        list(enumerate_proper_colorings(p3, lists=ListAssignment.uniform(2, 2)))
+    with pytest.raises(OutOfRange):
+        domination_exists(p3, ListAssignment.uniform(2, 2), PartialColoring(3, 2))
+    with pytest.raises(ImproperSeed):
+        domination_exists(p3, ListAssignment.uniform(3, 2), PartialColoring(2, 2))
+    with pytest.raises(ImproperSeed):
+        improving_move_exists(p3, PartialColoring(2, 2, [0, 1]), 3)
 
 
 def test_domination_exists_examples():

@@ -224,7 +224,7 @@ def test_pipeline_balance_moves_each_vertex_once(monkeypatch):
     # recolored vertex once, never through an intermediate class, and the
     # pairwise passes move nothing
     seen = []
-    balance = pipeline.quick_balance
+    balance = pipeline._quick_balance
     assign = PartialColoring.assign
 
     def counted(g, f, frozen, aux):
@@ -241,7 +241,8 @@ def test_pipeline_balance_moves_each_vertex_once(monkeypatch):
         assert out == reference_direct_pass(g, f, frozen, aux)
         return out
 
-    monkeypatch.setattr(pipeline, "quick_balance", counted)
+    # the pipeline balances through the unchecked core
+    monkeypatch.setattr(pipeline, "_quick_balance", counted)
     g = generate(InstanceSpec.parse("hub:n=2000,delta=15", 1))
     _, report = equitable_delta_coloring(g, 15)
     [(assigns, recolored)] = seen
