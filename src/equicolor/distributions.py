@@ -253,6 +253,8 @@ class ConvergenceLedger:
             raise OutOfRange(f"A must be >= 1, got {self.a_param}")
         self.k = palette_size(self.k)
         self.disc0 = Fraction(self.disc0)
+        if self.disc0 < 0:
+            raise OutOfRange(f"initial discrepancy must be nonnegative, got {self.disc0}")
         self._bound = (1 + self.a_param) ** (self.k + 1) / self.a_param * self.disc0
 
     @classmethod

@@ -3,27 +3,29 @@
 Given a degree-list assignment (every list at least as large as the vertex
 degree) and a proper partial list coloring, the solver produces a total
 proper list coloring whose per-color class counts are at least those of the
-seed.  All vertices but one pivot are colored by the forest sweep of
-`colorings._forest_sweep` on the breadth-first forest toward the pivot: an
-uncolored vertex takes its parent's color and passes the hole on toward the
-pivot, so counts never fall.  The pivot is the least vertex of an anchored
-block that is neither a clique nor an odd cycle.  If the sweep leaves it
-uncolored, the block alone (its lists less the colors of its outside
-neighbors) is solved by a hole walk: the uncolored vertex takes a
-neighbor's color and passes the hole on, along shortest paths chosen so
-that the hole ends at a vertex with a free color.  Class counts never
-change on the way, and the walk makes at most 2n - 2 shifts on an n-vertex
-block (see `_solve_block`).
+seed.  One forest sweep (`colorings._forest_sweep`) on the breadth-first
+forest toward a set of anchors colors every vertex but possibly the
+anchors: an uncolored vertex takes its parent's color and passes the hole
+on toward the anchors, so counts never fall.  An anchor whose list exceeds
+its degree is always filled by the sweep's last stage.  The other anchors
+are pivots, each the least vertex of a block that is neither a clique nor
+an odd cycle.  If the sweep leaves a pivot uncolored, its block alone (its
+lists less the colors of its outside neighbors) is solved by a hole walk:
+the uncolored vertex takes a neighbor's color and passes the hole on,
+along shortest paths chosen so that the hole ends at a vertex with a free
+color.  Class counts never change on the way, and the walk makes at most
+2n - 2 shifts on an n-vertex block (see `_solve_block`).
 
-`dominating_full_coloring` and `forests.dominating_delta_coloring` share
-this anchored-block path.
+`_anchored_block_coloring` is that construction.  `dominating_full_coloring`,
+`large_list_shortcut` and `forests.dominating_delta_coloring` all finish
+through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .colorings import (
     ListAssignment,
@@ -73,37 +75,26 @@ def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
         _check_vertices(g, [inst.pivot], "pivot")
 
 
-def _all_but_one(
-    g: Graph, lists: ListAssignment, seed: PartialColoring, pivot: int
-) -> PartialColoring:
-    """Proper partial list coloring covering every vertex except possibly the
-    pivot, with class counts at least the seed's: the forest sweep toward
-    the pivot.  Its last stage fills the pivot if a list color is free."""
-    f, _ = _forest_sweep(g, lists, seed, build_one_ended_subforest(g, [pivot]))
-    return f
-
-
 def color_all_but_one(inst: DominationInstance) -> PartialColoring:
     """Proper partial list coloring with domain covering everything except
-    possibly the pivot, dominating the seed."""
+    possibly the pivot, dominating the seed: the forest sweep toward the
+    pivot.  Its last stage fills the pivot if a list color is free."""
     _validate(inst, need_pivot=True)
-    out = _all_but_one(inst.graph, inst.lists, inst.seed, inst.pivot)
+    g = inst.graph
+    out, _ = _forest_sweep(g, inst.lists, inst.seed, build_one_ended_subforest(g, [inst.pivot]))
     assert dominates(out, inst.seed, inst.lists.union_colors())
     return out
 
 
 def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
-    """Total dominating coloring via a vertex whose list exceeds its degree;
-    None when no such vertex exists."""
+    """Total dominating coloring via a vertex whose list exceeds its degree
+    (a spare color always fills it); None when no such vertex exists."""
     _validate(inst)
     g, lists = inst.graph, inst.lists
     x = next((v for v in range(g.n) if len(lists[v]) > g.degree(v)), None)
     if x is None:
         return None
-    out = _all_but_one(g, lists, inst.seed, x)
-    assert out.is_total(), "a list larger than the degree always leaves a spare color"
-    assert dominates(out, inst.seed, lists.union_colors())
-    return out
+    return _anchored_block_coloring(g, lists, inst.seed, [x], [])
 
 
 def _bfs_tree(h: Graph, root: int, avoid: frozenset[int] = frozenset()) -> dict[int, int]:
@@ -240,19 +231,24 @@ def _restrict(
 
 
 def _anchored_block_coloring(
-    g: Graph, lists: ListAssignment, seed: PartialColoring, block: frozenset[int]
+    g: Graph, lists: ListAssignment, seed: PartialColoring,
+    anchors: Iterable[int], blocks: Sequence[frozenset[int]],
 ) -> PartialColoring:
-    """Total dominating list coloring of g anchored at a block that is
-    neither a clique nor an odd cycle: sweep toward the block's least vertex
-    and, if it is left uncolored, solve the block with the rest fixed."""
-    u = min(block)
-    f = _all_but_one(g, lists, seed, u)
-    if not f.is_assigned(u):
-        h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
-        # the mapping is sorted, so u is vertex 0 of the block
-        f_block = _solve_block(h, h_lists, h_seed, 0)
-        for new, old in enumerate(mapping):
-            f.assign(old, f_block.get(new))
+    """Total dominating list coloring of g from one forest sweep toward the
+    anchors and the least vertex of each block.  Every anchor must have a
+    list larger than its degree, so the sweep's last stage colors it, and
+    every block must be neither a clique nor an odd cycle; each component
+    needs an anchor or a block.  A block pivot the sweep leaves uncolored
+    is stuck, and its block is solved with the rest of g fixed."""
+    pivots = [min(b) for b in blocks]
+    f, _ = _forest_sweep(g, lists, seed, build_one_ended_subforest(g, {*anchors, *pivots}))
+    for block, u in zip(blocks, pivots):
+        if not f.is_assigned(u):
+            h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
+            # the mapping is sorted, so u is vertex 0 of the block
+            f_block = _solve_block(h, h_lists, h_seed, 0)
+            for new, old in enumerate(mapping):
+                f.assign(old, f_block.get(new))
 
     assert f.is_total() and is_proper_list_coloring(g, lists, f)
     assert dominates(f, seed, lists.union_colors())
@@ -267,4 +263,4 @@ def dominating_full_coloring(inst: DominationInstance) -> PartialColoring:
     [block] = _anchor_blocks(g, [range(g.n)])
     if block is None:
         raise GallaiTree("every block is a clique or odd cycle; no guarantee exists")
-    return _anchored_block_coloring(g, inst.lists, inst.seed, block)
+    return _anchored_block_coloring(g, inst.lists, inst.seed, [], [block])

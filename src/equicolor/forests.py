@@ -1,6 +1,6 @@
 """The height-stratified dominating recoloring on an anchored one-ended
 subforest (`graphs.OneEndedForest`), and dominating max-degree colorings
-built on it.
+built on the same sweep.
 
 The recoloring is the forest sweep of `colorings._forest_sweep` with the
 whole palette as every list: each still-uncolored vertex steals its
@@ -8,6 +8,10 @@ parent's color, and the parent is handled at its own, strictly larger,
 height.  Stolen colors never shrink a class without an equal replacement
 entering it, which is what makes the final coloring dominate the seed; the
 witness map records where each seed vertex's color went.
+
+`dominating_delta_coloring` runs that sweep once, through the anchored
+core `domination._anchored_block_coloring`, toward the low-degree vertices
+and one block pivot per full-degree component.
 """
 
 from __future__ import annotations
@@ -18,16 +22,15 @@ from .colorings import (
     _check_coloring,
     _forest_sweep,
     dominates,
-    is_proper,
     palette_size,
 )
-from .domination import _anchored_block_coloring, _restrict
+from .domination import _anchored_block_coloring
 from .errors import ImproperSeed, RegularGallaiComponent
 from .graphs import (
     Graph,
     OneEndedForest,
     _anchor_blocks,
-    build_one_ended_subforest,
+    build_one_ended_subforest,  # re-exported: the forest builder's public home
     components,
 )
 
@@ -50,13 +53,6 @@ def forest_recolor(
     ksize = palette_size(k, g.max_degree)
     _check_coloring(g, seed, ksize, error=ImproperSeed)
     forest.validate(g)
-    return _forest_recolor(g, forest, seed, ksize)
-
-
-def _forest_recolor(
-    g: Graph, forest: OneEndedForest, seed: PartialColoring, ksize: int
-) -> tuple[PartialColoring, dict[int, int]]:
-    """`forest_recolor` on checked inputs."""
     f, stolen = _forest_sweep(g, ListAssignment.uniform(g.n, ksize), seed, forest)
     psi = {
         v: v if (v in forest.anchors or (seed.is_assigned(v) and not stolen[v]))
@@ -81,44 +77,30 @@ def dominating_delta_coloring(
     """Total proper coloring with palette size = max degree (or larger)
     dominating the seed.
 
+    One forest sweep with every list the whole palette covers the graph.
     Per component: if some vertex has degree below the palette size, the
     low-degree vertices anchor the forest and the sweep's last, maximalizing
     stage colors them; otherwise the component must not be a Gallai tree,
-    and one of its blocks that is neither a clique nor an odd cycle is
-    anchored and finished on its own by the anchored-block path of the
-    dominating list-coloring solver.  Components that are
-    full-degree-regular Gallai trees are rejected: a finite connected
-    k-regular Gallai tree is a complete graph on k+1 vertices or (k = 2) an
-    odd cycle, since any end-block of a multi-block Gallai tree contains a
-    non-cut vertex of too-small degree.  So for k >= 3 with no clique on
-    k+1 vertices the rejected case never occurs.
+    the forest is anchored at the least vertex of one of its blocks that is
+    neither a clique nor an odd cycle, and if the sweep leaves that vertex
+    stuck the block alone is solved by the hole walk of the dominating
+    list-coloring solver.  Components that are full-degree-regular Gallai
+    trees are rejected: a finite connected k-regular Gallai tree is a
+    complete graph on k+1 vertices or (k = 2) an odd cycle, since any
+    end-block of a multi-block Gallai tree contains a non-cut vertex of
+    too-small degree.  So for k >= 3 with no clique on k+1 vertices the
+    rejected case never occurs.
     """
     ksize = palette_size(k, g.max_degree)
     _check_coloring(g, seed, ksize, error=ImproperSeed)
 
     full = [comp for comp in components(g) if min(map(g.degree, comp)) == ksize]
-    block_anchored = _anchor_blocks(g, full)
-    for comp, block in zip(full, block_anchored):
+    blocks = _anchor_blocks(g, full)
+    for comp, block in zip(full, blocks):
         if block is None:
             raise RegularGallaiComponent(
                 f"component {comp} is {ksize}-regular and a Gallai tree",
                 component=tuple(comp),
             )
-    anchors = {v for v in range(g.n) if g.degree(v) < ksize}.union(*block_anchored)
-
-    forest = build_one_ended_subforest(g, anchors)
-    f, _ = _forest_recolor(g, forest, seed, ksize)
-    lists = ListAssignment.uniform(g.n, ksize)
-
-    for block in block_anchored:
-        # g outside the anchored blocks is colored and stays fixed, so only
-        # the block is swept and solved
-        h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
-        f_block = _anchored_block_coloring(h, h_lists, h_seed, frozenset(range(h.n)))
-        for new, old in enumerate(mapping):
-            f.assign(old, f_block.get(new))
-
-    assert f.is_total(), "maximality must finish low-degree anchors"
-    assert is_proper(g, f)
-    assert dominates(f, seed, range(ksize))
-    return f
+    low = [v for v in range(g.n) if g.degree(v) < ksize]
+    return _anchored_block_coloring(g, ListAssignment.uniform(g.n, ksize), seed, low, blocks)

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InfeasibleParameters
+from .errors import InfeasibleParameters, ParseError
 from .graphs import Graph, build_graph
 
 
@@ -33,10 +33,28 @@ def _parse_value(raw: str):
         return int(raw)
     except ValueError:
         pass
-    if "/" in raw:
-        num, _, den = raw.partition("/")
-        return Fraction(int(num), int(den))
-    return float(raw)
+    try:
+        if "/" in raw:
+            num, _, den = raw.partition("/")
+            return Fraction(int(num), int(den))
+        return float(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"parameter value {raw!r} is not an int, p/q or float") from None
+
+
+def _param(params: dict, key: str, kind=int, default=None):
+    """The named parameter, or the default, as a finite number of the given
+    kind (int, float or Fraction); InfeasibleParameters if there is none."""
+    raw = params.get(key, default)
+    if raw is None:
+        raise InfeasibleParameters(f"missing parameter {key!r}")
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (kind is int and value != raw):
+        raise InfeasibleParameters(f"parameter {key}={raw!r} is not of type {kind.__name__}")
+    return value
 
 
 def generate(spec: InstanceSpec) -> Graph:
@@ -57,7 +75,7 @@ def generate(spec: InstanceSpec) -> Graph:
 
 def _regular(params: dict, rng: random.Random) -> Graph:
     """Random d-regular graph via the pairing model with rejection."""
-    n, d = int(params["n"]), int(params["d"])
+    n, d = _param(params, "n"), _param(params, "d")
     if n * d % 2 != 0:
         raise InfeasibleParameters(f"n*d = {n * d} must be even")
     if not 0 <= d < n:
@@ -84,8 +102,8 @@ def _regular(params: dict, rng: random.Random) -> Graph:
 
 
 def _gnp(params: dict, rng: random.Random) -> Graph:
-    n = int(params["n"])
-    p = float(params["p"])
+    n = _param(params, "n")
+    p = _param(params, "p", float)
     if not 0 <= p <= 1:
         raise InfeasibleParameters(f"p must be in [0, 1], got {p}")
     edges = [
@@ -95,7 +113,7 @@ def _gnp(params: dict, rng: random.Random) -> Graph:
 
 
 def _torus(params: dict, rng: random.Random) -> Graph:
-    rows, cols = int(params["rows"]), int(params["cols"])
+    rows, cols = _param(params, "rows"), _param(params, "cols")
     if rows < 3 or cols < 3:
         raise InfeasibleParameters("torus needs rows, cols >= 3 to stay simple")
     def vid(r, c):
@@ -111,8 +129,12 @@ def _torus(params: dict, rng: random.Random) -> Graph:
 
 
 def _bipartite(params: dict, rng: random.Random) -> Graph:
-    n1, n2 = int(params["n1"]), int(params["n2"])
-    p = float(params["p"])
+    n1, n2 = _param(params, "n1"), _param(params, "n2")
+    p = _param(params, "p", float)
+    if n1 < 0 or n2 < 0 or not 0 <= p <= 1:
+        raise InfeasibleParameters(
+            f"need n1, n2 >= 0 and p in [0, 1], got n1={n1}, n2={n2}, p={p}"
+        )
     edges = [
         (u, n1 + v) for u in range(n1) for v in range(n2) if rng.random() < p
     ]
@@ -122,7 +144,7 @@ def _bipartite(params: dict, rng: random.Random) -> Graph:
 def _gallai_tree(params: dict, rng: random.Random) -> Graph:
     """Random block-cut composition of cliques and odd cycles (for negative
     tests: every block is a clique or odd cycle)."""
-    n = int(params["n"])
+    n = _param(params, "n")
     if n < 1:
         raise InfeasibleParameters("need n >= 1")
     edges: list[tuple[int, int]] = []
@@ -154,9 +176,8 @@ def _gallai_tree(params: dict, rng: random.Random) -> Graph:
 def _hub(params: dict, rng: random.Random) -> Graph:
     """Sparse hub graph: max degree exactly delta, average degree at most
     target_avg."""
-    n = int(params["n"])
-    delta = int(params["delta"])
-    target = Fraction(params.get("target_avg", Fraction(delta, 5)))
+    n, delta = _param(params, "n"), _param(params, "delta")
+    target = _param(params, "target_avg", Fraction, Fraction(delta, 5))
     if not 1 <= delta < n:
         raise InfeasibleParameters(f"need 1 <= delta < n, got delta={delta}, n={n}")
     max_edges = int(Fraction(n) * target / 2)

@@ -69,7 +69,14 @@ def parse_edge_json(text: str) -> Graph:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ParseError("expected an object with 'n' and 'edges'", line=None)
-    return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    n, edges = data["n"], data["edges"]
+    # JSON integers load as int; booleans and floats do not pass
+    if type(n) is not int or not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise ParseError("'n' must be an integer and 'edges' a list of [u, v] "
+                         "integer pairs", line=None)
+    return build_graph(n, [tuple(e) for e in edges])
 
 
 def write_edge_json(g: Graph) -> str:

@@ -238,6 +238,8 @@ def improving_move_exists(
     larger than any shrinking class after the move.
     """
     _check_coloring(g, f, error=ImproperSeed, proper=False, total=True)
+    if m < 1:
+        raise OutOfRange(f"move size bound must be at least 1, got {m}")
     budget.check_graph(g)
     budget.check_palette(f.k)
     deadline = budget.deadline()

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .colorings import (
     ListAssignment,
@@ -310,8 +310,8 @@ class PipelineReport:
     delta: int
     average_degree: Fraction
     x_set: tuple[int, ...]
-    dense_coloring: Optional[list]           # D+1 coloring of the subgraph on X
-    dominated_coloring: Optional[list]       # D-coloring of the subgraph on X
+    dense_coloring: list                     # D+1 coloring of the subgraph on X
+    dominated_coloring: list                 # D-coloring of X; None outside X
     extended_coloring: list                  # greedy extension to the whole graph
     final_coloring: list
     claims: list[ClaimVerdict]
@@ -340,7 +340,7 @@ def _evaluate_claims(
     g: Graph,
     delta: int,
     x_set: tuple[int, ...],
-    hstar_counts: Optional[tuple[int, ...]],
+    hstar_counts: tuple[int, ...],
     f: PartialColoring,
 ) -> list[ClaimVerdict]:
     n = g.n
@@ -359,30 +359,22 @@ def _evaluate_claims(
         slack,
     ))
 
-    if hstar_counts is not None and x_set:
-        share = Fraction(len(x_set), delta + 1)
-        sorted_counts = sorted(hstar_counts)
-        worst = "holds"
-        detail = {}
-        for s in range(1, delta + 1):
-            low = sum(sorted_counts[:s])
-            high = sum(sorted_counts[-s:])
-            v1 = _verdict(s * share, Fraction(low), slack * n)
-            v2 = _verdict(Fraction(high), (s + 1) * share, slack * n)
-            for v in (v1, v2):
-                if v == "fails" or (v == "holds-with-slack" and worst == "holds"):
-                    worst = v
-        detail["class_counts"] = tuple(hstar_counts)
-        claims.append(ClaimVerdict(
-            "II", "unions of s dense-subgraph classes weigh between s and s+1 shares",
-            Fraction(min(hstar_counts)), share,
-            worst, slack, details=detail,
-        ))
-    else:
-        claims.append(ClaimVerdict(
-            "II", "unions of s dense-subgraph classes weigh between s and s+1 shares",
-            Fraction(0), Fraction(0), "holds", slack, vacuous=True,
-        ))
+    share = Fraction(len(x_set), delta + 1)
+    sorted_counts = sorted(hstar_counts)
+    worst = "holds"
+    for s in range(1, delta + 1):
+        low = sum(sorted_counts[:s])
+        high = sum(sorted_counts[-s:])
+        v1 = _verdict(s * share, Fraction(low), slack * n)
+        v2 = _verdict(Fraction(high), (s + 1) * share, slack * n)
+        for v in (v1, v2):
+            if v == "fails" or (v == "holds-with-slack" and worst == "holds"):
+                worst = v
+    claims.append(ClaimVerdict(
+        "II", "unions of s dense-subgraph classes weigh between s and s+1 shares",
+        Fraction(min(hstar_counts)), share,
+        worst, slack, details={"class_counts": tuple(hstar_counts)},
+    ))
 
     small = [a for a in range(delta) if counts[a] * delta < n]
     big = [a for a in range(delta) if counts[a] * delta >= n]
@@ -469,49 +461,37 @@ def equitable_delta_coloring(
     # balancer's batches; the colorings built here go to the unchecked cores
     aux = greedy_extend_full(g, delta + 1)
     x_set = _dense_set(g, Fraction(2 * delta, 5), aux)
+    # X takes every vertex of degree >= ceil(4D/5), and 4D/5 < D, so it
+    # holds a max-degree vertex: X is never empty
     assert 4 * len(x_set) <= g.n, "dense set exceeded a quarter of the graph"
 
-    dense_coloring = None
-    hstar_counts: Optional[tuple[int, ...]] = None
+    sub, mapping = g.induced_subgraph(x_set)
+    h, _ = equitable_k_coloring(sub, delta + 1)
+    # uncolor the largest class and shift the colors above it down by one
+    drop = max(range(delta + 1), key=lambda c: (h.counts()[c], -c))
+    sub_seed = PartialColoring(sub.n, delta, [
+        None if c == drop else c - (c > drop) for c in h.as_list()
+    ])
+    hstar = dominating_delta_coloring(sub, sub_seed, delta)
+    hstar_counts = hstar.counts()
+    floor_share = len(x_set) // (delta + 1)
+    assert all(c >= floor_share for c in hstar_counts), \
+        "dominated classes fell below the floor share"
     g_ext = PartialColoring(g.n, delta)
-    if x_set:
-        sub, mapping = g.induced_subgraph(x_set)
-        h, _ = equitable_k_coloring(sub, delta + 1)
-        dense_coloring = h.as_list()
-        drop = max(range(delta + 1), key=lambda c: (h.counts()[c], -c))
-        relabel = {}
-        nxt = 0
-        for c in range(delta + 1):
-            if c != drop:
-                relabel[c] = nxt
-                nxt += 1
-        sub_seed = PartialColoring(sub.n, delta, [
-            None if h.get(v) == drop else relabel[h.get(v)]
-            for v in range(sub.n)
-        ])
-        hstar = dominating_delta_coloring(sub, sub_seed, delta)
-        hstar_counts = hstar.counts()
-        floor_share = len(x_set) // (delta + 1)
-        assert all(c >= floor_share for c in hstar_counts), \
-            "dominated classes fell below the floor share"
-        for new, old in enumerate(mapping):
-            g_ext.assign(old, hstar.get(new))
+    for new, old in enumerate(mapping):
+        g_ext.assign(old, hstar.get(new))
 
     _greedy_fill(g, ListAssignment.uniform(g.n, delta), g_ext, range(g.n))
     assert g_ext.is_total(), \
         "low outside degrees must force a total greedy extension"
 
-    f = _quick_balance(g, g_ext, frozenset(x_set), aux)
-
-    hstar_list = None
-    if x_set:
-        hstar_list = [None] * g.n
-        for v in x_set:
-            hstar_list[v] = g_ext.get(v)
+    frozen = frozenset(x_set)
+    f = _quick_balance(g, g_ext, frozen, aux)
+    hstar_list = [g_ext.get(v) if v in frozen else None for v in range(g.n)]
     claims = _evaluate_claims(g, delta, x_set, hstar_counts, f)
     report = PipelineReport(
         n=g.n, delta=delta, average_degree=avg, x_set=x_set,
-        dense_coloring=dense_coloring, dominated_coloring=hstar_list,
+        dense_coloring=h.as_list(), dominated_coloring=hstar_list,
         extended_coloring=g_ext.as_list(), final_coloring=f.as_list(),
         claims=claims, final_counts=f.counts(), final_gap=f.gap(),
     )

@@ -3,12 +3,14 @@ the right type with an EquicolorError subclass, and raises nothing else.
 
 `CALLS` has one row per exported entry point.  A row draws one malformed
 call on an otherwise valid connected graph: wrong sizes, out-of-range or
-negative vertex ids, negative colors or palettes, mismatched palettes, or a
-forest of another graph.  `EXEMPT` names the exported callables that take
+negative vertex ids, negative colors or palettes, mismatched palettes, a
+forest of another graph, or a generator spec or graph file with a missing,
+non-numeric or out-of-range value.  `EXEMPT` names the exported callables that take
 no argument such a call could get wrong, with the reason.
 """
 
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -216,6 +218,7 @@ CALLS = {
         data,
         lambda: eq.ConvergenceLedger(1, bad_palette(data), 0),
         lambda: eq.ConvergenceLedger(bad_palette(data), 3, 0),
+        lambda: eq.ConvergenceLedger(1, 3, data.draw(st.sampled_from([-1, Fraction(-1, 6)]))),
     ),
     "initial_sums_witness": lambda data, g: eq.initial_sums_witness(
         eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
@@ -302,6 +305,8 @@ CALLS = {
     "generate": lambda data, g: eq.generate(eq.InstanceSpec.parse(data.draw(st.sampled_from([
         "regular:n=-4,d=3", "regular:n=6,d=-1", "gnp:n=-3,p=1/2", "torus:rows=-3,cols=4",
         "gallai_tree:n=-2", "hub:n=-5,delta=3", "hub:n=50,delta=0",
+        "regular:n=6", "gnp:n=5,p=x", "gnp:n=5,p=1/0", "regular:n=6.5,d=3",
+        "bipartite:n1=-2,n2=5,p=1/2", "bipartite:n1=2,n2=5,p=2", "hub:n=50,delta=3,target_avg=nan",
     ])))),
     "read_graph": lambda data, g: choose(
         data,
@@ -310,6 +315,10 @@ CALLS = {
         lambda: eq.read_graph(
             tmp_graph_file(f'{{"n": {g.n}, "edges": [[0, {bad_id(data, g)}]]}}', ".json")
         ),
+        lambda: eq.read_graph(tmp_graph_file(data.draw(st.sampled_from([
+            '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}', '{"n": 3, "edges": 5}',
+            '{"n": 3.5, "edges": []}', '{"n": 3, "edges": [[0, "1"]]}',
+        ])), ".json")),
     ),
     "write_graph": lambda data, g: eq.write_graph(
         g, Path(TMP.name) / "g.txt", "adjacency-matrix"
@@ -350,6 +359,9 @@ CALLS = {
         data,
         lambda: eq.improving_move_exists(g, misfit(data, g, 3, total=True), 3),
         lambda: eq.improving_move_exists(g, partial(data, g, g.max_degree + 1), 3),
+        lambda: eq.improving_move_exists(
+            g, eq.greedy_extend_full(g, g.max_degree + 1), data.draw(st.integers(-2, 0))
+        ),
     ),
     # pipeline
     "cost": lambda data, g: eq.cost(g, bad_ids(data, g)),

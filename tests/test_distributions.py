@@ -148,6 +148,9 @@ def test_initial_sums_witness_postconditions_random():
 def test_ledger_example_bound():
     led = ConvergenceLedger(Fraction(6), 2, Fraction(1, 2))
     assert led.bound() == Fraction(343, 12)
+    # a negative initial discrepancy made the budget negative
+    with pytest.raises(OutOfRange):
+        ConvergenceLedger(6, 3, -1)
 
 
 def test_ledger_accepts_equal_steps():

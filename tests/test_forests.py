@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -23,7 +24,7 @@ from equicolor.errors import (
     PaletteTooSmall,
     RegularGallaiComponent,
 )
-from equicolor import domination, forests, graphs
+from equicolor import colorings, domination, forests, graphs
 from equicolor.graphs import (
     _anchor_blocks,
     _block_is_clique,
@@ -40,6 +41,7 @@ from conftest import (
     path,
     petersen,
     random_graph,
+    random_partial_list_coloring,
     star,
     tight_seed,
 )
@@ -367,3 +369,68 @@ def test_one_block_decomposition_per_entry_point_call(monkeypatch):
         calls.clear()
         dominating_full_coloring(inst)
         assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of fn through every package module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].n)
+        return fn(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key == "equicolor" or key.startswith("equicolor."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_one_sweep_per_delta_coloring(monkeypatch):
+    sweeps = _count_calls(monkeypatch, colorings._forest_sweep)
+    builds = _count_calls(monkeypatch, graphs.build_one_ended_subforest)
+    for g in [petersen()] + [
+        generate(InstanceSpec.parse("regular:n=40,d=3", s)) for s in range(3)
+    ]:
+        sweeps.clear()
+        builds.clear()
+        dominating_delta_coloring(g, tight_seed(g), 3)
+        assert sweeps == builds == [g.n]
+
+
+def _bridged_cubic():
+    # two copies of K4 minus the edge {2, 3}, each with a corner vertex 4
+    # joined to 2 and 3, and a bridge between the two corners
+    gadget = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
+    return build_graph(10, gadget + [(u + 5, v + 5) for u, v in gadget] + [(4, 9)])
+
+
+def test_delta_coloring_union_matches_component_runs():
+    bridged = _bridged_cubic()
+    assert len(block_decomposition(bridged).cut_vertices) == 2
+    cubic = generate(InstanceSpec.parse("regular:n=12,d=3", 0))
+    assert len(block_decomposition(cubic).blocks) == 1
+    parts = [bridged, cubic, path(7)]
+    edges, offsets = [], [0]
+    for h in parts:
+        edges += [(u + offsets[-1], v + offsets[-1]) for u, v in h.edges()]
+        offsets.append(offsets[-1] + h.n)
+    g = build_graph(offsets[-1], edges)
+    lists = ListAssignment.uniform(g.n, 3)
+    rng = random.Random(5)
+    seeds = [tight_seed(g), PartialColoring(g.n, 3)] + [
+        random_partial_list_coloring(g, lists, 3, rng, density=rng.choice((0.3, 0.6, 0.9)))
+        for _ in range(30)
+    ]
+    for seed in seeds:
+        f = dominating_delta_coloring(g, seed, 3)
+        assert f.is_total() and is_proper(g, f)
+        assert dominates(f, seed, range(3))
+        for lo, hi in zip(offsets, offsets[1:]):
+            h, mapping = g.induced_subgraph(range(lo, hi))
+            h_seed = PartialColoring(h.n, 3, [seed.get(v) for v in mapping])
+            assert dominating_delta_coloring(h, h_seed, 3).as_list() == \
+                [f.get(v) for v in mapping]
+            if lo == 0:
+                assert domination_exists(h, ListAssignment.uniform(h.n, 3), h_seed)

@@ -211,3 +211,20 @@ def test_cli_malformed_json_input_error(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ParseError"
         assert "bad.json" in payload["message"]
+
+
+def test_cli_malformed_spec_and_graph_file_errors(tmp_path, capsys):
+    # a missing generator parameter, a non-numeric value and a malformed
+    # edge-json graph printed a KeyError, ValueError or TypeError traceback
+    bad = tmp_path / "g.json"
+    bad.write_text('{"n": 3, "edges": 5}')
+    cases = [
+        (["--gen", "regular:n=6"], "InfeasibleParameters"),
+        (["--gen", "gnp:n=5,p=x"], "ParseError"),
+        (["--gen", "bipartite:n1=-2,n2=5,p=1/2"], "InfeasibleParameters"),
+        (["--graph", str(bad)], "ParseError"),
+    ]
+    for source, error in cases:
+        assert main(["color-equitable"] + source + ["--k", "3"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == error, (source, payload)

@@ -99,6 +99,10 @@ def test_palette_and_size_checks():
         domination_exists(p3, ListAssignment.uniform(3, 2), PartialColoring(2, 2))
     with pytest.raises(ImproperSeed):
         improving_move_exists(p3, PartialColoring(2, 2, [0, 1]), 3)
+    # m = 0 enumerated every connected domain and answered False
+    for m in (0, -1):
+        with pytest.raises(OutOfRange):
+            improving_move_exists(p3, PartialColoring(3, 2, [0, 1, 0]), m)
 
 
 def test_domination_exists_examples():

@@ -104,7 +104,10 @@ def test_peel_and_sweep_match_reference(g, sd):
     assert color_all_but_one(inst) == reference_all_but_one(g, lists, seed, pivot)
     if not is_gallai_tree(g, range(g.n)):
         full = dominating_full_coloring(inst)
-        with mock.patch.object(domination, "_all_but_one", reference_all_but_one):
+        with mock.patch.object(
+            domination, "_forest_sweep",
+            lambda g, lists, seed, forest: reference_forest_recolor(g, forest, seed, lists),
+        ):
             assert full == dominating_full_coloring(inst)
 
     # few anchors and a palette of exactly the max degree leave blocked
