@@ -6,11 +6,18 @@ helpers that raise the error type the caller names: `graphs._check_vertices`
 (ids in [0, n)), `_check_coloring` (size, palette, totality, properness,
 list membership) and `_check_lists` (size, degree lists).  Internal stages
 call the unchecked private cores; each entry point asserts its output once.
+
+Every greedy construction here uses one first-fit rule, `_greedy_fill`:
+an uncolored vertex takes the smallest color of its list that no neighbor
+has.  It scans `ListAssignment.ordered`, a cached view holding each list as
+one ascending tuple (equal lists share one tuple, so uniform lists cost one
+sort), and stops at the first free color.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -139,11 +146,17 @@ class ListAssignment:
     @classmethod
     def uniform(cls, n: int, k) -> "ListAssignment":
         full = frozenset(range(palette_size(k)))
-        return cls(tuple(full for _ in range(n)))
+        return cls((full,) * n)
 
     @classmethod
     def of(cls, lists: Iterable[Iterable[int]]) -> "ListAssignment":
         return cls(tuple(frozenset(l) for l in lists))
+
+    @cached_property
+    def ordered(self) -> tuple[tuple[int, ...], ...]:
+        """Each list as an ascending tuple; equal lists share one tuple."""
+        memo = {l: tuple(sorted(l)) for l in set(self.lists)}
+        return tuple(map(memo.__getitem__, self.lists))
 
     def __len__(self) -> int:
         return len(self.lists)
@@ -166,13 +179,12 @@ def is_proper(g: Graph, f: PartialColoring) -> bool:
     """No edge with both endpoints assigned the same color."""
     if f.n != g.n:
         raise ImproperInput(f"coloring covers {f.n} vertices, graph has {g.n}")
-    for u in range(g.n):
-        cu = f.get(u)
-        if cu is None:
-            continue
-        for w in g.adjacency(u):
-            if w > u and f.get(w) == cu:
-                return False
+    colors = f._assign
+    for cu, nbrs in zip(colors, g._adj):
+        if cu is not None:
+            for w in nbrs:
+                if colors[w] == cu:
+                    return False
     return True
 
 
@@ -239,14 +251,15 @@ def _greedy_fill(
     g: Graph, lists: ListAssignment, f: PartialColoring, vertices: Iterable[int]
 ) -> None:
     """In place: each uncolored vertex, in the given order, takes its
-    smallest list color absent from its neighbors."""
+    smallest list color absent from its neighbors (first fit)."""
+    colors, adj, ordered, assign = f._assign, g._adj, lists.ordered, f.assign
     for v in vertices:
-        if f.is_assigned(v):
-            continue
-        taken = {f.get(w) for w in g.adjacency(v)}
-        free = [c for c in lists[v] if c not in taken]
-        if free:
-            f.assign(v, min(free))
+        if colors[v] is None:
+            taken = {colors[w] for w in adj[v]}
+            for c in ordered[v]:
+                if c not in taken:
+                    assign(v, c)
+                    break
 
 
 def _forest_sweep(

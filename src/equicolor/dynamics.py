@@ -530,7 +530,9 @@ class _Pattern1Index:
     reading; `apply` recolors through `f.assign`.  `nbr[x*k + c]`
     counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
     vertex x with f(x) = beta and no neighbor colored alpha, plus stale
-    entries that are dropped when they reach the top.  `first_move` peeks
+    entries that are dropped when they reach the top.  The constructor
+    fills each heap by appending in ascending vertex order, since a sorted
+    list is a heap: O(n*k + m) with no sifting.  `first_move` peeks
     at heap tops and `take` pops a round; each moved vertex costs
     O(deg + k) pushes in `apply`.
     """
@@ -540,13 +542,22 @@ class _Pattern1Index:
         self.g, self.f, self.k = g, f, k
         self.colors, self.counts = colors, f._counts
         self.nbr = nbr = [0] * (g.n * k)
-        for v in range(g.n):
+        for v, nbrs in enumerate(g._adj):
             base = v * k
-            for w in g.adjacency(v):
+            for w in nbrs:
                 nbr[base + colors[w]] += 1
         self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
-        for v in range(g.n):
-            self._push(v)
+        # by beta: (alpha, heaps[alpha][beta]) for each alpha != beta
+        into = [
+            [(alpha, self.heaps[alpha][beta]) for alpha in range(k) if alpha != beta]
+            for beta in range(k)
+        ]
+        # vertices come in ascending order and a sorted list is a heap
+        for v, beta in enumerate(colors):
+            base = v * k
+            for alpha, heap in into[beta]:
+                if not nbr[base + alpha]:
+                    heap.append(v)
 
     def _push(self, v: int) -> None:
         beta, base, nbr, heaps = self.colors[v], v * self.k, self.nbr, self.heaps

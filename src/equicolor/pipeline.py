@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
@@ -123,23 +124,26 @@ def _dense_set(g: Graph, t: Fraction, aux: PartialColoring) -> tuple[int, ...]:
     visits only its own aux class."""
     # degrees and neighbor counts are integers: compare with the ceilings
     high, many = ceil(2 * t), ceil(t)
+    adj, degrees = g._adj, g._degrees
     classes: list[list[int]] = [[] for _ in range(aux.k)]
-    for v in range(g.n):
-        classes[aux.get(v)].append(v)
-    x: set[int] = {v for v in range(g.n) if g.degree(v) >= high}
+    for v, c in enumerate(aux._assign):
+        classes[c].append(v)
+    inside = [d >= high for d in degrees]
+    # a vertex of degree below `many` has fewer outside neighbors than that
     for members in classes:
         joiners = [
             y for y in members
-            if y not in x
-            and sum(1 for w in g.adjacency(y) if w not in x) >= many
+            if not inside[y] and degrees[y] >= many
+            and [inside[w] for w in adj[y]].count(False) >= many
         ]
-        x.update(joiners)
-    out = tuple(sorted(x))
-    for y in range(g.n):
-        if y not in x:
-            assert g.degree(y) < high, "outside degree bound violated"
-            outside = sum(1 for w in g.adjacency(y) if w not in x)
-            assert outside < many, "outside neighborhood bound violated"
+        for y in joiners:
+            inside[y] = True
+    out = tuple(v for v, into in enumerate(inside) if into)
+    for y, into in enumerate(inside):
+        if not into:
+            assert degrees[y] < high, "outside degree bound violated"
+            assert degrees[y] < many or [inside[w] for w in adj[y]].count(False) < many, \
+                "outside neighborhood bound violated"
     if debug_checks_enabled():
         rng = random.Random(0)
         subsets = [out] + [
@@ -174,7 +178,10 @@ def quick_balance(
     floor(n/k) class, so it can be short only while no floor class is over
     target: every move goes between classes differing by at least 2, and
     drops the pairwise-difference potential by at least 2.  The pass moves
-    each vertex at most once, in O(n*k + m) work.
+    each vertex at most once.  It keeps the colors below target in
+    (-need, color) order and re-files only the receiving color after a
+    move, so a vertex costs O(deg) to scan that list and a move O(k):
+    O(n + m + k * moves) work.
 
     Only if classes still differ by 2 or more after that pass do pairwise
     passes run, until the gap is at most 1 or a pass moves nothing.  A pass
@@ -198,35 +205,44 @@ def _quick_balance(
 ) -> PartialColoring:
     """`quick_balance` on checked inputs."""
     out = f.copy()
-    k = out.k
+    k, colors, adj, assign = out.k, out._assign, g._adj, out.assign
     counts = out.counts()
-    # sorting is stable, so ties within an aux class keep vertex order
-    order = sorted((v for v in range(g.n) if v not in frozen_set), key=aux.get)
+    # the unfrozen vertices by aux class, each class in vertex order
+    buckets: list[list[int]] = [[] for _ in range(aux.k)]
+    for v, c in enumerate(aux._assign):
+        if v not in frozen_set:
+            buckets[c].append(v)
+    order = [v for bucket in buckets for v in bucket]
 
     q, extra = divmod(g.n, k)
     need = [0] * k
     for i, c in enumerate(sorted(range(k), key=lambda c: (-counts[c], c))):
         need[c] = q + (i < extra) - counts[c]
+    # the colors below target, furthest below first, the smallest on a tie
+    short = sorted((-need[a], a) for a in range(k) if need[a] > 0)
     for y in order:
-        beta = out.get(y)
+        if not short:
+            break
+        beta = colors[y]
         if need[beta] >= 0:
             continue
-        seen = {out.get(w) for w in g.adjacency(y)}
-        best = max(
-            ((need[a], -a) for a in range(k) if need[a] > 0 and a not in seen),
-            default=None,
-        )
-        if best is None:
+        seen = {colors[w] for w in adj[y]}
+        for i, (minus, alpha) in enumerate(short):
+            if alpha not in seen:
+                break
+        else:
             continue
-        alpha = -best[1]
-        assert out.count_of(beta) - out.count_of(alpha) >= 2, \
+        assert out._counts[beta] - out._counts[alpha] >= 2, \
             "a direct move must go between classes differing by 2 or more"
-        out.assign(y, alpha)
+        assign(y, alpha)
         need[beta] += 1
         need[alpha] -= 1
+        # beta's need stays <= 0; only alpha's entry moves
+        del short[i]
+        if minus < -1:
+            insort(short, (minus + 1, alpha))
 
     counts = list(out.counts())
-    get, adjacency = out.get, g.adjacency
 
     def rank(a: int) -> tuple[int, int]:
         return counts[a], a
@@ -237,16 +253,16 @@ def _quick_balance(
         # the first free color of this ranking is the least-count one
         ranked = sorted(range(k), key=rank)
         for y in order:
-            beta = get(y)
+            beta = colors[y]
             top = counts[beta] - 2
             if counts[ranked[0]] > top:
                 continue
-            seen = {get(w) for w in adjacency(y)}
+            seen = {colors[w] for w in adj[y]}
             for alpha in ranked:
                 if counts[alpha] > top:
                     break
                 if alpha not in seen:
-                    out.assign(y, alpha)
+                    assign(y, alpha)
                     counts[beta] -= 1
                     counts[alpha] += 1
                     ranked.sort(key=rank)
@@ -257,18 +273,19 @@ def _quick_balance(
     for v in frozen_set:
         assert out.get(v) == f.get(v), "frozen vertices must keep their colors"
     counts = out.counts()
-    members: list[list[int]] = [[] for _ in range(out.k)]
-    for v in range(g.n):
-        members[out.get(v)].append(v)
-    for alpha in range(out.k):
-        for beta in range(out.k):
-            if counts[beta] - counts[alpha] >= 2:
-                stuck = [
-                    y for y in members[beta]
-                    if y not in frozen_set
-                    and all(out.get(w) != alpha for w in g.adjacency(y))
-                ]
-                assert not stuck, "fixpoint guarantee violated"
+    if max(counts) - min(counts) >= 2:
+        members: list[list[int]] = [[] for _ in range(k)]
+        for v, c in enumerate(colors):
+            members[c].append(v)
+        for alpha in range(k):
+            for beta in range(k):
+                if counts[beta] - counts[alpha] >= 2:
+                    stuck = [
+                        y for y in members[beta]
+                        if y not in frozen_set
+                        and all(colors[w] != alpha for w in adj[y])
+                    ]
+                    assert not stuck, "fixpoint guarantee violated"
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from heapq import heappush
 
 import pytest
 
@@ -250,3 +251,93 @@ def replay_trace(g, k, f, trace, batch):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def reference_greedy_fill(g, lists, f, vertices):
+    """The comprehension-plus-min first fit: in place, each uncolored
+    vertex in the given order takes the least of its list colors that no
+    neighbor has."""
+    for v in vertices:
+        if f.is_assigned(v):
+            continue
+        taken = {f.get(w) for w in g.adjacency(v)}
+        free = [c for c in lists[v] if c not in taken]
+        if free:
+            f.assign(v, min(free))
+
+
+def reference_pattern1_index(g, f):
+    """The neighbor-color counts and the heaps of a pattern-1 index over a
+    total coloring, each heap built by heappush in vertex order:
+    heaps[alpha][beta] holds each vertex of class beta with no
+    alpha-neighbor."""
+    k = f.k
+    nbr = [0] * (g.n * k)
+    for v in range(g.n):
+        for w in g.adjacency(v):
+            nbr[v * k + f.get(w)] += 1
+    heaps = [[[] for _ in range(k)] for _ in range(k)]
+    for v in range(g.n):
+        beta = f.get(v)
+        for alpha in range(k):
+            if alpha != beta and nbr[v * k + alpha] == 0:
+                heappush(heaps[alpha][beta], v)
+    return nbr, heaps
+
+
+def reference_max_balance(g, f, frozen, aux):
+    """The balancer with a per-vertex max over the colors: the unfrozen
+    vertices sorted by aux class; the direct pass moves each vertex of a
+    class above its target to max((need[a], -a)) over the free colors below
+    target; then pairwise passes to the least-count free color at least 2
+    smaller than the vertex's class, until the gap is at most 1 or a pass
+    moves nothing."""
+    out = f.copy()
+    k = out.k
+    counts = out.counts()
+    order = sorted((v for v in range(g.n) if v not in frozen), key=aux.get)
+    q, extra = divmod(g.n, k)
+    need = [0] * k
+    for i, c in enumerate(sorted(range(k), key=lambda c: (-counts[c], c))):
+        need[c] = q + (i < extra) - counts[c]
+    for y in order:
+        beta = out.get(y)
+        if need[beta] >= 0:
+            continue
+        seen = {out.get(w) for w in g.adjacency(y)}
+        best = max(
+            ((need[a], -a) for a in range(k) if need[a] > 0 and a not in seen),
+            default=None,
+        )
+        if best is None:
+            continue
+        alpha = -best[1]
+        out.assign(y, alpha)
+        need[beta] += 1
+        need[alpha] -= 1
+    counts = list(out.counts())
+
+    def rank(a):
+        return counts[a], a
+
+    moved = True
+    while moved and max(counts) - min(counts) >= 2:
+        moved = False
+        ranked = sorted(range(k), key=rank)
+        for y in order:
+            beta = out.get(y)
+            top = counts[beta] - 2
+            if counts[ranked[0]] > top:
+                continue
+            seen = {out.get(w) for w in g.adjacency(y)}
+            for alpha in ranked:
+                if counts[alpha] > top:
+                    break
+                if alpha not in seen:
+                    out.assign(y, alpha)
+                    counts[beta] -= 1
+                    counts[alpha] += 1
+                    ranked.sort(key=rank)
+                    moved = True
+                    break
+    return out

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicolor import (
     ListAssignment,
@@ -12,6 +14,7 @@ from equicolor import (
     is_proper,
     maximal_independent_superset,
 )
+from equicolor.colorings import _greedy_fill
 from equicolor.errors import (
     ImproperInput,
     ImproperSeed,
@@ -20,7 +23,13 @@ from equicolor.errors import (
     PaletteTooSmall,
 )
 
-from conftest import complete, cycle, random_graph
+from conftest import (
+    complete,
+    cycle,
+    random_graph,
+    random_partial_list_coloring,
+    reference_greedy_fill,
+)
 
 
 def test_is_proper_examples():
@@ -195,3 +204,69 @@ def test_list_assignment_rejects_negative_colors():
     for build in (ListAssignment.of, lambda lists: ListAssignment(tuple(map(frozenset, lists)))):
         with pytest.raises(OutOfRange):
             build([{-1}, {0, 1}])
+
+
+@st.composite
+def fill_inputs(draw):
+    """A graph, uniform or random lists whose colors may reach past the
+    palette k, a proper partial seed inside the lists and the palette, and
+    a visiting order: identity, a permutation, or ids with repeats."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])), rng.getrandbits(32))
+    top = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        lists = ListAssignment.uniform(n, top)
+    else:
+        lists = ListAssignment.of(
+            [rng.sample(range(top), rng.randint(0, top)) for _ in range(n)]
+        )
+    k = draw(st.integers(min_value=1, max_value=top + 1))
+    seed = random_partial_list_coloring(
+        g, lists, k, rng, density=draw(st.sampled_from([0.0, 0.3, 0.7]))
+    )
+    shape = draw(st.sampled_from(["identity", "permutation", "repeats"]))
+    if shape == "identity":
+        order = range(n)
+    elif shape == "permutation":
+        order = rng.sample(range(n), n)
+    else:
+        order = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+    return g, lists, seed, order
+
+
+def _fill_outcome(fill, g, lists, seed, order):
+    f = seed.copy()
+    try:
+        fill(g, lists, f, order)
+    except OutOfRange:
+        return "OutOfRange", f.as_list()
+    return "ok", f.as_list()
+
+
+@settings(max_examples=400, deadline=None)
+@given(fill_inputs())
+def test_greedy_fill_matches_min_reference(inputs):
+    # the first-fit scan over the ascending lists against the comprehension
+    # plus min it replaced: the same coloring, or OutOfRange at the same
+    # vertex when the first free color lies outside the palette
+    assert _fill_outcome(_greedy_fill, *inputs) == _fill_outcome(reference_greedy_fill, *inputs)
+
+
+def test_greedy_fill_raises_on_list_color_outside_palette():
+    g = build_graph(3, [(0, 1)])
+    lists = ListAssignment.of([[0, 4], [4, 0, 2], [5]])
+    for fill in (_greedy_fill, reference_greedy_fill):
+        f = PartialColoring(3, 3)
+        with pytest.raises(OutOfRange):
+            fill(g, lists, f, range(3))
+        assert f.as_list() == [0, 2, None]
+
+
+def test_ordered_lists_are_sorted_and_shared():
+    uniform = ListAssignment.uniform(4, 3)
+    assert uniform.ordered == ((0, 1, 2),) * 4
+    assert all(t is uniform.ordered[0] for t in uniform.ordered)
+    mixed = ListAssignment.of([[3, 1], [1, 3], [2], []])
+    assert mixed.ordered == ((1, 3), (1, 3), (2,), ())
+    assert mixed.ordered[0] is mixed.ordered[1]

@@ -59,6 +59,7 @@ from conftest import (
     path,
     random_graph,
     reference_monotone_prefix,
+    reference_pattern1_index,
     replay_trace,
     star,
 )
@@ -646,6 +647,26 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
     monkeypatch.setattr(_Pattern1Index, "take", lambda self, *args: take(self, *args)[1:])
     with pytest.raises(AssertionError, match="rescan"):
         equitable_k_coloring(cubic, 4, config=DriverConfig(batch_mode=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40), st.sampled_from([0.0, 0.1, 0.2, 0.4]),
+    st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pattern1_index_matches_heappush_build(n, p, extra, seed):
+    # the appended heaps equal the heappush build on a random total proper
+    # coloring, list for list, as do the neighbor-color counts
+    rng = random.Random(seed)
+    g = random_graph(n, p, rng.getrandbits(32))
+    k = g.max_degree + 1 + extra
+    f = PartialColoring(g.n, k)
+    for v in rng.sample(range(n), n):
+        f.assign(v, rng.choice(
+            [c for c in range(k) if all(f.get(w) != c for w in g.adjacency(v))]
+        ))
+    index = _Pattern1Index(g, f)
+    assert (index.nbr, index.heaps) == reference_pattern1_index(g, f)
 
 
 def test_batch_driver_cubic_scales():

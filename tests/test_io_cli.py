@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from equicolor.errors import (
     InfeasibleParameters,
     ParseError,
 )
-from equicolor.generators import InstanceSpec, generate
+from equicolor.generators import REGULAR_ATTEMPTS, InstanceSpec, generate
 from equicolor.graphio import parse_dimacs, parse_edge_json
 from equicolor.graphs import average_degree
 
@@ -72,6 +73,31 @@ def test_generator_regular():
         generate(InstanceSpec.parse("regular:n=5,d=3"))
     two_reg = generate(InstanceSpec.parse("regular:n=6,d=2", seed=1))
     assert all(two_reg.degree(v) == 2 for v in range(6))
+
+
+def test_generator_rejects_unread_parameters():
+    # a typo for target_avg, and a seed passed as a parameter, were ignored
+    # and gave the graph of the spec without them
+    for text, key in (("hub:n=100,delta=10,target=1", "'target'"),
+                      ("regular:n=6,d=3,seed=5", "'seed'")):
+        with pytest.raises(InfeasibleParameters, match=key):
+            generate(InstanceSpec.parse(text, 1))
+
+
+@pytest.mark.parametrize("text", ["regular:n=40,d=8", "regular:n=30,d=12"])
+def test_dense_regular_spec_finishes_or_raises(text):
+    # a simple pairing is drawn about once in exp((d*d-1)/4) tries: these
+    # specs ran on for more than 20 s before the attempts were capped
+    start = time.perf_counter()
+    try:
+        g = generate(InstanceSpec.parse(text, 1))
+    except InfeasibleParameters as exc:
+        assert text in str(exc) and f"{REGULAR_ATTEMPTS} attempts" in str(exc)
+    else:
+        d = int(text.rpartition("=")[2])
+        assert all(g.degree(v) == d for v in range(g.n))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"{text} took {elapsed:.1f} s"
 
 
 def test_generator_torus():
@@ -222,6 +248,7 @@ def test_cli_malformed_spec_and_graph_file_errors(tmp_path, capsys):
         (["--gen", "regular:n=6"], "InfeasibleParameters"),
         (["--gen", "gnp:n=5,p=x"], "ParseError"),
         (["--gen", "bipartite:n1=-2,n2=5,p=1/2"], "InfeasibleParameters"),
+        (["--gen", "hub:n=100,delta=10,target=1"], "InfeasibleParameters"),
         (["--graph", str(bad)], "ParseError"),
     ]
     for source, error in cases:

@@ -25,6 +25,7 @@ from conftest import (
     cycle,
     random_graph,
     reference_direct_pass,
+    reference_max_balance,
     reference_quick_balance,
     star,
 )
@@ -203,6 +204,36 @@ def balance_inputs(draw):
 def test_quick_balance_matches_scan_reference(inputs):
     g, f, frozen, aux = inputs
     assert quick_balance(g, f, frozen, aux) == reference_quick_balance(g, f, frozen, aux)
+
+
+@st.composite
+def hub_balance_inputs(draw):
+    """A hub graph with a first-fit coloring over a shuffled color order
+    (a few colors take most vertices), a frozen share and a shuffled aux
+    coloring."""
+    delta = draw(st.integers(min_value=3, max_value=15))
+    n = draw(st.integers(min_value=10 * delta, max_value=400))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = generate(InstanceSpec.parse(f"hub:n={n},delta={delta}", rng.getrandbits(32)))
+    f = _first_fit(g, delta + draw(st.integers(min_value=0, max_value=2)), rng)
+    assume(f is not None)
+    share = draw(st.sampled_from([0.0, 0.25, 0.6, 0.9]))
+    frozen = [v for v in range(n) if rng.random() < share]
+    order = list(range(n))
+    rng.shuffle(order)
+    aux = greedy_extend_full(g, delta + 1, order=order)
+    return g, f, frozen, aux
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(balance_inputs(), hub_balance_inputs()))
+def test_quick_balance_matches_max_reference(inputs):
+    # the sorted below-target list and the aux-class buckets against the
+    # per-vertex max over (need, -color) and the sort on aux.get; large
+    # frozen shares leave gaps the pairwise passes then work on
+    g, f, frozen, aux = inputs
+    out = pipeline._quick_balance(g, f, frozenset(frozen), aux)
+    assert out == reference_max_balance(g, f, frozenset(frozen), aux)
 
 
 def test_quick_balance_residual_loop_two_hop():
