@@ -3,7 +3,6 @@
 workload and seed, to check that a change leaves the outputs identical.
 
 Usage: python3 scripts/output_hashes.py ROOT [--seeds 1 9173011]
-                                             [--workloads NAME ...]
 
 ROOT is a checkout of this repository; its `src/` and
 `perfbench/workloads.py` are imported (the latter only read), so two
@@ -47,15 +46,12 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("root", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 9173011])
-    parser.add_argument("--workloads", nargs="+")
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 
-    names = args.workloads or list(workloads.WORKLOADS)
-    for name in names:
-        workload = workloads.WORKLOADS[name]
+    for name, workload in workloads.WORKLOADS.items():
         for seed in args.seeds:
             digest = hashlib.sha256()
             corpus = workload.corpus(seed)

@@ -84,7 +84,8 @@ def generate(spec: InstanceSpec) -> Graph:
 # regular spec the tests and benchmark corpora draw was 5,372 (n=10, d=5);
 # the acceptance rate is about exp(-(d*d-1)/4), and measured 1/2,400 at its
 # worst for d <= 5 (n=6, d=5: K6), so such a spec exceeds the cap with
-# probability below exp(-12).
+# probability below exp(-12).  A d=6 spec (about 1/6,300) exceeds it at
+# about 1% of seeds and a d>=7 spec (1/160,000 or less) at most.
 REGULAR_ATTEMPTS = 30_000
 
 
@@ -117,6 +118,8 @@ def _regular(params: dict, rng: random.Random) -> Graph:
             return build_graph(n, sorted(edges))
     raise InfeasibleParameters(
         f"regular:n={n},d={d} drew no simple pairing in {REGULAR_ATTEMPTS} attempts"
+        " (about one pairing in exp((d*d-1)/4) is simple: a d=6 spec fails at"
+        " about 1% of seeds, a d>=7 spec at most)"
     )
 
 

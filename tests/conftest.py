@@ -283,61 +283,3 @@ def reference_pattern1_index(g, f):
             if alpha != beta and nbr[v * k + alpha] == 0:
                 heappush(heaps[alpha][beta], v)
     return nbr, heaps
-
-
-def reference_max_balance(g, f, frozen, aux):
-    """The balancer with a per-vertex max over the colors: the unfrozen
-    vertices sorted by aux class; the direct pass moves each vertex of a
-    class above its target to max((need[a], -a)) over the free colors below
-    target; then pairwise passes to the least-count free color at least 2
-    smaller than the vertex's class, until the gap is at most 1 or a pass
-    moves nothing."""
-    out = f.copy()
-    k = out.k
-    counts = out.counts()
-    order = sorted((v for v in range(g.n) if v not in frozen), key=aux.get)
-    q, extra = divmod(g.n, k)
-    need = [0] * k
-    for i, c in enumerate(sorted(range(k), key=lambda c: (-counts[c], c))):
-        need[c] = q + (i < extra) - counts[c]
-    for y in order:
-        beta = out.get(y)
-        if need[beta] >= 0:
-            continue
-        seen = {out.get(w) for w in g.adjacency(y)}
-        best = max(
-            ((need[a], -a) for a in range(k) if need[a] > 0 and a not in seen),
-            default=None,
-        )
-        if best is None:
-            continue
-        alpha = -best[1]
-        out.assign(y, alpha)
-        need[beta] += 1
-        need[alpha] -= 1
-    counts = list(out.counts())
-
-    def rank(a):
-        return counts[a], a
-
-    moved = True
-    while moved and max(counts) - min(counts) >= 2:
-        moved = False
-        ranked = sorted(range(k), key=rank)
-        for y in order:
-            beta = out.get(y)
-            top = counts[beta] - 2
-            if counts[ranked[0]] > top:
-                continue
-            seen = {out.get(w) for w in g.adjacency(y)}
-            for alpha in ranked:
-                if counts[alpha] > top:
-                    break
-                if alpha not in seen:
-                    out.assign(y, alpha)
-                    counts[beta] -= 1
-                    counts[alpha] += 1
-                    ranked.sort(key=rank)
-                    moved = True
-                    break
-    return out

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from equicolor import read_graph, write_graph
+from equicolor import generators, read_graph, write_graph
 from equicolor.cli import main
 from equicolor.errors import (
     DuplicateEdge,
@@ -98,6 +98,13 @@ def test_dense_regular_spec_finishes_or_raises(text):
         assert all(g.degree(v) == d for v in range(g.n))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"{text} took {elapsed:.1f} s"
+
+
+def test_regular_attempt_cap_raises_typed_error(monkeypatch):
+    # K9 draws a simple pairing about once in 10^7 tries, so five do not
+    monkeypatch.setattr(generators, "REGULAR_ATTEMPTS", 5)
+    with pytest.raises(InfeasibleParameters, match="regular:n=9,d=8 drew no simple pairing in 5 attempts"):
+        generate(InstanceSpec.parse("regular:n=9,d=8", 1))
 
 
 def test_generator_torus():
