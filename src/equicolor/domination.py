@@ -23,7 +23,6 @@ through it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .errors import GallaiTree, ImproperSeed, NotConnected, NotDegreeList, OutOf
 from .graphs import (
     Graph,
     _anchor_blocks,
+    _bfs,
     _check_vertices,
     build_one_ended_subforest,
     components,
@@ -97,20 +97,6 @@ def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
     return _anchored_block_coloring(g, lists, inst.seed, [x], [])
 
 
-def _bfs_tree(h: Graph, root: int, avoid: frozenset[int] = frozenset()) -> dict[int, int]:
-    """Breadth-first parent of every vertex reachable from root in h - avoid;
-    the root is its own parent."""
-    parent = {root: root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in h.adjacency(v):
-            if w not in parent and w not in avoid:
-                parent[w] = v
-                queue.append(w)
-    return parent
-
-
 def _lovasz_triple(h: Graph) -> tuple[int, int, int]:
     """A vertex x with non-adjacent neighbors a, b such that h - {a, b} is
     connected.  Lovász (1975) shows one exists in every 2-connected regular
@@ -122,7 +108,7 @@ def _lovasz_triple(h: Graph) -> tuple[int, int, int]:
         for x in range(h.n)
         for i, a in enumerate(h.adjacency(x))
         for b in h.adjacency(x)[i + 1:]
-        if not h.has_edge(a, b) and len(_bfs_tree(h, x, frozenset((a, b)))) == h.n - 2
+        if not h.has_edge(a, b) and len(_bfs(h, [x], frozenset((a, b)))[0]) == h.n - 2
     ), None)
     assert triple is not None, "a non-complete 2-connected regular block has a Lovász triple"
     return triple
@@ -182,7 +168,7 @@ def _solve_block(
         hole = y
 
     def walk(to: int, avoid: frozenset[int] = frozenset()) -> bool:
-        toward = _bfs_tree(h, to, avoid)
+        toward = _bfs(h, [to], avoid)[1]
         while not fill():
             if hole == to:
                 return False

@@ -3,6 +3,13 @@
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction and safe to share across threads; all hot loops index
 plain tuples.
+
+One breadth-first walk, `_bfs`, serves every search toward a vertex set:
+it returns the reached vertices in the order reached and a parent list.
+`component_of` keeps the reached set, `build_one_ended_subforest` points
+each vertex at its parent toward the anchors, and the domination solver
+walks its hole along parents and tests connectivity after deleting a
+vertex pair.  `components` partitions the whole graph with its own loop.
 """
 
 from __future__ import annotations
@@ -124,16 +131,28 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
+def _bfs(
+    g: Graph, sources: Iterable[int], avoid: frozenset[int] = frozenset()
+) -> tuple[list[int], list[int]]:
+    """Breadth-first walk of g - avoid from the sources: the reached vertices
+    in the order reached, sources first, and the parent of every vertex, -1
+    where it was not reached.  A source is its own parent."""
+    adj = g._adj
+    parent = [-1] * g.n
+    order = list(sources)
+    for s in order:
+        parent[s] = s
+    # the loop also visits the vertices appended while it runs
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -1 and w not in avoid:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def component_of(g: Graph, v: int) -> frozenset[int]:
-    seen = {v}
-    queue = [v]
-    while queue:
-        u = queue.pop()
-        for w in g.adjacency(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return frozenset(_bfs(g, [v])[0])
 
 
 @dataclass
@@ -172,32 +191,19 @@ def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedFores
     if g.n and not anchor_set:
         raise ComponentMissesAnchor("anchor set is empty")
     _check_vertices(g, anchor_set, "anchor")
-    parent: dict[int, int] = {}
-    dist = [-1] * g.n
-    queue: list[int] = sorted(anchor_set)
-    for a in queue:
-        dist[a] = 0
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in g.adjacency(v):
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    missing = [v for v in range(g.n) if dist[v] == -1]
-    if missing:
+    order, parent = _bfs(g, sorted(anchor_set))
+    if len(order) < g.n:
         raise ComponentMissesAnchor(
-            f"no anchor in the component of vertex {missing[0]}"
+            f"no anchor in the component of vertex {parent.index(-1)}"
         )
+    children = order[len(anchor_set):]
     heights = [0] * g.n
-    # the queue holds the anchors first, then every child after its parent
-    for v in reversed(queue[len(anchor_set):]):
+    # the order holds the anchors first, then every child after its parent
+    for v in reversed(children):
         p = parent[v]
         if heights[p] <= heights[v]:
             heights[p] = heights[v] + 1
-    forest = OneEndedForest(anchor_set, parent, tuple(heights))
+    forest = OneEndedForest(anchor_set, {v: parent[v] for v in children}, tuple(heights))
     if debug_checks_enabled():
         forest.validate(g)
     return forest
@@ -333,9 +339,10 @@ def contains_clique(g: Graph, q: int) -> bool:
     """True iff some q vertices are pairwise adjacent.
 
     Neighborhood-restricted branch and bound; fine for q up to around the
-    max degree plus one.  The top level takes each vertex's later
-    candidates from its own adjacency, so setting up the branches costs
-    O(m log max degree), not a test of every pair of vertices.
+    max degree plus one.  Only vertices of degree >= q - 1 can lie in a
+    q-clique, and each clique is found from its least vertex, whose later
+    candidates are its larger neighbors: setting up the branches costs
+    O(n + m), not a test of every pair of vertices.
     """
     if q < 1:
         raise OutOfRange(f"clique size must be >= 1, got {q}")
@@ -343,7 +350,7 @@ def contains_clique(g: Graph, q: int) -> bool:
         return g.n >= 1
     if q == 2:
         return g.edge_count >= 1
-    order = sorted(range(g.n), key=g.degree, reverse=True)
+    adj, sets, degrees = g._adj, g._sets, g._degrees
 
     def extend(size: int, candidates: list[int]) -> bool:
         if size == q:
@@ -351,26 +358,15 @@ def contains_clique(g: Graph, q: int) -> bool:
         if size + len(candidates) < q:
             return False
         for i, v in enumerate(candidates):
-            if g.degree(v) < q - 1:
-                continue
-            nxt = [w for w in candidates[i + 1:] if g.has_edge(v, w)]
-            if extend(size + 1, nxt):
+            if extend(size + 1, [w for w in candidates[i + 1:] if w in sets[v]]):
                 return True
         return False
 
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
-    for v in order:
-        if g.degree(v) < q - 1:
-            break
-        later = sorted(
-            (w for w in g.adjacency(v) if rank[w] > rank[v] and g.degree(w) >= q - 1),
-            key=rank.__getitem__,
-        )
-        if extend(1, later):
-            return True
-    return False
+    return any(
+        degrees[v] >= q - 1
+        and extend(1, [w for w in adj[v] if w > v and degrees[w] >= q - 1])
+        for v in range(g.n)
+    )
 
 
 def average_degree(g: Graph) -> Fraction:

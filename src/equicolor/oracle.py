@@ -8,7 +8,6 @@ exhaustive verification sweeps.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Optional
@@ -29,7 +28,6 @@ class OracleBudget:
     max_vertices: int = 10
     max_palette: int = 6
     max_list_size: int = 8
-    time_cap_s: Optional[float] = None
 
     def check_graph(self, g: Graph) -> None:
         if g.n > self.max_vertices:
@@ -43,14 +41,6 @@ class OracleBudget:
         worst = max((len(l) for l in lists.lists), default=0)
         if worst > self.max_list_size:
             raise BudgetExceeded(f"list size {worst} exceeds cap {self.max_list_size}")
-
-    def deadline(self) -> Optional[float]:
-        return None if self.time_cap_s is None else time.monotonic() + self.time_cap_s
-
-
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("time cap exhausted")
 
 
 def enumerate_proper_colorings(
@@ -74,7 +64,6 @@ def enumerate_proper_colorings(
         _check_lists(g, lists, error=OutOfRange)
         budget.check_lists(lists)
         allowed = [tuple(sorted(lists[v])) for v in range(g.n)]
-    deadline = budget.deadline()
     n = g.n
     if n == 0:
         yield ()
@@ -82,7 +71,6 @@ def enumerate_proper_colorings(
     assign: list[int] = []
 
     def backtrack(v: int) -> Iterator[tuple[int, ...]]:
-        _check_deadline(deadline)
         if v == n:
             yield tuple(assign)
             return
@@ -126,14 +114,12 @@ def equitable_exists(g: Graph, k: int, budget: OracleBudget = OracleBudget()) ->
     budget.check_graph(g)
     k = palette_size(k)
     budget.check_palette(k)
-    deadline = budget.deadline()
     n = g.n
     ceiling = -(-n // k)
     assign: list[int] = []
     counts = [0] * k
 
     def backtrack(v: int) -> bool:
-        _check_deadline(deadline)
         if v == n:
             return max(counts) - min(counts) <= 1
         for c in range(k):
@@ -166,7 +152,6 @@ def domination_exists(
     _check_coloring(g, seed, error=ImproperSeed, proper=False)
     budget.check_graph(g)
     budget.check_lists(lists)
-    deadline = budget.deadline()
     n = g.n
     k = seed.k
     need = [seed.count_of(c) for c in range(k)]
@@ -174,7 +159,6 @@ def domination_exists(
     assign: list[int] = []
 
     def backtrack(v: int) -> bool:
-        _check_deadline(deadline)
         deficit = sum(d for d in need if d > 0)
         if deficit > n - v:
             return False
@@ -242,11 +226,9 @@ def improving_move_exists(
         raise OutOfRange(f"move size bound must be at least 1, got {m}")
     budget.check_graph(g)
     budget.check_palette(f.k)
-    deadline = budget.deadline()
     k = f.k
     counts = f.counts()
     for dom in _oracle_connected_domains(g, m):
-        _check_deadline(deadline)
         current = tuple(f.get(v) for v in dom)
         for colors in product(range(k), repeat=len(dom)):
             if colors == current:

@@ -16,9 +16,15 @@ average degree at most D/5, the pipeline:
 
 Every inequality used along the way is evaluated exactly on normalized
 counts and recorded in the report with a three-valued verdict: holds,
-holds within the integer-rounding slack (D+1)/n, or fails.  The balance
-fixpoint guarantee is exact: whenever two class sizes differ by at least 2,
-every vertex of the larger class outside X has a neighbor in the smaller.
+holds within the integer-rounding slack (D+1)/n, or fails.  The report has
+one row per claim I-VIII, in that order.  `_claim` judges a row from its
+two sides, its slack and whether the bound is strict.  Claim II's row is
+the exception: it bounds the unions of the s smallest and of the s largest
+dense-set classes for every s, and carries the worst of those verdicts.
+Claims III, V, VII and VIII are vacuous when no color is below its
+share.  The balance fixpoint guarantee is exact: whenever two class sizes
+differ by at least 2, every vertex of the larger class outside X has a
+neighbor in the smaller.
 """
 
 from __future__ import annotations
@@ -321,6 +327,15 @@ def _verdict(lhs: Fraction, rhs: Fraction, slack: Fraction, strict: bool = False
     return "fails"
 
 
+def _claim(
+    name: str, statement: str, lhs: Fraction, rhs: Fraction, slack: Fraction,
+    strict: bool = False, vacuous: bool = False, details: dict | None = None,
+) -> ClaimVerdict:
+    """One report row: lhs <= rhs (lhs < rhs when strict), judged by `_verdict`."""
+    return ClaimVerdict(name, statement, lhs, rhs, _verdict(lhs, rhs, slack, strict),
+                        slack, vacuous, details or {})
+
+
 @dataclass
 class PipelineReport:
     n: int
@@ -367,96 +382,56 @@ def _evaluate_claims(
     outside = list(counts)
     for v in x_set:
         outside[f.get(v)] -= 1
-    claims: list[ClaimVerdict] = []
-
-    claims.append(ClaimVerdict(
-        "I", "dense set covers at most a quarter of the vertices",
-        Fraction(len(x_set), n), Fraction(1, 4),
-        _verdict(Fraction(len(x_set), n), Fraction(1, 4), slack),
-        slack,
-    ))
-
     share = Fraction(len(x_set), delta + 1)
     sorted_counts = sorted(hstar_counts)
-    worst = "holds"
-    for s in range(1, delta + 1):
-        low = sum(sorted_counts[:s])
-        high = sum(sorted_counts[-s:])
-        v1 = _verdict(s * share, Fraction(low), slack * n)
-        v2 = _verdict(Fraction(high), (s + 1) * share, slack * n)
-        for v in (v1, v2):
-            if v == "fails" or (v == "holds-with-slack" and worst == "holds"):
-                worst = v
-    claims.append(ClaimVerdict(
-        "II", "unions of s dense-subgraph classes weigh between s and s+1 shares",
-        Fraction(min(hstar_counts)), share,
-        worst, slack, details={"class_counts": tuple(hstar_counts)},
-    ))
+    # the worst verdict over both bounds of every s comes first in this order
+    rank = ("fails", "holds-with-slack", "holds")
+    worst = min((
+        v for s in range(1, delta + 1) for v in (
+            _verdict(s * share, Fraction(sum(sorted_counts[:s])), slack * n),
+            _verdict(Fraction(sum(sorted_counts[-s:])), (s + 1) * share, slack * n),
+        )
+    ), key=rank.index)
 
     small = [a for a in range(delta) if counts[a] * delta < n]
     big = [a for a in range(delta) if counts[a] * delta >= n]
     xi = Fraction(len(small), delta)
-    mu_v_minus = Fraction(sum(counts[b] - outside[b] for b in big), n)
-
-    claims.append(ClaimVerdict(
-        "III", "below-share colors span less than 4/5 of the palette",
-        xi, Fraction(4, 5), _verdict(xi, Fraction(4, 5), slack, strict=True),
-        slack, vacuous=not small,
-        details={"small_colors": tuple(small)},
-    ))
-
     mu_big = Fraction(sum(counts[b] for b in big), n)
-    claims.append(ClaimVerdict(
-        "IV", "at-share classes carry at least their numeric share",
-        1 - xi, mu_big, _verdict(1 - xi, mu_big, slack), slack,
-    ))
+    mu_v_minus = Fraction(sum(counts[b] - outside[b] for b in big), n)
 
     def outside_from(floor: int) -> int:
         return sum(outside[c] for c in range(delta) if counts[c] >= floor)
 
     # the balance fixpoint only constrains class pairs differing by >= 2,
     # so the overfull side is measured against each small class at gap 2
-    worst_v = Fraction(0)
-    for alpha in small:
-        worst_v = max(worst_v, Fraction(outside_from(counts[alpha] + 2), n))
-    claims.append(ClaimVerdict(
-        "V", "vertices two above a below-share class fill less than 7/10",
-        worst_v, Fraction(7, 10),
-        "holds" if not small else _verdict(worst_v, Fraction(7, 10), slack, strict=True),
-        slack, vacuous=not small,
-    ))
+    worst_v = max((Fraction(outside_from(counts[a] + 2), n) for a in small),
+                  default=Fraction(0))
+    far_above = outside_from(max(counts[a] for a in small) + 2) if small else 0
+    lhs7 = Fraction(2 * delta, 5) * mu_v_minus + len(small) * Fraction(far_above, n)
 
-    claims.append(ClaimVerdict(
-        "VI", "at-share mass inside the dense set stays below half the remainder",
-        mu_v_minus, (1 - xi) / 2,
-        _verdict(mu_v_minus, (1 - xi) / 2, slack, strict=True), slack,
-    ))
-
-    if small:
-        far_above = outside_from(max(counts[a] for a in small) + 2)
-        lhs7 = Fraction(2 * delta, 5) * mu_v_minus \
-            + len(small) * Fraction(far_above, n)
-        claims.append(ClaimVerdict(
-            "VII", "dense-set cost floor plus forced adjacencies fit the degree budget",
-            lhs7, Fraction(delta, 10),
-            _verdict(lhs7, Fraction(delta, 10), slack * delta),
-            slack * delta,
-            details={"far_above": far_above, "xi": xi},
-        ))
-    else:
-        claims.append(ClaimVerdict(
-            "VII", "dense-set cost floor plus forced adjacencies fit the degree budget",
-            Fraction(2 * delta, 5) * mu_v_minus, Fraction(delta, 10),
-            _verdict(Fraction(2 * delta, 5) * mu_v_minus, Fraction(delta, 10), slack * delta),
-            slack * delta, vacuous=True,
-        ))
-
-    claims.append(ClaimVerdict(
-        "VIII", "below-share colors span less than 2/5 of the palette",
-        xi, Fraction(2, 5), _verdict(xi, Fraction(2, 5), slack, strict=True),
-        slack, vacuous=not small,
-    ))
-    return claims
+    return [
+        _claim("I", "dense set covers at most a quarter of the vertices",
+               Fraction(len(x_set), n), Fraction(1, 4), slack),
+        ClaimVerdict(
+            "II", "unions of s dense-subgraph classes weigh between s and s+1 shares",
+            Fraction(min(hstar_counts)), share, worst, slack,
+            details={"class_counts": tuple(hstar_counts)},
+        ),
+        _claim("III", "below-share colors span less than 4/5 of the palette",
+               xi, Fraction(4, 5), slack, strict=True, vacuous=not small,
+               details={"small_colors": tuple(small)}),
+        _claim("IV", "at-share classes carry at least their numeric share",
+               1 - xi, mu_big, slack),
+        _claim("V", "vertices two above a below-share class fill less than 7/10",
+               worst_v, Fraction(7, 10), slack, strict=True, vacuous=not small),
+        _claim("VI", "at-share mass inside the dense set stays below half the remainder",
+               mu_v_minus, (1 - xi) / 2, slack, strict=True),
+        _claim("VII", "dense-set cost floor plus forced adjacencies fit the degree budget",
+               lhs7, Fraction(delta, 10), slack * delta, vacuous=not small,
+               details={"far_above": far_above, "xi": xi} if small else None),
+        _claim("VIII", "below-share colors span less than 2/5 of the palette",
+               xi, Fraction(2, 5), slack, strict=True, vacuous=not small),
+    ]
 
 
 def equitable_delta_coloring(

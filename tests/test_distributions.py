@@ -114,16 +114,22 @@ def test_rearrangement_contraction_random():
         assert sorted_l1 <= l1_distance(a, b)
 
 
-def test_initial_sums_witness_examples():
+def test_initial_sums_witness_examples(monkeypatch):
     w = ColorDistribution((5, 3, 2))
     e = ColorDistribution((4, 4, 2))
     assert initial_sums_witness(w, e) == (2, 1)
     with pytest.raises(NotComparable):
         initial_sums_witness(ColorDistribution((2, 1)), ColorDistribution((1, 2)))
+    with pytest.raises(NotComparable, match="equal"):
+        initial_sums_witness(w, ColorDistribution((5, 3, 2)))
     skew = ColorDistribution((3, 2, 1))
     uniform = ColorDistribution((2, 2, 2))
     ell, alpha = initial_sums_witness(skew, uniform)
     assert ell == 1 and alpha == 2
+    # the exhaustive recheck of the returned pair runs only in debug mode
+    monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", "1")
+    assert initial_sums_witness(w, e) == (2, 1)
+    assert initial_sums_witness(skew, uniform) == (1, 2)
 
 
 def test_initial_sums_witness_postconditions_random():

@@ -274,7 +274,7 @@ def _k4_minus_e_ring(m):
 
 def _walk_route(h, lists, seed, pivot, events):
     """Which step of `_solve_block` ran, read off its input and the
-    `_bfs_tree` calls it made (the size of each avoid set, and "lovasz"
+    `_bfs` calls it made (the size of each avoid set, and "lovasz"
     where the Lovász search returned)."""
     if lists[pivot] - {seed.get(w) for w in h.adjacency(pivot)}:
         return "fill at pivot"
@@ -291,7 +291,7 @@ def _walk_route(h, lists, seed, pivot, events):
 def test_hole_walk_route_coverage(monkeypatch):
     routes = Counter()
     events = []
-    solve, bfs, lovasz = domination._solve_block, domination._bfs_tree, domination._lovasz_triple
+    solve, bfs, lovasz = domination._solve_block, domination._bfs, domination._lovasz_triple
 
     def traced_solve(h, lists, seed, pivot):
         events.clear()
@@ -299,9 +299,9 @@ def test_hole_walk_route_coverage(monkeypatch):
         routes[_walk_route(h, lists, seed, pivot, events)] += 1
         return out
 
-    def traced_bfs(h, root, avoid=frozenset()):
+    def traced_bfs(h, sources, avoid=frozenset()):
         events.append(len(avoid))
-        return bfs(h, root, avoid)
+        return bfs(h, sources, avoid)
 
     def traced_lovasz(h):
         out = lovasz(h)
@@ -309,7 +309,7 @@ def test_hole_walk_route_coverage(monkeypatch):
         return out
 
     monkeypatch.setattr(domination, "_solve_block", traced_solve)
-    monkeypatch.setattr(domination, "_bfs_tree", traced_bfs)
+    monkeypatch.setattr(domination, "_bfs", traced_bfs)
     monkeypatch.setattr(domination, "_lovasz_triple", traced_lovasz)
 
     def check(g, lists, seed):

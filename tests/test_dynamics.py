@@ -428,6 +428,9 @@ def test_driver_small_examples():
     assert f3.counts() == (2, 2, 2)
     assert is_proper(cycle(6), f3)
     assert trace.ledger.cumulative <= trace.ledger.bound()
+    f4, trace = equitable_k_coloring(build_graph(0, []), 1)
+    assert f4.counts() == (0,) and trace.step_count == 0
+    assert trace.ledger.cumulative == 0
 
 
 def test_driver_rejects_small_palette():

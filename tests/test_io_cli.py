@@ -37,6 +37,20 @@ def test_parse_dimacs_comments_and_errors():
         parse_dimacs("p edge x y\n")
     with pytest.raises(DuplicateEdge):
         parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
+    # each malformed line names its 1-based line number; a file without a
+    # problem line has none
+    for text, message, line in [
+        ("p edge 2 1\np edge 2 1\n", "duplicate problem line", 2),
+        ("c x\np col 2 1\n", "malformed problem line", 2),
+        ("p edge 2\n", "malformed problem line", 1),
+        ("p edge 3 1\ne 1\n", "malformed edge line", 2),
+        ("p edge 3 1\ne 1 x\n", "non-integer endpoints", 2),
+        ("p edge 3 1\n\nx 1 2\n", "unknown line type", 3),
+        ("c only a comment\n", "missing problem line", None),
+    ]:
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_dimacs(text)
+        assert exc.value.line == line, text
 
 
 def test_parse_edge_json():
@@ -56,6 +70,8 @@ def test_round_trip(tmp_path):
             write_graph(g, p)
             back = read_graph(p)
             assert back.n == g.n and sorted(back.edges()) == sorted(g.edges())
+    with pytest.raises(ParseError, match="unknown format"):
+        read_graph(p, "bogus")
 
 
 def test_generators_deterministic():
@@ -64,6 +80,10 @@ def test_generators_deterministic():
     assert a.edges() == b.edges()
     c = generate(InstanceSpec.parse("regular:n=12,d=3", seed=6))
     assert a.edges() != c.edges()
+    b1 = generate(InstanceSpec.parse("bipartite:n1=3,n2=4,p=1/2", seed=5))
+    b2 = generate(InstanceSpec.parse("bipartite:n1=3,n2=4,p=1/2", seed=5))
+    assert b1.n == 7 and b1.edges() == b2.edges()
+    assert all(u < 3 <= v for u, v in b1.edges())
 
 
 def test_generator_regular():
@@ -73,6 +93,8 @@ def test_generator_regular():
         generate(InstanceSpec.parse("regular:n=5,d=3"))
     two_reg = generate(InstanceSpec.parse("regular:n=6,d=2", seed=1))
     assert all(two_reg.degree(v) == 2 for v in range(6))
+    empty = generate(InstanceSpec.parse("regular:n=5,d=0"))
+    assert empty.n == 5 and empty.edge_count == 0
 
 
 def test_generator_rejects_unread_parameters():
@@ -211,6 +233,49 @@ def test_cli_dominate(tmp_path, capsys):
     assert data["counts"][0] >= 2
 
 
+@pytest.mark.parametrize("argv, keys, values", [
+    (["color-delta", "--gen", "hub:n=200,delta=10,target_avg=2", "--report", "{report}"],
+     {"k", "assignment", "counts", "final_gap", "claims"}, {"k": 10}),
+    (["color-equitable", "--graph", "{graph}", "--k", "3",
+      "--trace-jsonl", "{jsonl}", "--trace-csv", "{csv}"],
+     {"k", "assignment", "counts", "steps", "ledger"}, {"k": 3}),
+    (["verify", "--graph", "{graph}", "--coloring", "{coloring}", "--lists", "{lists}"],
+     {"proper", "violated_edges", "total", "counts", "gap", "in_lists", "list_violations"},
+     {"proper": True, "in_lists": True, "list_violations": []}),
+    (["oracle", "equitable-exists", "--graph", "{graph}", "--k", "2"],
+     {"probe", "result"}, {"probe": "equitable-exists", "result": True}),
+    (["oracle", "improving-move", "--graph", "{graph}", "--coloring", "{coloring}", "--k", "2"],
+     {"probe", "result"}, {"probe": "improving-move", "result": False}),
+    (["oracle", "domination-exists", "--graph", "{graph}", "--lists", "{lists}"],
+     {"probe", "result"}, {"probe": "domination-exists", "result": True}),
+])
+def test_cli_success_paths(tmp_path, capsys, argv, keys, values):
+    # the command paths no other test runs to a zero exit, on C4 with a
+    # proper 2-coloring and 2-lists where one is needed
+    files = {name: tmp_path / name for name in
+             ("graph.col", "coloring.json", "lists.json", "report", "jsonl", "csv")}
+    write_graph(cycle(4), files["graph.col"])
+    files["coloring.json"].write_text(json.dumps({"k": 2, "assignment": [0, 1, 0, 1]}))
+    files["lists.json"].write_text(json.dumps({
+        "lists": [[0, 1]] * 4, "partial": [0, None, None, None],
+    }))
+    names = {name.split(".")[0]: str(path) for name, path in files.items()}
+    assert main([arg.format(**names) for arg in argv]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == keys
+    assert {key: data[key] for key in values} == values
+    if argv[0] == "color-delta":
+        report = json.loads(files["report"].read_text())
+        assert [c["name"] for c in report["claims"]] == \
+            ["I", "II", "III", "IV", "V", "VI", "VII", "VIII"]
+        assert [c["verdict"] for c in report["claims"]] == \
+            [c["verdict"] for c in data["claims"]]
+    if argv[0] == "color-equitable":
+        lines = files["jsonl"].read_text().strip().splitlines()
+        assert json.loads(lines[0])["kind"] == "header"
+        assert files["csv"].read_text().startswith("step,disc,l1,cumulative")
+
+
 def test_cli_usage_error():
     assert main(["color-equitable"]) == 2
 
@@ -257,6 +322,7 @@ def test_cli_malformed_spec_and_graph_file_errors(tmp_path, capsys):
         (["--gen", "bipartite:n1=-2,n2=5,p=1/2"], "InfeasibleParameters"),
         (["--gen", "hub:n=100,delta=10,target=1"], "InfeasibleParameters"),
         (["--graph", str(bad)], "ParseError"),
+        ([], "EquicolorError"),
     ]
     for source, error in cases:
         assert main(["color-equitable"] + source + ["--k", "3"]) == 1
