@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 
 from .errors import InfeasibleParameters, ParseError
 from .graphs import Graph, build_graph
@@ -100,22 +102,9 @@ def _regular(params: dict, rng: random.Random) -> Graph:
     if d == 0:
         return build_graph(n, [])
     for _ in range(REGULAR_ATTEMPTS):
-        stubs = list(range(n)) * d
-        rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        it = iter(stubs)
-        for u, v in zip(it, it):
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
-            return build_graph(n, sorted(edges))
+        edges = _pairing(n, d, rng.getrandbits)
+        if edges is not None:
+            return build_graph(n, edges)
     raise InfeasibleParameters(
         f"regular:n={n},d={d} drew no simple pairing in {REGULAR_ATTEMPTS} attempts"
         " (about one pairing in exp((d*d-1)/4) is simple: a d=6 spec fails at"
@@ -123,15 +112,67 @@ def _regular(params: dict, rng: random.Random) -> Graph:
     )
 
 
+def _pairing(n: int, d: int, getrandbits) -> list[tuple[int, int]] | None:
+    """One pairing: `random.shuffle` of the stubs `list(range(n)) * d`, then
+    stubs 2t and 2t+1 form a pair.  The sorted edges, or None at a loop or
+    a repeated pair.
+
+    The shuffle's draws are inlined: position i, from the last down to 1,
+    swaps with `_randbelow(i + 1)`, which is `getrandbits(k)` for the bit
+    count k of i + 1, redrawn while above i.  Position 2t is final once it
+    is drawn, so pair t is checked then.  After a bad pair the swaps stop
+    but every remaining draw is still made, so the next pairing starts
+    from the same generator state as after a full shuffle."""
+    stubs = list(range(n)) * d
+    keys: set[int] = set()     # u * n + v for each pair u < v
+    for k, hi, lo in _draw_groups(len(stubs) - 1):
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            u = stubs[j]
+            stubs[j] = stubs[i]
+            stubs[i] = u
+            if i & 1:
+                continue
+            v = stubs[i + 1]
+            key = u * n + v if u < v else v * n + u
+            if u == v or key in keys:
+                _skip_draws(i - 1, getrandbits)
+                return None
+            keys.add(key)
+    u, v = stubs[0], stubs[1]
+    if u == v or (u * n + v if u < v else v * n + u) in keys:
+        return None
+    # tuples of the stubs' own ints: the graph keeps one int object per
+    # vertex, not two new ones per edge
+    return sorted((u, v) if u < v else (v, u) for u, v in zip(stubs[::2], stubs[1::2]))
+
+
+def _skip_draws(top: int, getrandbits) -> None:
+    """Make the shuffle's draws for positions top, ..., 1 and drop them."""
+    for k, hi, lo in _draw_groups(top):
+        for i in range(hi, lo - 1, -1):
+            while getrandbits(k) > i:
+                pass
+
+
+def _draw_groups(top: int):
+    """The shuffle positions top, ..., 1 as (k, hi, lo): the runs hi down
+    to lo whose i + 1 has bit count k."""
+    for k in range((top + 1).bit_length(), 1, -1):
+        yield k, min(top, (1 << k) - 2), (1 << (k - 1)) - 1
+
+
 def _gnp(params: dict, rng: random.Random) -> Graph:
     n = _param(params, "n")
     p = _param(params, "p", float)
     if not 0 <= p <= 1:
         raise InfeasibleParameters(f"p must be in [0, 1], got {p}")
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return build_graph(n, edges)
+    vertices = list(range(n))
+    return build_graph(n, _coin_edges(
+        rng, p, ((u, vertices[u + 1:]) for u in range(n))
+    ))
 
 
 def _torus(params: dict, rng: random.Random) -> Graph:
@@ -157,10 +198,37 @@ def _bipartite(params: dict, rng: random.Random) -> Graph:
         raise InfeasibleParameters(
             f"need n1, n2 >= 0 and p in [0, 1], got n1={n1}, n2={n2}, p={p}"
         )
-    edges = [
-        (u, n1 + v) for u in range(n1) for v in range(n2) if rng.random() < p
-    ]
-    return build_graph(n1 + n2, edges)
+    right = list(range(n1, n1 + n2))
+    return build_graph(n1 + n2, _coin_edges(rng, p, ((u, right) for u in range(n1))))
+
+
+def _coin_edges(rng: random.Random, p: float, rows) -> list[tuple[int, int]]:
+    """The edges (u, v), for each row (u, vs) in turn and v in vs, for
+    which `rng.random() < p`: the same edges and generator state as that
+    loop.
+
+    A row draws its words at once: `getrandbits(64 * m)` in little-endian
+    bytes holds, word pair by word pair, the words a and b of m calls to
+    `random()`, which returns x / 2**53 with x = (a >> 5) * 2**26 + (b >> 6).
+    So `random() < p` exactly when x < threshold = ceil(p * 2**53).  The
+    top byte of a is x >> 45: below threshold >> 45 the pair is an edge,
+    above it not, and on a tie x is compared in full."""
+    threshold = math.ceil(p * 2**53)
+    tie = threshold >> 45
+    table = bytes(1 if c < tie else 2 if c == tie else 0 for c in range(256))
+    getrandbits = rng.getrandbits
+    edges: list[tuple[int, int]] = []
+    for u, vs in rows:
+        m = len(vs)
+        words = getrandbits(64 * m).to_bytes(8 * m, "little")
+        flags = bytearray(words[3::8].translate(table))
+        t = flags.find(2)
+        while t >= 0:
+            w = int.from_bytes(words[8 * t:8 * t + 8], "little")
+            flags[t] = ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < threshold
+            t = flags.find(2, t + 1)
+        edges.extend(zip(repeat(u), compress(vs, flags)))
+    return edges
 
 
 def _gallai_tree(params: dict, rng: random.Random) -> Graph:
@@ -208,6 +276,11 @@ def _hub(params: dict, rng: random.Random) -> Graph:
             f"edge budget {max_edges} cannot host a degree-{delta} hub"
         )
     num_hubs = max(1, int(Fraction(2 * max_edges, 3) / delta))
+    if n - num_hubs < delta:
+        # a hub draws its delta distinct neighbors from the spokes only
+        raise InfeasibleParameters(
+            f"{num_hubs} hubs of degree {delta} need n >= {num_hubs + delta}, got n={n}"
+        )
     degree = [0] * n
     edge_set: set[tuple[int, int]] = set()
 

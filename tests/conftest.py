@@ -5,11 +5,14 @@ from heapq import heappush
 import pytest
 
 from equicolor import (
+    InstanceSpec,
     ListAssignment,
     PartialColoring,
     RecoloringMove,
     build_graph,
     find_improving_move,
+    generate,
+    generators,
     greedy_extend_full,
     select_separated_batch,
 )
@@ -19,7 +22,7 @@ from equicolor.dynamics import (
     is_acceptable,
     move_deltas,
 )
-from equicolor.errors import NotSeparated, UnacceptableMove
+from equicolor.errors import InfeasibleParameters, NotSeparated, UnacceptableMove
 
 
 def path(n):
@@ -54,33 +57,97 @@ def complete_bipartite(a, b):
 
 
 def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    return build_graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
+    return generate(InstanceSpec("gnp", {"n": n, "p": p}, seed))
+
+
+def reference_regular(params, rng):
+    """The pairing generator as `random.shuffle` of the stubs and a scan of
+    consecutive pairs, at most `generators.REGULAR_ATTEMPTS` times."""
+    n, d = generators._param(params, "n"), generators._param(params, "d")
+    if n * d % 2 != 0 or not 0 <= d < n:
+        raise InfeasibleParameters(f"no {d}-regular graph on {n} vertices")
+    if d == 0:
+        return build_graph(n, [])
+    for _ in range(generators.REGULAR_ATTEMPTS):
+        stubs = list(range(n)) * d
+        rng.shuffle(stubs)
+        edges = set()
+        ok = True
+        it = iter(stubs)
+        for u, v in zip(it, it):
+            key = (u, v) if u < v else (v, u)
+            if u == v or key in edges:
+                ok = False
+                break
+            edges.add(key)
+        if ok:
+            return build_graph(n, sorted(edges))
+    raise InfeasibleParameters(f"regular:n={n},d={d} drew no simple pairing")
+
+
+def reference_gnp(params, rng):
+    """G(n, p) with one `rng.random() < p` per pair u < v in order."""
+    n, p = generators._param(params, "n"), generators._param(params, "p", float)
+    return build_graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ])
+
+
+def reference_bipartite(params, rng):
+    """The random bipartite graph with one `rng.random() < p` per pair
+    (u, n1 + v) in order."""
+    n1, n2 = generators._param(params, "n1"), generators._param(params, "n2")
+    p = generators._param(params, "p", float)
+    return build_graph(n1 + n2, [
+        (u, n1 + v) for u in range(n1) for v in range(n2) if rng.random() < p
+    ])
 
 
 def random_partial_list_coloring(g, lists, k, rng, density=0.5):
-    """Proper partial coloring within the lists, seeded."""
+    """Proper partial coloring within the lists, seeded: each vertex, with
+    probability density, takes `rng.choice` of its sorted free list colors
+    below k, if any."""
     seed = PartialColoring(g.n, k)
+    getrandbits = rng.getrandbits
     for v in range(g.n):
         if rng.random() < density:
-            options = [
-                c for c in lists[v]
-                if c < k and all(seed.get(w) != c for w in g.adjacency(v))
-            ]
+            taken = {seed.get(w) for w in g.adjacency(v)}
+            options = sorted(c for c in lists[v] if c < k and c not in taken)
             if options:
-                seed.assign(v, rng.choice(sorted(options)))
+                bits = len(options).bit_length()
+                j = getrandbits(bits)
+                while j >= len(options):
+                    j = getrandbits(bits)
+                seed.assign(v, options[j])
     return seed
 
 
 def random_degree_lists(g, rng, extra_max=2, spread=2):
-    """Seeded degree-list assignment (every list at least the degree)."""
+    """Seeded degree-list assignment (every list at least the degree): each
+    vertex takes `rng.sample(range(top), min(top, degree +
+    rng.randint(0, extra_max)))`, drawn inline on the same stream.  Needs
+    top <= 21, where `sample` draws from a pool."""
     top = g.max_degree + extra_max + spread
-    return ListAssignment.of([
-        rng.sample(range(top), min(top, g.degree(v) + rng.randint(0, extra_max)))
-        for v in range(g.n)
-    ])
+    assert top <= 21, "rng.sample draws from a set above 21 colors"
+    getrandbits = rng.getrandbits
+    extra_bits = (extra_max + 1).bit_length()
+    lists = []
+    for v in range(g.n):
+        extra = getrandbits(extra_bits)
+        while extra > extra_max:
+            extra = getrandbits(extra_bits)
+        size = min(top, g.degree(v) + extra)
+        pool = list(range(top))
+        picked = []
+        for rest in range(top, top - size, -1):
+            bits = rest.bit_length()
+            j = getrandbits(bits)
+            while j >= rest:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[rest - 1]
+        lists.append(picked)
+    return ListAssignment.of(lists)
 
 
 def tight_seed(g):

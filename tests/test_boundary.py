@@ -308,6 +308,7 @@ CALLS = {
         "regular:n=6", "gnp:n=5,p=x", "gnp:n=5,p=1/0", "regular:n=6.5,d=3",
         "bipartite:n1=-2,n2=5,p=1/2", "bipartite:n1=2,n2=5,p=2", "hub:n=50,delta=3,target_avg=nan",
         "hub:n=100,delta=10,target=1", "regular:n=6,d=3,seed=5",
+        "hub:n=5,delta=4,target_avg=100",
     ])))),
     "read_graph": lambda data, g: choose(
         data,
