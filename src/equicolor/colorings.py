@@ -43,56 +43,47 @@ def palette_size(k: int, least: int = 1) -> int:
 
 
 class PartialColoring:
-    """Map from a subset of vertices to colors 0..k-1 with cached class counts."""
+    """Map from a subset of vertices to colors 0..k-1 with cached class counts.
+    `colors[v]` is v's color, or None: a public read-only view that callers
+    never mutate; colors change only through `assign`, `unassign` and
+    `_recolor`."""
 
-    __slots__ = ("k", "_assign", "_counts", "_domain_size")
+    __slots__ = ("k", "colors", "_counts")
 
     def __init__(self, n: int, k, assignment: Optional[Sequence[Optional[int]]] = None):
         self.k = palette_size(k)
-        self._assign: list[Optional[int]] = [None] * n if assignment is None else list(assignment)
-        if len(self._assign) != n:
-            raise OutOfRange(f"assignment length {len(self._assign)} != n {n}")
+        self.colors: list[Optional[int]] = [None] * n if assignment is None else list(assignment)
+        if len(self.colors) != n:
+            raise OutOfRange(f"assignment length {len(self.colors)} != n {n}")
         self._counts = [0] * self.k
-        self._domain_size = 0
-        for c in self._assign:
+        for c in self.colors:
             if c is None:
                 continue
             if not (0 <= c < self.k):
                 raise OutOfRange(f"color {c} outside palette of size {self.k}")
             self._counts[c] += 1
-            self._domain_size += 1
 
     @property
     def n(self) -> int:
-        return len(self._assign)
+        return len(self.colors)
 
     @property
     def domain_size(self) -> int:
-        return self._domain_size
+        return sum(self._counts)
 
     def get(self, v: int) -> Optional[int]:
-        return self._assign[v]
+        return self.colors[v]
 
     def is_assigned(self, v: int) -> bool:
-        return self._assign[v] is not None
+        return self.colors[v] is not None
 
     def assign(self, v: int, c: int) -> None:
         if not (0 <= c < self.k):
             raise OutOfRange(f"color {c} outside palette of size {self.k}")
-        old = self._assign[v]
-        if old is not None:
-            self._counts[old] -= 1
-            self._domain_size -= 1
-        self._assign[v] = c
-        self._counts[c] += 1
-        self._domain_size += 1
+        _recolor(self, v, c)
 
     def unassign(self, v: int) -> None:
-        old = self._assign[v]
-        if old is not None:
-            self._counts[old] -= 1
-            self._domain_size -= 1
-            self._assign[v] = None
+        _recolor(self, v, None)
 
     def counts(self) -> tuple[int, ...]:
         return tuple(self._counts)
@@ -101,35 +92,46 @@ class PartialColoring:
         return self._counts[c] if 0 <= c < self.k else 0
 
     def domain(self) -> list[int]:
-        return [v for v, c in enumerate(self._assign) if c is not None]
+        return [v for v, c in enumerate(self.colors) if c is not None]
 
     def is_total(self) -> bool:
-        return self._domain_size == len(self._assign)
+        return sum(self._counts) == len(self.colors)
 
     def gap(self) -> int:
         return max(self._counts) - min(self._counts)
 
     def as_list(self) -> list[Optional[int]]:
-        return list(self._assign)
+        return list(self.colors)
 
     def copy(self) -> "PartialColoring":
         # the source already satisfies every invariant __init__ would check
         out = object.__new__(PartialColoring)
         out.k = self.k
-        out._assign = list(self._assign)
+        out.colors = list(self.colors)
         out._counts = list(self._counts)
-        out._domain_size = self._domain_size
         return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PartialColoring)
             and self.k == other.k
-            and self._assign == other._assign
+            and self.colors == other.colors
         )
 
     def __repr__(self) -> str:
-        return f"PartialColoring(n={self.n}, k={self.k}, dom={self._domain_size})"
+        return f"PartialColoring(n={self.n}, k={self.k}, dom={self.domain_size})"
+
+
+def _recolor(f: PartialColoring, v: int, c: Optional[int]) -> None:
+    """Give v the color c, or uncolor it when c is None, with no palette
+    check: the one write path, for cores whose colors are in the palette
+    by construction."""
+    old = f.colors[v]
+    if old is not None:
+        f._counts[old] -= 1
+    if c is not None:
+        f._counts[c] += 1
+    f.colors[v] = c
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,8 @@ def is_proper(g: Graph, f: PartialColoring) -> bool:
     """No edge with both endpoints assigned the same color."""
     if f.n != g.n:
         raise ImproperInput(f"coloring covers {f.n} vertices, graph has {g.n}")
-    colors = f._assign
-    for cu, nbrs in zip(colors, g._adj):
+    colors = f.colors
+    for cu, nbrs in zip(colors, g.adj):
         if cu is not None:
             for w in nbrs:
                 if colors[w] == cu:
@@ -199,7 +201,8 @@ def _check_coloring(
     proper: bool = True, total: bool = False, lists: Optional[ListAssignment] = None,
 ) -> None:
     """Raise `error` unless f covers g, has palette k (if given), is total
-    (if asked), is proper (unless proper=False) and keeps to the lists."""
+    (if asked), is proper (unless proper=False) and keeps to the lists, and
+    OutOfRange if a list color lies outside f's palette."""
     if f.n != g.n:
         raise error(f"coloring covers {f.n} vertices, graph has {g.n}")
     if k is not None and f.k != k:
@@ -212,6 +215,8 @@ def _check_coloring(
         bad = [v for v in f.domain() if f.get(v) not in lists[v]]
         if bad:
             raise error(f"color {f.get(bad[0])} at vertex {bad[0]} not in its list")
+        if lists.max_color() >= f.k:
+            raise OutOfRange(f"list color {lists.max_color()} outside the seed palette {f.k}")
 
 
 def _check_lists(
@@ -252,7 +257,7 @@ def _greedy_fill(
 ) -> None:
     """In place: each uncolored vertex, in the given order, takes its
     smallest list color absent from its neighbors (first fit)."""
-    colors, adj, ordered, assign = f._assign, g._adj, lists.ordered, f.assign
+    colors, adj, ordered, assign = f.colors, g.adj, lists.ordered, f.assign
     for v in vertices:
         if colors[v] is None:
             taken = {colors[w] for w in adj[v]}
@@ -298,11 +303,11 @@ def _forest_sweep(
                     "parent must be the unique neighbor with its color"
         stolen_from = {forest.parent[x] for x in stealers}
         for p in stolen_from:
-            f.unassign(p)
+            _recolor(f, p, None)
             stolen[p] = True
         for x, c in stealers.items():
             assert c is not None, "maximal coloring left an uncolored neighbor"
-            f.assign(x, c)
+            _recolor(f, x, c)
         frontier = sorted(stolen_from.union(
             w for p in stolen_from for w in g.adjacency(p) if not f.is_assigned(w)
         ))

@@ -32,6 +32,7 @@ from .colorings import (
     _check_coloring,
     _check_lists,
     _forest_sweep,
+    _recolor,
     dominates,
     is_proper_list_coloring,
 )
@@ -65,10 +66,6 @@ def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
         raise NotConnected(f"graph has {count} components, need 1")
     _check_lists(g, lists, error=NotDegreeList, degree=True)
     _check_coloring(g, seed, error=ImproperSeed, lists=lists)
-    if lists.max_color() >= seed.k:
-        raise OutOfRange(
-            f"list color {lists.max_color()} outside the seed palette {seed.k}"
-        )
     if need_pivot and inst.pivot is None:
         raise OutOfRange("pivot vertex required")
     if inst.pivot is not None:
@@ -156,15 +153,15 @@ def _solve_block(
     def fill() -> bool:
         free = lists[hole] - {f.get(w) for w in h.adjacency(hole)}
         if free:
-            f.assign(hole, min(free))
+            _recolor(f, hole, min(free))
         return bool(free)
 
     def take(c: int) -> None:
         # a stuck hole sees each of its list colors on exactly one neighbor
         nonlocal hole
         y = next(w for w in h.adjacency(hole) if f.get(w) == c)
-        f.unassign(y)
-        f.assign(hole, c)
+        _recolor(f, y, None)
+        _recolor(f, hole, c)
         hole = y
 
     def walk(to: int, avoid: frozenset[int] = frozenset()) -> bool:

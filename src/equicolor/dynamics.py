@@ -35,12 +35,13 @@ the round proper, separated and monotone, and the index then applies all
 of it at once.  Only when the index is empty does a round fall back to one
 step of patterns 2 and 3 or the exhaustive pass, in both modes.
 
-A round builds no distribution.  The index aliases the coloring's color
-and count lists, and the driver carries the class counts from round to
-round as one tuple, which the ledger's integer entry point `record_counts`
-checks over the total n and the trace record keeps.  A serial round thus
-costs O(Δ + k) list operations and heap pushes, plus one heap peek per
-pair of minimum color and class of size at least min + 2.
+A round builds no distribution.  The index reads the coloring's public
+color list and recolors through the unchecked `colorings._recolor`; the
+driver reads the class counts once per round as one tuple, which the
+ledger's integer entry point `record_counts` checks over the total n and
+the trace record keeps.  A serial round thus costs O(Δ + k) list
+operations and heap pushes, plus one heap peek per pair of minimum color
+and class of size at least min + 2.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .colorings import PartialColoring, _check_coloring, greedy_extend_full, is_proper
+from .colorings import PartialColoring, _check_coloring, _recolor, greedy_extend_full, is_proper
 from .distributions import (
     ColorDistribution,
     ConvergenceLedger,
@@ -526,8 +527,8 @@ class _Pattern1Index:
     """Pattern-1 moves of a total coloring that the driver only ever changes
     through `apply`.
 
-    `colors` and `counts` alias f's color and class-count lists for
-    reading; `apply` recolors through `f.assign`.  `nbr[x*k + c]`
+    `colors` is f's color list, `apply` recolors through `_recolor` and
+    `first_move` reads f's class counts once per call.  `nbr[x*k + c]`
     counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
     vertex x with f(x) = beta and no neighbor colored alpha, plus stale
     entries that are dropped when they reach the top.  The constructor
@@ -538,11 +539,10 @@ class _Pattern1Index:
     """
 
     def __init__(self, g: Graph, f: PartialColoring):
-        k, colors = f.k, f._assign
-        self.g, self.f, self.k = g, f, k
-        self.colors, self.counts = colors, f._counts
+        k, colors = f.k, f.colors
+        self.g, self.f, self.k, self.colors = g, f, k, colors
         self.nbr = nbr = [0] * (g.n * k)
-        for v, nbrs in enumerate(g._adj):
+        for v, nbrs in enumerate(g.adj):
             base = v * k
             for w in nbrs:
                 nbr[base + colors[w]] += 1
@@ -568,16 +568,16 @@ class _Pattern1Index:
     def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
         """Recolor the (vertex, color) pairs in place, in order; return the
         recolored vertices."""
-        colors, nbr, k, g, f = self.colors, self.nbr, self.k, self.g, self.f
+        colors, nbr, k, adj, f = self.colors, self.nbr, self.k, self.g.adj, self.f
         recolored: list[int] = []
         emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
         for v, c in assignments:
             old = colors[v]
             if old == c:
                 continue
-            f.assign(v, c)
+            _recolor(f, v, c)
             recolored.append(v)
-            for w in g.adjacency(v):
+            for w in adj[v]:
                 base = w * k
                 nbr[base + c] += 1
                 nbr[base + old] -= 1
@@ -616,7 +616,8 @@ class _Pattern1Index:
         the smallest valid heap top over minimum colors alpha and classes
         beta of size >= min + 2, the smallest alpha on a tie.  Stale tops on
         the way are dropped."""
-        colors, counts, nbr, k, heaps = self.colors, self.counts, self.nbr, self.k, self.heaps
+        colors, nbr, k, heaps = self.colors, self.nbr, self.k, self.heaps
+        counts = self.f.counts()
         a = min(counts)
         big = [beta for beta in range(k) if counts[beta] >= a + 2]
         best: Optional[tuple[int, int]] = None
@@ -636,7 +637,7 @@ class _Pattern1Index:
 
 
 def _check_round(
-    index: _Pattern1Index, taken: Sequence[int], alpha: int, beta: int
+    index: _Pattern1Index, counts: Sequence[int], taken: Sequence[int], alpha: int, beta: int
 ) -> None:
     """Raise NotSeparated unless the take is strictly ascending,
     UnacceptableMove unless every taken vertex is in beta with no
@@ -645,7 +646,7 @@ def _check_round(
     class is independent) and monotone, with witness alpha."""
     if any(a >= b for a, b in zip(taken, taken[1:])):
         raise NotSeparated(f"round takes {list(taken)}, not strictly ascending")
-    colors, counts, nbr, k = index.colors, index.counts, index.nbr, index.k
+    colors, nbr, k = index.colors, index.nbr, index.k
     for y in taken:
         if colors[y] != beta or nbr[y * k + alpha]:
             raise UnacceptableMove(f"vertex {y} cannot move from {beta} to {alpha}")
@@ -688,7 +689,7 @@ def equitable_k_coloring(
     ledger = ConvergenceLedger.for_initial(LEDGER_A, ColorDistribution.from_coloring(f))
     trace.ledgers.append(ledger)
     index = _Pattern1Index(g, f)
-    colors = index.colors
+    colors = f.colors
     # each applied step moves at least one vertex between classes, so its
     # l1 step is at least 2/n and the ledger budget caps the step count
     step_cap = ledger.bound() * n // 2
@@ -728,12 +729,12 @@ def equitable_k_coloring(
                     y for y in range(n) if f.get(y) == beta
                     and all(f.get(w) != alpha for w in g.adjacency(y))
                 )[:cap], "round differs from the rescan"
-            _check_round(index, taken, alpha, beta)
+            _check_round(index, counts, taken, alpha, beta)
             index.apply([(y, alpha) for y in taken])
             witness = alpha
             kind, changed = ("batch" if config.batch_mode else "move"), taken
             new_colors = (alpha,) * len(taken)
-        new_counts = tuple(index.counts)
+        new_counts = f.counts()
         # steps between counts of one total n are kept over n
         ledger.record_counts(counts, new_counts, n, witness)
         if debug:

@@ -99,8 +99,8 @@ class UnacceptableMove(EquicolorError):
 class Stalled(EquicolorError):
     """No admissible move of size at most three at class gap >= 2.
 
-    The driver raises it at the first such coloring.  Carries the stuck coloring and its class-size gap so callers can
-    archive the pattern.
+    The driver raises it at the first such coloring.  Carries the stuck
+    coloring and its class-size gap so callers can archive the pattern.
     """
 
     def __init__(self, message, coloring=None, gap=None):

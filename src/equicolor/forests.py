@@ -63,11 +63,10 @@ def forest_recolor(
         if v not in forest.anchors:
             assert f.is_assigned(v), "non-anchor vertex left uncolored"
     assert dominates(f, seed, range(ksize))
-    for alpha in range(ksize):
-        image = {psi[v] for v in range(g.n) if f.get(v) == alpha}
-        assert all(
-            y in image for y in range(g.n) if seed.get(y) == alpha
-        ), "witness map must cover the seed class"
+    images = {(psi[v], c) for v, c in enumerate(f.colors) if c is not None}
+    assert all(
+        (y, c) in images for y, c in enumerate(seed.colors) if c is not None
+    ), "witness map must cover the seed class"
     return f, psi
 
 

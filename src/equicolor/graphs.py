@@ -30,16 +30,20 @@ from .errors import (
 
 
 class Graph:
-    __slots__ = ("n", "_adj", "_sets", "_degrees", "_edge_count", "_max_degree")
+    """A graph on vertices 0..n-1.  `adj[v]` is the ascending tuple of v's
+    neighbors and `degrees[v]` its degree: public read-only views that hot
+    loops index directly.  Callers must never rebind or mutate them."""
+
+    __slots__ = ("n", "adj", "_sets", "degrees", "_edge_count", "_max_degree")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         # internal constructor; use build_graph for validated input
         self.n = n
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._sets = tuple(frozenset(nbrs) for nbrs in self._adj)
-        self._degrees = tuple(len(nbrs) for nbrs in self._adj)
-        self._edge_count = sum(self._degrees) // 2
-        self._max_degree = max(self._degrees, default=0)
+        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._sets = tuple(frozenset(nbrs) for nbrs in self.adj)
+        self.degrees = tuple(len(nbrs) for nbrs in self.adj)
+        self._edge_count = sum(self.degrees) // 2
+        self._max_degree = max(self.degrees, default=0)
 
     @property
     def edge_count(self) -> int:
@@ -50,32 +54,32 @@ class Graph:
         return self._max_degree
 
     def adjacency(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._sets[u]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Return (subgraph, mapping) where mapping[new_id] = old_id."""
         keep = sorted(set(vertices))
         index = {old: new for new, old in enumerate(keep)}
-        adj = [[index[w] for w in self._adj[old] if w in index] for old in keep]
+        adj = [[index[w] for w in self.adj[old] if w in index] for old in keep]
         return Graph(len(keep), adj), tuple(keep)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._edge_count})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self.adj))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -137,7 +141,7 @@ def _bfs(
     """Breadth-first walk of g - avoid from the sources: the reached vertices
     in the order reached, sources first, and the parent of every vertex, -1
     where it was not reached.  A source is its own parent."""
-    adj = g._adj
+    adj = g.adj
     parent = [-1] * g.n
     order = list(sources)
     for s in order:
@@ -350,7 +354,7 @@ def contains_clique(g: Graph, q: int) -> bool:
         return g.n >= 1
     if q == 2:
         return g.edge_count >= 1
-    adj, sets, degrees = g._adj, g._sets, g._degrees
+    adj, sets, degrees = g.adj, g._sets, g.degrees
 
     def extend(size: int, candidates: list[int]) -> bool:
         if size == q:

@@ -42,6 +42,7 @@ from .colorings import (
     PartialColoring,
     _check_coloring,
     _greedy_fill,
+    _recolor,
     greedy_extend_full,
     is_proper,
 )
@@ -130,9 +131,9 @@ def _dense_set(g: Graph, t: Fraction, aux: PartialColoring) -> tuple[int, ...]:
     visits only its own aux class."""
     # degrees and neighbor counts are integers: compare with the ceilings
     high, many = ceil(2 * t), ceil(t)
-    adj, degrees = g._adj, g._degrees
+    adj, degrees = g.adj, g.degrees
     classes: list[list[int]] = [[] for _ in range(aux.k)]
-    for v, c in enumerate(aux._assign):
+    for v, c in enumerate(aux.colors):
         classes[c].append(v)
     inside = [d >= high for d in degrees]
     # a vertex of degree below `many` has fewer outside neighbors than that
@@ -211,19 +212,17 @@ def _quick_balance(
 ) -> PartialColoring:
     """`quick_balance` on checked inputs."""
     out = f.copy()
-    k, colors, adj, assign = out.k, out._assign, g._adj, out.assign
+    k, colors, adj, count_of = out.k, out.colors, g.adj, out.count_of
     counts = out.counts()
     # the unfrozen vertices by aux class, each class in vertex order
-    buckets: list[list[int]] = [[] for _ in range(aux.k)]
-    for v, c in enumerate(aux._assign):
-        if v not in frozen_set:
-            buckets[c].append(v)
-    order = [v for bucket in buckets for v in bucket]
+    order = sorted([v for v in range(g.n) if v not in frozen_set], key=aux.colors.__getitem__)
 
     q, extra = divmod(g.n, k)
-    need = [0] * k
+    target = [0] * k
     for i, c in enumerate(sorted(range(k), key=lambda c: (-counts[c], c))):
-        need[c] = q + (i < extra) - counts[c]
+        target[c] = q + (i < extra)
+    # each class's size is its target less its need
+    need = [t - c for t, c in zip(target, counts)]
     # the colors below target, furthest below first, the smallest on a tie
     short = sorted((-need[a], a) for a in range(k) if need[a] > 0)
     for y in order:
@@ -238,39 +237,37 @@ def _quick_balance(
                 break
         else:
             continue
-        assert out._counts[beta] - out._counts[alpha] >= 2, \
+        assert (target[beta] - need[beta]) - (target[alpha] - need[alpha]) >= 2, \
             "a direct move must go between classes differing by 2 or more"
-        assign(y, alpha)
+        _recolor(out, y, alpha)
         need[beta] += 1
         need[alpha] -= 1
         # beta's need stays <= 0; only alpha's entry moves
         del short[i]
         if minus < -1:
             insort(short, (minus + 1, alpha))
-
-    counts = list(out.counts())
+    assert all(t - d == count_of(c) for c, (t, d) in enumerate(zip(target, need))), \
+        "each need must be its class's target less its size"
 
     def rank(a: int) -> tuple[int, int]:
-        return counts[a], a
+        return count_of(a), a
 
     moved = True
-    while moved and max(counts) - min(counts) >= 2:
+    while moved and out.gap() >= 2:
         moved = False
         # the first free color of this ranking is the least-count one
         ranked = sorted(range(k), key=rank)
         for y in order:
             beta = colors[y]
-            top = counts[beta] - 2
-            if counts[ranked[0]] > top:
+            top = count_of(beta) - 2
+            if count_of(ranked[0]) > top:
                 continue
             seen = {colors[w] for w in adj[y]}
             for alpha in ranked:
-                if counts[alpha] > top:
+                if count_of(alpha) > top:
                     break
                 if alpha not in seen:
-                    assign(y, alpha)
-                    counts[beta] -= 1
-                    counts[alpha] += 1
+                    _recolor(out, y, alpha)
                     ranked.sort(key=rank)
                     moved = True
                     break
@@ -278,20 +275,13 @@ def _quick_balance(
     assert is_proper(g, out)
     for v in frozen_set:
         assert out.get(v) == f.get(v), "frozen vertices must keep their colors"
-    counts = out.counts()
-    if max(counts) - min(counts) >= 2:
-        members: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(colors):
-            members[c].append(v)
-        for alpha in range(k):
-            for beta in range(k):
-                if counts[beta] - counts[alpha] >= 2:
-                    stuck = [
-                        y for y in members[beta]
-                        if y not in frozen_set
-                        and all(colors[w] != alpha for w in adj[y])
-                    ]
-                    assert not stuck, "fixpoint guarantee violated"
+    if out.gap() >= 2:
+        # every unfrozen vertex sees each class 2 or more below its own
+        for y in order:
+            top = count_of(colors[y]) - 2
+            seen = {colors[w] for w in adj[y]}
+            assert all(a in seen for a in range(k) if count_of(a) <= top), \
+                "fixpoint guarantee violated"
     return out
 
 

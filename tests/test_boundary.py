@@ -203,6 +203,8 @@ CALLS = {
         lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2), improper(data, g, 2)),
         lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
                                   eq.PartialColoring(g.n, 2), bad_ids(data, g)),
+        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 3),
+                                  eq.PartialColoring(g.n, 2)),
     ),
     "is_proper": lambda data, g: eq.is_proper(g, misfit(data, g, 2)),
     "maximal_independent_superset": lambda data, g: eq.maximal_independent_superset(

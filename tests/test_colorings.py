@@ -14,7 +14,7 @@ from equicolor import (
     is_proper,
     maximal_independent_superset,
 )
-from equicolor.colorings import _greedy_fill
+from equicolor.colorings import _greedy_fill, _recolor
 from equicolor.errors import (
     ImproperInput,
     ImproperSeed,
@@ -54,6 +54,28 @@ def test_counts_cache():
     assert f.domain_size == 3
     with pytest.raises(OutOfRange):
         f.assign(4, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_writes_keep_the_cached_counts(data):
+    # after any sequence of checked and unchecked writes the cached counts
+    # agree with a coloring built afresh from the same colors
+    n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    color = st.integers(0, k - 1)
+    f = PartialColoring(n, k, data.draw(st.lists(st.none() | color, min_size=n, max_size=n)))
+    writes = st.tuples(st.sampled_from(("assign", "unassign", "recolor")),
+                       st.integers(0, n - 1), st.none() | color)
+    for op, v, c in data.draw(st.lists(writes, max_size=30)):
+        if op == "assign" and c is not None:
+            f.assign(v, c)
+        elif op == "unassign":
+            f.unassign(v)
+        elif op == "recolor":
+            _recolor(f, v, c)
+        fresh = PartialColoring(n, k, f.colors)
+        assert (f.counts(), f.domain_size, f.is_total()) == \
+            (fresh.counts(), fresh.domain_size, fresh.is_total())
 
 
 def test_greedy_on_triangle_blocks():
@@ -103,6 +125,15 @@ def test_greedy_rejects_inputs_that_do_not_fit():
             greedy_extend_full(k3, 3, order=order)
     with pytest.raises(ImproperSeed):
         greedy_maximal(k3, lists, PartialColoring(4, 3))
+
+
+def test_greedy_maximal_rejects_list_colors_outside_the_palette():
+    # the first lists returned [0, 1], since first fit never reached color
+    # 7; the second raised, from the fill, once vertex 1 needed it
+    k2 = complete(2)
+    for lists in ([[0, 7], [1, 7]], [[0, 7], [0, 7]]):
+        with pytest.raises(OutOfRange):
+            greedy_maximal(k2, ListAssignment.of(lists), PartialColoring(2, 2))
 
 
 def test_greedy_maximal_blocked_vertices_see_all_their_colors():

@@ -246,18 +246,18 @@ def test_pipeline_balance_moves_each_vertex_once(monkeypatch):
     # pairwise passes move nothing
     seen = []
     balance = pipeline._quick_balance
-    assign = PartialColoring.assign
+    recolor = pipeline._recolor
 
     def counted(g, f, frozen, aux):
         calls = []
 
-        def counting_assign(self, v, c):
+        def counting_recolor(f, v, c):
             calls.append(v)
-            assign(self, v, c)
+            recolor(f, v, c)
 
-        monkeypatch.setattr(PartialColoring, "assign", counting_assign)
+        monkeypatch.setattr(pipeline, "_recolor", counting_recolor)
         out = balance(g, f, frozen, aux)
-        monkeypatch.setattr(PartialColoring, "assign", assign)
+        monkeypatch.setattr(pipeline, "_recolor", recolor)
         seen.append((len(calls), sum(1 for v in range(g.n) if f.get(v) != out.get(v))))
         assert out == reference_direct_pass(g, f, frozen, aux)
         return out
