@@ -239,17 +239,29 @@ def greedy_maximal(
 ) -> PartialColoring:
     """Inclusion-maximal proper partial list coloring extending the seed.
 
-    Visits uncolored vertices in the given order (identity by default) and
-    assigns the smallest list color not present on already-colored
-    neighbors.  A vertex left uncolored has every list color represented
-    in its colored neighborhood, so the result is inclusion-maximal.
+    Visits uncolored vertices in the given order (identity by default),
+    which must hold every vertex the seed leaves uncolored, and assigns
+    the smallest list color not present on already-colored neighbors.  A
+    vertex left uncolored has every list color represented in its colored
+    neighborhood, so the result is inclusion-maximal.
     """
     _check_lists(g, lists, error=OutOfRange)
     _check_coloring(g, seed, error=ImproperSeed, lists=lists)
-    _check_vertices(g, order or ())
     out = seed.copy()
-    _greedy_fill(g, lists, out, range(g.n) if order is None else order)
+    _greedy_fill(g, lists, out, _fill_order(g, out, order))
     return out
+
+
+def _fill_order(g: Graph, f: PartialColoring, order: Optional[Sequence[int]]) -> Sequence[int]:
+    """The given order, or every vertex; OutOfRange unless it holds only
+    vertices of g and every vertex that f leaves uncolored."""
+    if order is None:
+        return range(g.n)
+    _check_vertices(g, order)
+    missed = set(range(g.n)).difference(order, f.domain())
+    if missed:
+        raise OutOfRange(f"order leaves out uncolored vertex {min(missed)}")
+    return order
 
 
 def _greedy_fill(
@@ -339,14 +351,14 @@ def greedy_extend_full(
     order: Optional[Sequence[int]] = None,
 ) -> PartialColoring:
     """Total proper k-coloring extending the seed, a proper coloring with
-    palette k; needs k >= max degree + 1."""
+    palette k; needs k >= max degree + 1, and an order, if given, that
+    holds every vertex the seed leaves uncolored."""
     size = palette_size(k, g.max_degree + 1)
     if seed is not None:
         _check_coloring(g, seed, size, error=ImproperSeed)
-    _check_vertices(g, order or ())
     out = PartialColoring(g.n, size) if seed is None else seed.copy()
     lists = ListAssignment.uniform(g.n, size)
-    _greedy_fill(g, lists, out, range(g.n) if order is None else order)
+    _greedy_fill(g, lists, out, _fill_order(g, out, order))
     assert out.is_total(), "greedy cannot block when every list exceeds the degree"
     return out
 

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 
 from .errors import InfeasibleParameters, ParseError
 from .graphs import Graph, build_graph
@@ -114,8 +114,8 @@ def _regular(params: dict, rng: random.Random) -> Graph:
 
 def _pairing(n: int, d: int, getrandbits) -> list[tuple[int, int]] | None:
     """One pairing: `random.shuffle` of the stubs `list(range(n)) * d`, then
-    stubs 2t and 2t+1 form a pair.  The sorted edges, or None at a loop or
-    a repeated pair.
+    stubs 2t and 2t+1 form a pair.  The pairs, in that order, or None at a
+    loop or a repeated pair.
 
     The shuffle's draws are inlined: position i, from the last down to 1,
     swaps with `_randbelow(i + 1)`, which is `getrandbits(k)` for the bit
@@ -146,7 +146,7 @@ def _pairing(n: int, d: int, getrandbits) -> list[tuple[int, int]] | None:
         return None
     # tuples of the stubs' own ints: the graph keeps one int object per
     # vertex, not two new ones per edge
-    return sorted((u, v) if u < v else (v, u) for u, v in zip(stubs[::2], stubs[1::2]))
+    return list(zip(stubs[::2], stubs[1::2]))
 
 
 def _skip_draws(top: int, getrandbits) -> None:
@@ -186,9 +186,7 @@ def _torus(params: dict, rng: random.Random) -> Graph:
         for c in range(cols):
             edges.append((vid(r, c), vid(r, (c + 1) % cols)))
             edges.append((vid(r, c), vid((r + 1) % rows, c)))
-    return build_graph(rows * cols, sorted(set(
-        (min(a, b), max(a, b)) for a, b in edges
-    )))
+    return build_graph(rows * cols, edges)
 
 
 def _bipartite(params: dict, rng: random.Random) -> Graph:
@@ -243,24 +241,18 @@ def _gallai_tree(params: dict, rng: random.Random) -> Graph:
     while used < n:
         root = rng.choice(attachment)
         remaining = n - used
-        if rng.random() < 0.5 and remaining >= 4:
+        odd_cycle = rng.random() < 0.5 and remaining >= 4
+        if odd_cycle:
             size = rng.choice([s for s in (3, 5, 7) if s - 1 <= remaining])
-            fresh = list(range(used, used + size - 1))
-            cycle = [root] + fresh
-            for i in range(size):
-                a, b = cycle[i], cycle[(i + 1) % size]
-                edges.append((min(a, b), max(a, b)))
         else:
             size = rng.randint(2, min(4, remaining + 1))
-            fresh = list(range(used, used + size - 1))
-            block = [root] + fresh
-            for i in range(len(block)):
-                for j in range(i + 1, len(block)):
-                    a, b = block[i], block[j]
-                    edges.append((min(a, b), max(a, b)))
+        fresh = list(range(used, used + size - 1))
+        block = [root] + fresh
+        # a cycle joins consecutive members, a clique every pair
+        edges.extend(zip(block, fresh + [root]) if odd_cycle else combinations(block, 2))
         used += len(fresh)
         attachment.extend(fresh)
-    return build_graph(n, sorted(set(edges)))
+    return build_graph(n, edges)
 
 
 def _hub(params: dict, rng: random.Random) -> Graph:
@@ -310,7 +302,7 @@ def _hub(params: dict, rng: random.Random) -> Graph:
         if not try_add(a, b, delta - 1, delta - 1):
             if rng.random() < 0.01:
                 break
-    g = build_graph(n, sorted(edge_set))
+    g = build_graph(n, edge_set)
     assert g.max_degree == delta
     assert Fraction(2 * g.edge_count, n) <= target
     return g

@@ -30,28 +30,20 @@ from .errors import (
 
 
 class Graph:
-    """A graph on vertices 0..n-1.  `adj[v]` is the ascending tuple of v's
-    neighbors and `degrees[v]` its degree: public read-only views that hot
-    loops index directly.  Callers must never rebind or mutate them."""
+    """A graph on vertices 0..n-1.  `adj[v]`, the ascending tuple of v's
+    neighbors, is the one copy of the edges; `degrees[v]` is v's degree.
+    These, `edge_count` and `max_degree` are public read-only views that
+    hot loops read directly.  Callers must never rebind or mutate them."""
 
-    __slots__ = ("n", "adj", "_sets", "degrees", "_edge_count", "_max_degree")
+    __slots__ = ("n", "adj", "degrees", "edge_count", "max_degree")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
         # internal constructor; use build_graph for validated input
         self.n = n
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._sets = tuple(frozenset(nbrs) for nbrs in self.adj)
         self.degrees = tuple(len(nbrs) for nbrs in self.adj)
-        self._edge_count = sum(self.degrees) // 2
-        self._max_degree = max(self.degrees, default=0)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    @property
-    def max_degree(self) -> int:
-        return self._max_degree
+        self.edge_count = sum(self.degrees) // 2
+        self.max_degree = max(self.degrees, default=0)
 
     def adjacency(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -60,7 +52,7 @@ class Graph:
         return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -73,7 +65,7 @@ class Graph:
         return Graph(len(keep), adj), tuple(keep)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self._edge_count})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -85,26 +77,27 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated simple graph.
 
-    Rejects out-of-range endpoints, self-loops and duplicate edges
-    (duplicates signal generator bugs, so they are errors rather than
-    silently deduplicated).
+    Rejects out-of-range endpoints and self-loops at the first such edge,
+    then duplicate edges, naming the least repeated pair (duplicates signal
+    generator bugs, so they are errors rather than silently deduplicated).
     """
     if n < 0:
         raise OutOfRange(f"vertex count must be nonnegative, got {n}")
     adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
             raise OutOfRange(f"edge ({u}, {v}) outside vertex range [0, {n})")
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge {key}")
-        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, adj)
+    g = Graph(n, adj)
+    for u, nbrs in enumerate(g.adj):
+        # a repeat lists a neighbor twice; at the first u, every repeat is above u
+        for v, w in zip(nbrs, nbrs[1:]):
+            if v == w:
+                raise DuplicateEdge(f"duplicate edge ({u}, {v})")
+    return g
 
 
 def _check_vertices(g: Graph, ids: Iterable[int], what: str = "vertex") -> None:
@@ -354,7 +347,7 @@ def contains_clique(g: Graph, q: int) -> bool:
         return g.n >= 1
     if q == 2:
         return g.edge_count >= 1
-    adj, sets, degrees = g.adj, g._sets, g.degrees
+    adj, degrees = g.adj, g.degrees
 
     def extend(size: int, candidates: list[int]) -> bool:
         if size == q:
@@ -362,7 +355,7 @@ def contains_clique(g: Graph, q: int) -> bool:
         if size + len(candidates) < q:
             return False
         for i, v in enumerate(candidates):
-            if extend(size + 1, [w for w in candidates[i + 1:] if w in sets[v]]):
+            if extend(size + 1, [w for w in candidates[i + 1:] if w in adj[v]]):
                 return True
         return False
 

@@ -22,7 +22,36 @@ from equicolor.dynamics import (
     is_acceptable,
     move_deltas,
 )
-from equicolor.errors import InfeasibleParameters, NotSeparated, UnacceptableMove
+from equicolor.errors import (
+    DuplicateEdge,
+    InfeasibleParameters,
+    NotSeparated,
+    OutOfRange,
+    SelfLoop,
+    UnacceptableMove,
+)
+from equicolor.graphs import Graph
+
+
+def reference_build_graph(n, edges):
+    """The set-based builder: each edge is checked in input order, and a
+    set of normalised keys rejects the first repeated pair."""
+    if n < 0:
+        raise OutOfRange(f"vertex count must be nonnegative, got {n}")
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise OutOfRange(f"edge ({u}, {v}) outside vertex range [0, {n})")
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"duplicate edge {key}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n, adj)
 
 
 def path(n):

@@ -3,10 +3,11 @@ the right type with an EquicolorError subclass, and raises nothing else.
 
 `CALLS` has one row per exported entry point.  A row draws one malformed
 call on an otherwise valid connected graph: wrong sizes, out-of-range or
-negative vertex ids, negative colors or palettes, mismatched palettes, a
-forest of another graph, or a generator spec or graph file with a missing,
-non-numeric or out-of-range value.  `EXEMPT` names the exported callables that take
-no argument such a call could get wrong, with the reason.
+negative vertex ids, a greedy order that leaves out an uncolored vertex,
+negative colors or palettes, mismatched palettes, a forest of another
+graph, or a generator spec or graph file with a missing, non-numeric or
+out-of-range value.  `EXEMPT` names the exported callables that take no
+argument such a call could get wrong, with the reason.
 """
 
 import tempfile
@@ -59,6 +60,13 @@ def bad_ids(data, g):
     """Valid ids with one outside [0, n) among them."""
     ids = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
     return ids + [bad_id(data, g)]
+
+
+def short_order(data, g):
+    """Valid ids that leave out one vertex."""
+    left_out = data.draw(st.integers(0, g.n - 1))
+    kept = [v for v in range(g.n) if v != left_out]
+    return data.draw(st.lists(st.sampled_from(kept), max_size=2 * g.n))
 
 
 def bad_palette(data, low=1):
@@ -194,6 +202,7 @@ CALLS = {
         lambda: eq.greedy_extend_full(g, data.draw(st.integers(-2, g.max_degree))),
         lambda: eq.greedy_extend_full(g, g.max_degree + 1, misfit(data, g, g.max_degree + 1)),
         lambda: eq.greedy_extend_full(g, g.max_degree + 1, order=bad_ids(data, g)),
+        lambda: eq.greedy_extend_full(g, g.max_degree + 1, order=short_order(data, g)),
     ),
     "greedy_maximal": lambda data, g: choose(
         data,
@@ -203,6 +212,8 @@ CALLS = {
         lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2), improper(data, g, 2)),
         lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
                                   eq.PartialColoring(g.n, 2), bad_ids(data, g)),
+        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
+                                  eq.PartialColoring(g.n, 2), short_order(data, g)),
         lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 3),
                                   eq.PartialColoring(g.n, 2)),
     ),

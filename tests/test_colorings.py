@@ -113,18 +113,24 @@ def test_greedy_rejects_improper_seed():
 
 def test_greedy_rejects_inputs_that_do_not_fit():
     # short lists and order [9] raised a bare IndexError; order [-1]
-    # silently colored vertex n - 1
+    # silently colored vertex n - 1; order [0, 1], which leaves out the
+    # uncolored vertex 2, tripped greedy_extend_full's assert and left
+    # greedy_maximal's result not maximal
     k3 = complete(3)
     lists = ListAssignment.uniform(3, 3)
     with pytest.raises(OutOfRange):
         greedy_maximal(k3, ListAssignment.uniform(2, 3), PartialColoring(3, 3))
-    for order in ([9], [-1], [0, 1, 3]):
+    for order in ([9], [-1], [0, 1, 3], [0, 1], []):
         with pytest.raises(OutOfRange):
             greedy_maximal(k3, lists, PartialColoring(3, 3), order)
         with pytest.raises(OutOfRange):
             greedy_extend_full(k3, 3, order=order)
     with pytest.raises(ImproperSeed):
         greedy_maximal(k3, lists, PartialColoring(4, 3))
+    # an order may leave out a vertex the seed colors
+    seed = PartialColoring(3, 3, [None, None, 0])
+    assert greedy_maximal(k3, lists, seed, [1, 0]).as_list() == [2, 1, 0]
+    assert greedy_extend_full(k3, 3, seed, [1, 0]).as_list() == [2, 1, 0]
 
 
 def test_greedy_maximal_rejects_list_colors_outside_the_palette():

@@ -21,7 +21,7 @@ from equicolor.errors import (
     SelfLoop,
 )
 
-from conftest import bowtie, complete, cycle, path, random_graph
+from conftest import bowtie, complete, cycle, path, random_graph, reference_build_graph
 
 
 def test_build_path():
@@ -39,16 +39,57 @@ def test_build_empty():
 def test_build_rejects_self_loop():
     with pytest.raises(SelfLoop):
         build_graph(2, [(0, 0)])
+    # the set-based builder raised DuplicateEdge at the earlier repeat
+    with pytest.raises(SelfLoop):
+        build_graph(3, [(0, 1), (1, 0), (2, 2)])
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(OutOfRange):
         build_graph(2, [(0, 2)])
+    with pytest.raises(OutOfRange):
+        build_graph(3, [(0, 1), (1, 0), (0, 3)])
 
 
 def test_build_rejects_duplicates():
     with pytest.raises(DuplicateEdge):
         build_graph(3, [(0, 1), (1, 0)])
+    # the least repeated pair is named, wherever its copies sit
+    with pytest.raises(DuplicateEdge, match=r"^duplicate edge \(0, 1\)$"):
+        build_graph(4, [(2, 3), (3, 2), (1, 0), (0, 1)])
+
+
+def _build_outcome(build, n, edges):
+    try:
+        g = build(n, edges)
+    except (OutOfRange, SelfLoop, DuplicateEdge) as e:
+        return type(e), str(e)
+    return g.n, g.adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_graph_matches_the_set_based_builder(data):
+    """Shuffled, partly reversed simple edges, with at most one pair
+    repeated and at most one bad edge, build what the set-based builder
+    builds, or raise its error.  A bad edge (out of range or a loop) wins
+    over a repeat wherever it sits, so the reference sees it first."""
+    n = data.draw(st.integers(0, 9))
+    pairs = data.draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                               unique=True) if n >= 2 else st.just([]))
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in pairs]
+    if pairs and data.draw(st.booleans()):
+        u, v = data.draw(st.sampled_from(pairs))
+        edges.append((v, u) if data.draw(st.booleans()) else (u, v))
+    bad = []
+    if data.draw(st.booleans()):
+        w = data.draw(st.integers(-2, n + 2))
+        bad = [data.draw(st.sampled_from([(w, w), (0, n + 1), (w, -1)]))]
+    edges = data.draw(st.permutations(edges + bad))
+    reference_order = bad + [e for e in edges if e not in bad]
+    assert _build_outcome(build_graph, n, edges) == _build_outcome(
+        reference_build_graph, n, reference_order
+    )
 
 
 def test_edge_round_trip():

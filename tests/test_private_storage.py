@@ -13,8 +13,11 @@ from pathlib import Path
 import equicolor
 
 SRC = Path(equicolor.__file__).parent
-# storage names that the public views and the derived domain size replaced
-RETIRED = {"_adj", "_degrees", "_assign", "_domain_size"}
+# storage names that the public views, the derived domain size and the
+# one adjacency copy replaced
+RETIRED = {
+    "_adj", "_degrees", "_assign", "_domain_size", "_sets", "_edge_count", "_max_degree",
+}
 
 
 def _is_private(name):
@@ -60,10 +63,14 @@ def foreign_private_reads(src=SRC):
 
 def test_private_storage_is_found():
     owned = {name: private_attributes(tree) for name, tree in parse_modules().items()}
-    assert {"_sets", "_edge_count", "_max_degree"} <= owned["graphs.py"]
     assert {"_counts"} <= owned["colorings.py"]
     assert {"_num", "_den", "_bound"} <= owned["distributions.py"]
 
 
 def test_no_module_reads_another_class_private_storage():
     assert foreign_private_reads() == set()
+
+
+def test_no_class_defines_retired_storage():
+    for tree in parse_modules().values():
+        assert private_attributes(tree).isdisjoint(RETIRED)
