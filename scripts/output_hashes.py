@@ -42,6 +42,21 @@ def outputs(name: str, out) -> list:
             report.dense_coloring, report.dominated_coloring]
 
 
+def corpus_digest(workloads, name: str, seed: int) -> str:
+    """SHA-256 over the outputs of one workload's corpus at one seed;
+    `workloads` is the imported `perfbench/workloads.py`."""
+    digest = hashlib.sha256()
+    workload = workloads.WORKLOADS[name]
+    for inst in workload.corpus(seed):
+        case = workloads.build(inst)
+        try:
+            parts = outputs(name, workload.solve(case))
+        except workloads.eq.EquicolorError as exc:
+            parts = [type(exc).__name__, str(exc)]
+        digest.update(json.dumps(parts, default=str).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("root", type=Path)
@@ -53,16 +68,8 @@ def main() -> int:
 
     for name, workload in workloads.WORKLOADS.items():
         for seed in args.seeds:
-            digest = hashlib.sha256()
-            corpus = workload.corpus(seed)
-            for inst in corpus:
-                case = workloads.build(inst)
-                try:
-                    parts = outputs(name, workload.solve(case))
-                except workloads.eq.EquicolorError as exc:
-                    parts = [type(exc).__name__, str(exc)]
-                digest.update(json.dumps(parts, default=str).encode())
-            print(f"{name} seed={seed} instances={len(corpus)} {digest.hexdigest()}")
+            count = len(workload.corpus(seed))
+            print(f"{name} seed={seed} instances={count} {corpus_digest(workloads, name, seed)}")
     return 0
 
 

@@ -268,14 +268,18 @@ def _greedy_fill(
     g: Graph, lists: ListAssignment, f: PartialColoring, vertices: Iterable[int]
 ) -> None:
     """In place: each uncolored vertex, in the given order, takes its
-    smallest list color absent from its neighbors (first fit)."""
-    colors, adj, ordered, assign = f.colors, g.adj, lists.ordered, f.assign
+    smallest list color absent from its neighbors (first fit).  OutOfRange
+    at the first vertex whose color lies outside f's palette."""
+    colors, adj, ordered, k = f.colors, g.adj, lists.ordered, f.k
     for v in vertices:
         if colors[v] is None:
             taken = {colors[w] for w in adj[v]}
             for c in ordered[v]:
                 if c not in taken:
-                    assign(v, c)
+                    # list colors are nonnegative, so one compare checks c
+                    if c >= k:
+                        raise OutOfRange(f"color {c} outside palette of size {k}")
+                    _recolor(f, v, c)
                     break
 
 

@@ -15,14 +15,19 @@ never silently absorbed.
 `ConvergenceLedger.record_counts` holds the ledger's one set of checks, on
 two integer count sequences over one total; the driver passes every round
 of a coloring to it over the total n.  `record` scales two distributions
-to a common total and calls it.
+to a common total and calls it.  A step costs one pass over the two
+sequences, `_step_scan`, which also defines `witness_colors`: it gives the
+l1 movement, the least gain and the witness test.  A and the budget are
+compared through integer numerators and denominators fixed when the ledger
+is built, and `lcm` runs only when a step's total differs from the running
+denominator, so a driver run over one total n calls it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from .colorings import palette_size
@@ -128,25 +133,45 @@ def d_minus(omega: ColorDistribution, eta: ColorDistribution) -> frozenset[int]:
     )
 
 
-def witness_colors(diffs: Sequence[int], after: Sequence[int]) -> list[int]:
+def _step_scan(before: Sequence[int], after: Sequence[int]) -> tuple:
+    """One pass over two count sequences on one positive scale: the l1
+    movement, the least gain, and the least count afterwards of a gaining
+    and of a losing color (inf over no color).  A witness is a gaining color
+    ending at most at the last value, so one exists iff low <= cap."""
+    moved = 0
+    min_gain = low = cap = inf
+    for b, a in zip(before, after):
+        if a > b:
+            moved += a - b
+            if a - b < min_gain:
+                min_gain = a - b
+            if a < low:
+                low = a
+        elif a < b:
+            moved += b - a
+            if a < cap:
+                cap = a
+    return moved, min_gain, low, cap
+
+
+def witness_colors(before: Sequence[int], after: Sequence[int]) -> list[int]:
     """Colors that gain mass and end with a count no larger than every color
     that loses mass, in increasing order.
 
-    `diffs[c]` is color c's change of mass under any common positive scale
-    and `after[c]` its count afterwards.  A step is strictly more equitable
-    exactly when this list is nonempty, and weakly when it is nonempty or no
-    color's mass changes.
+    `before[c]` and `after[c]` are color c's counts on one positive scale.
+    A step is strictly more equitable exactly when this list is nonempty,
+    and weakly when it is nonempty or no color's mass changes.
     """
-    losing = [a for a, d in zip(after, diffs) if d < 0]
-    cap = min(losing) if losing else None
-    return [c for c, d in enumerate(diffs) if d > 0 and (cap is None or after[c] <= cap)]
+    cap = _step_scan(before, after)[3]
+    return [c for c, (b, a) in enumerate(zip(before, after)) if b < a <= cap]
 
 
 def _strict_witnesses(omega: ColorDistribution, eta: ColorDistribution) -> list[int]:
     """Colors a gaining mass with eta(a) <= eta(b) for every losing color b."""
+    # both over the total omega.total * eta.total
     return witness_colors(
-        [b * omega.total - a * eta.total for a, b in zip(omega.counts, eta.counts)],
-        eta.counts,
+        [a * eta.total for a in omega.counts],
+        [b * omega.total for b in eta.counts],
     )
 
 
@@ -256,6 +281,9 @@ class ConvergenceLedger:
         if self.disc0 < 0:
             raise OutOfRange(f"initial discrepancy must be nonnegative, got {self.disc0}")
         self._bound = (1 + self.a_param) ** (self.k + 1) / self.a_param * self.disc0
+        # the integer parts that every step compares against
+        self._a_num, self._a_den = self.a_param.numerator, self.a_param.denominator
+        self._bound_num, self._bound_den = self._bound.numerator, self._bound.denominator
 
     @classmethod
     def for_initial(cls, a_param, d0: ColorDistribution) -> "ConvergenceLedger":
@@ -315,38 +343,41 @@ class ConvergenceLedger:
             raise PaletteMismatch("ledger palette size mismatch")
         if sum(before) != denom or sum(after) != denom:
             raise OutOfRange(f"step counts must both sum to the total {denom}")
-        diffs = [a - b for b, a in zip(before, after)]
-        moved = sum(map(abs, diffs))
+        moved, min_gain, low, cap = _step_scan(before, after)
         if moved == 0:
             self.steps.append(LedgerStep(0, witness, 0))
             return self
         step_index = len(self.steps)
         step = (before, after)
         # monotone: unchanged, or with a witness color (is_more_equitable)
-        if not witness_colors(diffs, after):
+        if low > cap:
             raise MonotonicityViolation(f"step {step_index} is not monotone", step=step)
-        if witness is not None and not (0 <= witness < k and diffs[witness] > 0):
+        if witness is None:
+            gained = min_gain
+        elif 0 <= witness < k and after[witness] > before[witness]:
+            gained = after[witness] - before[witness]
+        else:
             raise HypothesisViolation(
                 f"step {step_index}: witness {witness} does not gain mass", step=step
             )
-        min_gain = min([d for d in diffs if d > 0])
-        a_num, a_den = self.a_param.numerator, self.a_param.denominator
-        if moved * a_den > a_num * min_gain:
+        if moved * self._a_den > self._a_num * min_gain:
             raise HypothesisViolation(
                 f"step {step_index}: l1 step {Fraction(moved, denom)} exceeds "
                 f"A * minimal gain {self.a_param * Fraction(min_gain, denom)}",
                 step=step,
             )
-        den = lcm(self._den, denom)
-        self._num = self._num * (den // self._den) + moved * (den // denom)
-        self._den = den
-        if self._num * self._bound.denominator > self._bound.numerator * self._den:
+        if denom == self._den:
+            self._num += moved
+        else:
+            den = lcm(self._den, denom)
+            self._num = self._num * (den // self._den) + moved * (den // denom)
+            self._den = den
+        if self._num * self._bound_den > self._bound_num * self._den:
             raise BoundViolation(
                 f"step {step_index}: cumulative {self.cumulative} exceeds "
                 f"budget {self._bound}; the driver violated its contract",
                 step=step,
             )
-        gained = min_gain if witness is None else diffs[witness]
         self.steps.append(LedgerStep(moved, witness, gained, denom))
         return self
 

@@ -35,13 +35,17 @@ the round proper, separated and monotone, and the index then applies all
 of it at once.  Only when the index is empty does a round fall back to one
 step of patterns 2 and 3 or the exhaustive pass, in both modes.
 
-A round builds no distribution.  The index reads the coloring's public
-color list and recolors through the unchecked `colorings._recolor`; the
-driver reads the class counts once per round as one tuple, which the
-ledger's integer entry point `record_counts` checks over the total n and
-the trace record keeps.  A serial round thus costs O(Δ + k) list
-operations and heap pushes, plus one heap peek per pair of minimum color
-and class of size at least min + 2.
+A round builds no distribution.  The driver reads the class counts once
+per round as one tuple: the trace record keeps it, the ledger's integer
+entry point `record_counts` checks it against the last round's in one
+pass over the total n, and the next round's `first_move` finds the
+minimum and the big classes in it.  The index reads the coloring's public
+color list and recolors through the unchecked `colorings._recolor`;
+`apply` updates each neighbor count once and pushes the moved vertices'
+heap entries inline, and the check of a one-vertex take has no order to
+scan.  A serial round thus costs O(Δ + k) list operations and heap
+pushes, plus one heap peek per pair of minimum color and class of size at
+least min + 2.
 """
 
 from __future__ import annotations
@@ -111,9 +115,9 @@ def make_move(g: Graph, assignments: dict[int, int]) -> RecoloringMove:
 
 def _assign_move(f: PartialColoring, move: RecoloringMove) -> list[int]:
     """Apply the move to f in place; return the vertices whose color changed."""
-    recolored = []
+    recolored, colors = [], f.colors
     for v, c in move.assignments:
-        if f.get(v) != c:
+        if colors[v] != c:
             f.assign(v, c)
             recolored.append(v)
     return recolored
@@ -134,10 +138,10 @@ def apply_move(f: PartialColoring, move: RecoloringMove) -> PartialColoring:
 
 
 def move_deltas(f: PartialColoring, move: RecoloringMove) -> list[int]:
-    out = [0] * f.k
+    out, colors = [0] * f.k, f.colors
     for v, c in move.assignments:
         out[c] += 1
-        old = f.get(v)
+        old = colors[v]
         if old is not None:
             out[old] -= 1
     return out
@@ -165,10 +169,10 @@ def is_acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
 
 
 def _acceptable(g: Graph, f: PartialColoring, move: RecoloringMove) -> bool:
-    new = move.as_dict()
+    new, colors = move.as_dict(), f.colors
     for v, c in move.assignments:
-        for w in g.adjacency(v):
-            if new.get(w, f.get(w)) == c:
+        for w in g.adj[v]:
+            if new.get(w, colors[w]) == c:
                 return False
     return True
 
@@ -186,7 +190,7 @@ def admissible_witness(g: Graph, f: PartialColoring, move: RecoloringMove) -> Op
     counts = f.counts()
     pre_cap = min((c for c, d in zip(counts, deltas) if d < 0), default=None)
     witnesses = [
-        a for a in witness_colors(deltas, [c + d for c, d in zip(counts, deltas)])
+        a for a in witness_colors(counts, [c + d for c, d in zip(counts, deltas)])
         if pre_cap is None or counts[a] < pre_cap
     ]
     if not witnesses:
@@ -197,12 +201,13 @@ def admissible_witness(g: Graph, f: PartialColoring, move: RecoloringMove) -> Op
 def _solo_targets(g: Graph, f: PartialColoring, y: int, min_colors: set[int]) -> list[int]:
     """Vertices x adjacent to y, in a non-minimum class, for which y is the
     unique neighbor colored f(y)."""
-    alpha = f.get(y)
+    colors, adj = f.colors, g.adj
+    alpha = colors[y]
     out = []
-    for x in g.adjacency(y):
-        if f.get(x) in min_colors:
+    for x in adj[y]:
+        if colors[x] in min_colors:
             continue
-        if sum(1 for w in g.adjacency(x) if f.get(w) == alpha) == 1:
+        if sum(1 for w in adj[x] if colors[w] == alpha) == 1:
             out.append(x)
     return out
 
@@ -212,14 +217,14 @@ def _pattern1_moves(g: Graph, f: PartialColoring) -> Iterator[RecoloringMove]:
     min + 2 moves to the smallest minimum color absent from its
     neighborhood.  Every such move is admissible, with its target color as
     witness."""
-    counts = f.counts()
+    colors, counts = f.colors, f.counts()
     a = min(counts)
     min_colors = [c for c in range(f.k) if counts[c] == a]
-    for x in range(g.n):
-        beta = f.get(x)
+    for x, nbrs in enumerate(g.adj):
+        beta = colors[x]
         if beta is None or counts[beta] < a + 2:
             continue
-        taken = {f.get(w) for w in g.adjacency(x)}
+        taken = {colors[w] for w in nbrs}
         for alpha in min_colors:
             if alpha != beta and alpha not in taken:
                 yield RecoloringMove(((x, alpha),))
@@ -232,20 +237,19 @@ def _pattern23_moves(g: Graph, f: PartialColoring) -> Iterator[RecoloringMove]:
     Every yielded move still goes through the admissibility check; the
     generators only have to be cheap and deterministic.
     """
-    counts = f.counts()
+    colors, adj, counts = f.colors, g.adj, f.counts()
     a = min(counts)
     min_colors = {c for c in range(f.k) if counts[c] == a}
-    for y in range(g.n):
-        alpha = f.get(y)
+    for y, alpha in enumerate(colors):
         if alpha not in min_colors:
             continue
         solo = _solo_targets(g, f, y, min_colors)
         if not solo:
             continue
-        y_taken = {f.get(w) for w in g.adjacency(y)}
+        y_taken = {colors[w] for w in adj[y]}
         # pattern 2: x takes y's color, y slides into another minimum class
         for x in solo:
-            if counts[f.get(x)] < a + 2:
+            if counts[colors[x]] < a + 2:
                 continue
             for alpha2 in sorted(min_colors):
                 if alpha2 != alpha and alpha2 not in y_taken:
@@ -257,9 +261,7 @@ def _pattern23_moves(g: Graph, f: PartialColoring) -> Iterator[RecoloringMove]:
         for x, x2 in combinations(sorted(solo), 2):
             if g.has_edge(x, x2):
                 continue
-            nbr_colors_outside = {
-                f.get(w) for w in g.adjacency(y) if w not in (x, x2)
-            }
+            nbr_colors_outside = {colors[w] for w in adj[y] if w not in (x, x2)}
             found_gamma = False
             for gamma in range(f.k):
                 if gamma == alpha or gamma in nbr_colors_outside:
@@ -285,14 +287,14 @@ def _connected_domains(g: Graph, m: int) -> Iterable[tuple[int, ...]]:
         for i, u in enumerate(ext):
             new_banned = banned | frozenset(ext[:i])
             new_ext = ext[i + 1:] + [
-                w for w in g.adjacency(u)
+                w for w in g.adj[u]
                 if w > minv and w not in members and w not in ext
                 and w not in new_banned
             ]
             yield from grow(members + (u,), new_ext, new_banned, minv)
 
     for v in range(g.n):
-        yield from grow((v,), [u for u in g.adjacency(v) if u > v], frozenset(), v)
+        yield from grow((v,), [u for u in g.adj[v] if u > v], frozenset(), v)
 
 
 def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove]:
@@ -304,7 +306,7 @@ def find_improving_move(g: Graph, f: PartialColoring) -> Optional[RecoloringMove
         if admissible_witness(g, f, move) is not None:
             return move
     for dom in _connected_domains(g, 3):
-        current = tuple(f.get(v) for v in dom)
+        current = tuple(f.colors[v] for v in dom)
         for colors in product(range(f.k), repeat=len(dom)):
             if colors == current:
                 continue
@@ -337,7 +339,7 @@ def _separated(g: Graph, moves: Iterable[RecoloringMove]) -> Iterator[Recoloring
         dom = mv.domain
         if any(v in blocked for v in dom):
             continue
-        if any(w in blocked for v in dom for w in g.adjacency(v)):
+        if any(w in blocked for v in dom for w in g.adj[v]):
             continue
         blocked.update(dom)
         yield mv
@@ -377,7 +379,7 @@ def _check_batch(g: Graph, f: PartialColoring, batch: Batch) -> None:
         for v in mv.domain:
             if v in seen:
                 raise NotSeparated(f"vertex {v} in two move domains")
-            if any(w in seen for w in g.adjacency(v)):
+            if any(w in seen for w in g.adj[v]):
                 raise NotSeparated(f"edge between move domains at vertex {v}")
         seen.update(mv.domain)
 
@@ -405,8 +407,8 @@ def apply_monotone_prefix(
         return out, 0
     if not f.is_total():
         raise OutOfRange("batch prefixes are compared on a total coloring")
-    before = f.counts()
-    counts = list(before)
+    before = list(f.counts())
+    counts = before
     recolored = 0
     best = 0
     for mv in batch.moves:
@@ -415,8 +417,7 @@ def apply_monotone_prefix(
                for c, d in enumerate(deltas)):
             raise SignatureMismatch(f"move on {mv.domain} is off the batch signature")
         counts = [c + d for c, d in zip(counts, deltas)]
-        diffs = [c - b for c, b in zip(counts, before)]
-        if any(diffs) and not witness_colors(diffs, counts):
+        if counts != before and not witness_colors(before, counts):
             break
         recolored += len(_assign_move(out, mv))
         best += 1
@@ -528,7 +529,7 @@ class _Pattern1Index:
     through `apply`.
 
     `colors` is f's color list, `apply` recolors through `_recolor` and
-    `first_move` reads f's class counts once per call.  `nbr[x*k + c]`
+    `first_move` reads the class counts its caller passes.  `nbr[x*k + c]`
     counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
     vertex x with f(x) = beta and no neighbor colored alpha, plus stale
     entries that are dropped when they reach the top.  The constructor
@@ -559,16 +560,11 @@ class _Pattern1Index:
                 if not nbr[base + alpha]:
                     heap.append(v)
 
-    def _push(self, v: int) -> None:
-        beta, base, nbr, heaps = self.colors[v], v * self.k, self.nbr, self.heaps
-        for alpha in range(self.k):
-            if alpha != beta and nbr[base + alpha] == 0:
-                heappush(heaps[alpha][beta], v)
-
     def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
         """Recolor the (vertex, color) pairs in place, in order; return the
         recolored vertices."""
         colors, nbr, k, adj, f = self.colors, self.nbr, self.k, self.g.adj, self.f
+        heaps = self.heaps
         recolored: list[int] = []
         emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
         for v, c in assignments:
@@ -580,15 +576,21 @@ class _Pattern1Index:
             for w in adj[v]:
                 base = w * k
                 nbr[base + c] += 1
-                nbr[base + old] -= 1
-                if nbr[base + old] == 0:
+                left = nbr[base + old] - 1
+                nbr[base + old] = left
+                if not left:
                     emptied.append((w, old))
+        # each recolored vertex joins heap (alpha, its class) for every
+        # color alpha it has no neighbor of
         for v in recolored:
-            self._push(v)
+            beta, base = colors[v], v * k
+            for alpha in range(k):
+                if alpha != beta and not nbr[base + alpha]:
+                    heappush(heaps[alpha][beta], v)
         for w, c in emptied:
             beta = colors[w]
             if c != beta and nbr[w * k + c] == 0:
-                heappush(self.heaps[c][beta], w)
+                heappush(heaps[c][beta], w)
         return recolored
 
     def take(self, alpha: int, beta: int, cap: int) -> list[int]:
@@ -611,13 +613,12 @@ class _Pattern1Index:
                 taken.append(x)
         return taken
 
-    def first_move(self) -> Optional[tuple[int, int]]:
+    def first_move(self, counts: Sequence[int]) -> Optional[tuple[int, int]]:
         """The first pattern-1 move (x, alpha) of the scan order, or None:
         the smallest valid heap top over minimum colors alpha and classes
-        beta of size >= min + 2, the smallest alpha on a tie.  Stale tops on
-        the way are dropped."""
+        beta of size >= min + 2, the smallest alpha on a tie.  `counts` are
+        f's class counts.  Stale tops on the way are dropped."""
         colors, nbr, k, heaps = self.colors, self.nbr, self.k, self.heaps
-        counts = self.f.counts()
         a = min(counts)
         big = [beta for beta in range(k) if counts[beta] >= a + 2]
         best: Optional[tuple[int, int]] = None
@@ -644,13 +645,13 @@ def _check_round(
     alpha-neighbor, and MonotonicityViolation unless alpha stays no larger
     than beta after the round.  Then the round is proper, separated (one
     class is independent) and monotone, with witness alpha."""
-    if any(a >= b for a, b in zip(taken, taken[1:])):
+    t = len(taken)
+    if t > 1 and any(a >= b for a, b in zip(taken, taken[1:])):
         raise NotSeparated(f"round takes {list(taken)}, not strictly ascending")
     colors, nbr, k = index.colors, index.nbr, index.k
     for y in taken:
         if colors[y] != beta or nbr[y * k + alpha]:
             raise UnacceptableMove(f"vertex {y} cannot move from {beta} to {alpha}")
-    t = len(taken)
     if counts[alpha] + t > counts[beta] - t:
         raise MonotonicityViolation(f"round of {t} from {beta} to {alpha} overshoots")
 
@@ -703,7 +704,7 @@ def equitable_k_coloring(
                 "this indicates a driver bug",
                 coloring=f, gap=f.gap(),
             )
-        first = index.first_move()
+        first = index.first_move(counts)
         if debug:
             scan = next(_pattern1_moves(g, f), None)
             assert first == (scan and scan.assignments[0]), "pattern-1 index out of date"
@@ -726,8 +727,8 @@ def equitable_k_coloring(
             taken = index.take(alpha, beta, cap)
             if debug:
                 assert taken == sorted(
-                    y for y in range(n) if f.get(y) == beta
-                    and all(f.get(w) != alpha for w in g.adjacency(y))
+                    y for y in range(n) if colors[y] == beta
+                    and all(colors[w] != alpha for w in g.adj[y])
                 )[:cap], "round differs from the rescan"
             _check_round(index, counts, taken, alpha, beta)
             index.apply([(y, alpha) for y in taken])

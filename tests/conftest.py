@@ -229,7 +229,7 @@ def reference_monotone_prefix(g, f, batch):
         for c, d in enumerate(move_deltas(f, mv)):
             counts[c] += d
         diffs = [c - b for c, b in zip(counts, before)]
-        if not any(diffs) or witness_colors(diffs, counts):
+        if not any(diffs) or witness_colors(before, counts):
             best = t
     out = f.copy()
     for mv in batch.moves[:best]:

@@ -280,7 +280,16 @@ LEDGER_CASES = {
     # passes
     "mixed totals": (Fraction(6), 3, Fraction(1, 2),
                      [((5, 2, 1), (4, 3, 1), 1, (1, 3)), ((3, 1, 0), (2, 1, 1), None, (2, 1))]),
+    # passes; chained over one total, as the driver's rounds are
+    "one total": (Fraction(6), 3, Fraction(1, 2),
+                  [((5, 2, 1), (4, 3, 1), None, (1, 1)), ((4, 3, 1), (4, 2, 2), 2, (1, 1))]),
 }
+
+# a starting cumulative over the prime 139, which divides no step total: a
+# total is a count sum (k <= 5 counts of at most 9) times a scale of at most
+# 6, both below 139.  So the ledger's running denominator stays a multiple
+# of 139 and no step's total equals it
+LEDGER_START = Fraction(1, 139)
 
 
 @st.composite
@@ -313,9 +322,11 @@ def ledger_runs(draw):
     return a_param, k, disc0, steps
 
 
-def _ledger_outcome(record_step, run):
+def _ledger_outcome(record_step, run, start):
     a_param, k, disc0, steps = run
     led = ConvergenceLedger(a_param, k, disc0)
+    if start is not None:
+        led.cumulative = start
     error = None
     try:
         for before, after, witness, scales in steps:
@@ -336,11 +347,11 @@ def _record_scaled(led, before, after, witness, scales):
                ColorDistribution([c * s2 for c in after]), witness)
 
 
-def _reference_outcome(run):
+def _reference_outcome(run, start):
     """The ledger's rules on Fractions, through the public order."""
     a_param, k, disc0, steps = run
     bound = (1 + a_param) ** (k + 1) / a_param * disc0
-    dicts, cumulative = [], Fraction(0)
+    dicts, cumulative = [], Fraction(0) if start is None else start
     for before, after, witness, _ in steps:
         d1, d2 = ColorDistribution(before), ColorDistribution(after)
         if not is_more_equitable(d1, d2, strict=False):
@@ -363,19 +374,23 @@ def _reference_outcome(run):
 
 
 @settings(max_examples=400, deadline=None)
-@given(ledger_runs())
-@example(LEDGER_CASES["zero step"])
-@example(LEDGER_CASES["not monotone"])
-@example(LEDGER_CASES["witness does not gain"])
-@example(LEDGER_CASES["over the A bound"])
-@example(LEDGER_CASES["over the budget"])
-@example(LEDGER_CASES["mixed totals"])
-def test_record_counts_matches_record_and_reference(run):
+@given(ledger_runs(), st.none() | st.integers(1, 60).map(lambda p: LEDGER_START * p))
+@example(LEDGER_CASES["zero step"], None)
+@example(LEDGER_CASES["not monotone"], None)
+@example(LEDGER_CASES["witness does not gain"], None)
+@example(LEDGER_CASES["over the A bound"], None)
+@example(LEDGER_CASES["over the budget"], None)
+@example(LEDGER_CASES["mixed totals"], None)
+@example(LEDGER_CASES["one total"], None)
+@example(LEDGER_CASES["one total"], LEDGER_START)
+def test_record_counts_matches_record_and_reference(run, start):
     # the integer entry point, the distribution wrapper at mixed totals and
-    # the Fraction rules agree on steps, cumulative and the violation raised
-    outcome = _ledger_outcome(_record_counts, run)
-    assert _ledger_outcome(_record_scaled, run) == outcome
-    assert _reference_outcome(run) == outcome
+    # the Fraction rules agree on steps, cumulative and the violation raised.
+    # From no start a chained run's later steps share the ledger's running
+    # denominator and skip the lcm; from LEDGER_START no step does
+    outcome = _ledger_outcome(_record_counts, run, start)
+    assert _ledger_outcome(_record_scaled, run, start) == outcome
+    assert _reference_outcome(run, start) == outcome
 
 
 def test_record_counts_rejects_malformed_counts():

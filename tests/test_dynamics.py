@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -483,7 +484,7 @@ def test_driver_stalls_at_first_step_without_a_move(monkeypatch, batch):
     start = greedy_extend_full(g, 4)
     assert start.gap() >= 2
     records = []
-    monkeypatch.setattr(_Pattern1Index, "first_move", lambda self: None)
+    monkeypatch.setattr(_Pattern1Index, "first_move", lambda self, counts: None)
     monkeypatch.setattr(dynamics, "_pattern23_moves", lambda g, f: iter(()))
     monkeypatch.setattr(dynamics, "find_improving_move", lambda *args: None)
     monkeypatch.setattr(dynamics, "TraceRecord", lambda *a: records.append(a))
@@ -595,7 +596,7 @@ def test_pattern1_index_tracks_arbitrary_moves():
             expected = [u for u, c in move.assignments if f.get(u) != c]
             assert index.apply(move.assignments) == expected
             assert is_proper(g, f)
-            first = index.first_move()
+            first = index.first_move(f.counts())
             scan = next(_pattern1_moves(g, f), None)
             assert first == (scan and scan.assignments[0])
             if first is None or rng.random() < 0.5:
@@ -619,7 +620,7 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
     cubic = generate(InstanceSpec.parse("regular:n=1002,d=3", 0))
     k33 = complete_bipartite(3, 3)
     k33_start = PartialColoring(6, 4, [1, 1, 1, 3, 0, 2])
-    assert _Pattern1Index(k33, k33_start).first_move() is None
+    assert _Pattern1Index(k33, k33_start).first_move(k33_start.counts()) is None
     runs = []
     for debug in ("", "1"):
         monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", debug)
@@ -791,3 +792,25 @@ def test_size_three_premise_without_pattern1_moves():
             assert out.gap() <= 1 and is_proper(g, out)
         found += move is not None
     assert found >= 390
+
+
+# SHA-256 of every equitable-serial and equitable-batch benchmark output at
+# seed 1 (coloring, trace JSONL and CSV, ledger JSON), as
+# scripts/output_hashes.py computes it
+DRIVER_OUTPUTS_SHA256 = {
+    "equitable-serial": "bdd0ca33cebdad7eea3207085ac5e13cb7df53fa63ecf9977c73c1b545da1474",
+    "equitable-batch": "bb4d3a50e061bd7e56f0da37b42f34b841a8eef97e8f796c5b538b2c7a7866a1",
+}
+
+
+def test_driver_outputs_are_pinned(monkeypatch):
+    # a change to the driver, the index or the ledger must leave every
+    # round, witness and ledger step of the benchmark corpora byte-identical
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    import output_hashes
+    import workloads
+
+    for name, expected in DRIVER_OUTPUTS_SHA256.items():
+        assert output_hashes.corpus_digest(workloads, name, 1) == expected, name
