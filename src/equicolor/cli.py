@@ -158,7 +158,6 @@ def cmd_trace(args) -> int:
     d = ColorDistribution.from_coloring(f)
     _emit({
         "steps": trace.step_count,
-        "restarts": trace.restarts,
         "final_counts": list(f.counts()),
         "final_disc": str(discrepancy(d)),
         "cumulative_l1": str(trace.ledger.cumulative),
@@ -180,11 +179,9 @@ def cmd_oracle(args) -> int:
     elif args.probe == "improving-move":
         f = _load_coloring(args.coloring, g.n, args.k)
         result = improving_move_exists(g, f, args.m, budget)
-    elif args.probe == "domination-exists":
+    else:
         lists, seed = _load_lists(args.lists, g.n)
         result = domination_exists(g, lists, seed, budget)
-    else:
-        raise EquicolorError(f"unknown probe {args.probe!r}")
     _emit({"probe": args.probe, "result": result}, args.out)
     return 0
 

@@ -54,10 +54,6 @@ class DominationInstance:
     seed: PartialColoring
     pivot: Optional[int] = None
 
-    @property
-    def palette(self) -> int:
-        return self.seed.k
-
 
 def _validate(inst: DominationInstance, need_pivot: bool = False) -> None:
     g, lists, seed = inst.graph, inst.lists, inst.seed
@@ -88,7 +84,7 @@ def large_list_shortcut(inst: DominationInstance) -> Optional[PartialColoring]:
     (a spare color always fills it); None when no such vertex exists."""
     _validate(inst)
     g, lists = inst.graph, inst.lists
-    x = next((v for v in range(g.n) if len(lists[v]) > g.degree(v)), None)
+    x = next((v for v in range(g.n) if len(lists[v]) > g.degrees[v]), None)
     if x is None:
         return None
     return _anchored_block_coloring(g, lists, inst.seed, [x], [])
@@ -103,8 +99,8 @@ def _lovasz_triple(h: Graph) -> tuple[int, int, int]:
     triple = next((
         (x, a, b)
         for x in range(h.n)
-        for i, a in enumerate(h.adjacency(x))
-        for b in h.adjacency(x)[i + 1:]
+        for i, a in enumerate(h.adj[x])
+        for b in h.adj[x][i + 1:]
         if not h.has_edge(a, b) and len(_bfs(h, [x], frozenset((a, b)))[0]) == h.n - 2
     ), None)
     assert triple is not None, "a non-complete 2-connected regular block has a Lovász triple"
@@ -143,15 +139,15 @@ def _solve_block(
     (n - 1) + 1 + (n - 2) = 2n - 2 shifts.
     """
     n = h.n
-    assert all(seed.is_assigned(v) == (v != pivot) for v in range(n)), (
+    assert all((seed.colors[v] is not None) == (v != pivot) for v in range(n)), (
         "the block seed must color every vertex except the pivot"
     )
-    assert lists[pivot] <= {seed.get(w) for w in h.adjacency(pivot)}, "the pivot is stuck"
+    assert lists[pivot] <= {seed.colors[w] for w in h.adj[pivot]}, "the pivot is stuck"
     f = seed.copy()
     hole = pivot
 
     def fill() -> bool:
-        free = lists[hole] - {f.get(w) for w in h.adjacency(hole)}
+        free = lists[hole] - {f.colors[w] for w in h.adj[hole]}
         if free:
             _recolor(f, hole, min(free))
         return bool(free)
@@ -159,7 +155,7 @@ def _solve_block(
     def take(c: int) -> None:
         # a stuck hole sees each of its list colors on exactly one neighbor
         nonlocal hole
-        y = next(w for w in h.adjacency(hole) if f.get(w) == c)
+        y = next(w for w in h.adj[hole] if f.colors[w] == c)
         _recolor(f, y, None)
         _recolor(f, hole, c)
         hole = y
@@ -169,14 +165,14 @@ def _solve_block(
         while not fill():
             if hole == to:
                 return False
-            take(f.get(toward[hole]))
+            take(f.colors[toward[hole]])
         return True
 
-    surplus = next((v for v in range(n) if len(lists[v]) > h.degree(v)), None)
+    surplus = next((v for v in range(n) if len(lists[v]) > h.degrees[v]), None)
     if surplus is not None:
         done = walk(surplus)
     elif (edge := next(
-        ((x, y) for x in range(n) for y in h.adjacency(x) if not lists[x] <= lists[y]),
+        ((x, y) for x in range(n) for y in h.adj[x] if not lists[x] <= lists[y]),
         None,
     )) is not None:
         x, y = edge
@@ -189,7 +185,7 @@ def _solve_block(
         x, a, b = _lovasz_triple(h)
         done = walk(a)
         if not done:
-            take(f.get(b))
+            take(f.colors[b])
             done = walk(x, frozenset((a, b)))
     assert done, "the walk's last vertex always has a free color"
     return f
@@ -206,11 +202,11 @@ def _restrict(
         return g, tuple(range(g.n)), lists, f.copy()
     h, mapping = g.induced_subgraph(block)
     h_lists = ListAssignment(tuple(
-        lists[old] - {f.get(w) for w in g.adjacency(old)
-                      if w not in block and f.is_assigned(w)}
+        lists[old] - {f.colors[w] for w in g.adj[old]
+                      if w not in block and f.colors[w] is not None}
         for old in mapping
     ))
-    return h, mapping, h_lists, PartialColoring(h.n, f.k, [f.get(old) for old in mapping])
+    return h, mapping, h_lists, PartialColoring(h.n, f.k, [f.colors[old] for old in mapping])
 
 
 def _anchored_block_coloring(
@@ -226,12 +222,12 @@ def _anchored_block_coloring(
     pivots = [min(b) for b in blocks]
     f, _ = _forest_sweep(g, lists, seed, build_one_ended_subforest(g, {*anchors, *pivots}))
     for block, u in zip(blocks, pivots):
-        if not f.is_assigned(u):
+        if f.colors[u] is None:
             h, mapping, h_lists, h_seed = _restrict(g, lists, f, block)
             # the mapping is sorted, so u is vertex 0 of the block
             f_block = _solve_block(h, h_lists, h_seed, 0)
             for new, old in enumerate(mapping):
-                f.assign(old, f_block.get(new))
+                f.assign(old, f_block.colors[new])
 
     assert f.is_total() and is_proper_list_coloring(g, lists, f)
     assert dominates(f, seed, lists.union_colors())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import contains, ne
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -38,10 +39,33 @@ class Graph:
     __slots__ = ("n", "adj", "degrees", "edge_count", "max_degree")
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
-        # internal constructor; use build_graph for validated input
+        """The graph whose v-th list holds v's neighbors.  OutOfRange on a
+        neighbor outside [0, n) or a pair listed at one end only, SelfLoop
+        on a vertex listing itself, DuplicateEdge on a repeated neighbor."""
+        if len(adj) != n:
+            raise OutOfRange(f"{len(adj)} neighbor lists for {n} vertices")
         self.n = n
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self.degrees = tuple(len(nbrs) for nbrs in self.adj)
+        # mirror[v] lists, in ascending order, every u whose list holds v
+        mirror: list[list[int]] = [[] for _ in range(n)]
+        for u, nbrs in enumerate(self.adj):
+            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
+                raise OutOfRange(f"a neighbor of vertex {u} lies outside [0, {n})")
+            for v in nbrs:
+                mirror[v].append(u)
+        if any(map(contains, self.adj, range(n))):
+            raise SelfLoop(f"self-loop at vertex {next(u for u in range(n) if u in self.adj[u])}")
+        if any(map(ne, map(len, map(set, self.adj)), self.degrees)):
+            # when both ends list each pair, as build_graph lists them, the
+            # first u with a repeat has only repeats above u
+            u, v = next((u, v) for u, nbrs in enumerate(self.adj)
+                        for v, w in zip(nbrs, nbrs[1:]) if v == w)
+            raise DuplicateEdge(f"duplicate edge ({u}, {v})")
+        if any(map(ne, map(tuple, mirror), self.adj)):
+            u = next(u for u in range(n) if tuple(mirror[u]) != self.adj[u])
+            v = min(set(mirror[u]) ^ set(self.adj[u]))
+            raise OutOfRange(f"pair ({u}, {v}) is listed at one end only")
         self.edge_count = sum(self.degrees) // 2
         self.max_degree = max(self.degrees, default=0)
 
@@ -77,9 +101,10 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated simple graph.
 
-    Rejects out-of-range endpoints and self-loops at the first such edge,
-    then duplicate edges, naming the least repeated pair (duplicates signal
-    generator bugs, so they are errors rather than silently deduplicated).
+    Rejects out-of-range endpoints and self-loops at the first such edge;
+    the Graph constructor then rejects duplicate edges, naming the least
+    repeated pair (duplicates signal generator bugs, so they are errors
+    rather than silently deduplicated).
     """
     if n < 0:
         raise OutOfRange(f"vertex count must be nonnegative, got {n}")
@@ -91,13 +116,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise SelfLoop(f"self-loop at vertex {u}")
         adj[u].append(v)
         adj[v].append(u)
-    g = Graph(n, adj)
-    for u, nbrs in enumerate(g.adj):
-        # a repeat lists a neighbor twice; at the first u, every repeat is above u
-        for v, w in zip(nbrs, nbrs[1:]):
-            if v == w:
-                raise DuplicateEdge(f"duplicate edge ({u}, {v})")
-    return g
+    return Graph(n, adj)
 
 
 def _check_vertices(g: Graph, ids: Iterable[int], what: str = "vertex") -> None:
@@ -208,12 +227,10 @@ def build_one_ended_subforest(g: Graph, anchors: Iterable[int]) -> OneEndedFores
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (maximal subgraphs without a cut-vertex), cut vertices, and
-    the block-cut tree edges (block index, cut vertex)."""
+    """Blocks (maximal subgraphs without a cut-vertex) and cut vertices."""
 
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
-    tree_edges: tuple[tuple[int, int], ...]
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -278,11 +295,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     for b in blocks:
         for v in b:
             count[v] = count.get(v, 0) + 1
-    cuts = {v for v, c in count.items() if c >= 2}
-    tree_edges = tuple(
-        (i, v) for i, b in enumerate(blocks) for v in sorted(b) if v in cuts
-    )
-    return BlockDecomposition(tuple(blocks), frozenset(cuts), tree_edges)
+    cuts = frozenset(v for v, c in count.items() if c >= 2)
+    return BlockDecomposition(tuple(blocks), cuts)
 
 
 def _block_is_clique(g: Graph, block: frozenset[int]) -> bool:

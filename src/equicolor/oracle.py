@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .colorings import (
     ListAssignment,
@@ -43,6 +43,39 @@ class OracleBudget:
             raise BudgetExceeded(f"list size {worst} exceeds cap {self.max_list_size}")
 
 
+def _proper_colorings(
+    g: Graph,
+    k: int,
+    choices: Callable[[int, list[int]], Iterable[int]],
+    accept: Callable[[list[int]], bool] = lambda counts: True,
+) -> Iterator[tuple[int, ...]]:
+    """The one exhaustive search: every total proper coloring of g that
+    colors each vertex v from `choices(v, counts)`, where counts[c] is how
+    many earlier vertices have color c, and whose final counts pass
+    `accept`.  Colors an earlier neighbor holds are skipped.  Colorings come
+    in lexicographic order of the choices; with no vertices, the one empty
+    coloring is judged like any other."""
+    n, adj = g.n, g.adj
+    colors = [0] * n
+    counts = [0] * k
+
+    def extend(v: int) -> Iterator[tuple[int, ...]]:
+        if v == n:
+            if accept(counts):
+                yield tuple(colors)
+            return
+        taken = {colors[w] for w in adj[v] if w < v}
+        for c in choices(v, counts):
+            if c in taken:
+                continue
+            colors[v] = c
+            counts[c] += 1
+            yield from extend(v + 1)
+            counts[c] -= 1
+
+    return extend(0)
+
+
 def enumerate_proper_colorings(
     g: Graph,
     palette: Optional[int] = None,
@@ -57,31 +90,15 @@ def enumerate_proper_colorings(
         raise PreconditionViolated("pass exactly one of palette or lists", name="palette")
     budget.check_graph(g)
     if palette is not None:
-        palette = palette_size(palette)
-        budget.check_palette(palette)
-        allowed = [tuple(range(palette)) for _ in range(g.n)]
+        k = palette_size(palette)
+        budget.check_palette(k)
+        allowed = [range(k)] * g.n
     else:
         _check_lists(g, lists, error=OutOfRange)
         budget.check_lists(lists)
-        allowed = [tuple(sorted(lists[v])) for v in range(g.n)]
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    assign: list[int] = []
-
-    def backtrack(v: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            yield tuple(assign)
-            return
-        for c in allowed[v]:
-            if any(w < v and assign[w] == c for w in g.adjacency(v)):
-                continue
-            assign.append(c)
-            yield from backtrack(v + 1)
-            assign.pop()
-
-    yield from backtrack(0)
+        k = lists.max_color() + 1
+        allowed = lists.ordered
+    yield from _proper_colorings(g, k, lambda v, counts: allowed[v])
 
 
 def count_proper_colorings(g: Graph, k: int, budget: OracleBudget = OracleBudget()) -> int:
@@ -98,7 +115,7 @@ def count_proper_colorings(g: Graph, k: int, budget: OracleBudget = OracleBudget
 def _path_or_cycle(g: Graph) -> Optional[str]:
     if g.n == 0 or len(components(g)) != 1:
         return None
-    degs = sorted(g.degree(v) for v in range(g.n))
+    degs = sorted(g.degrees)
     if g.n >= 3 and all(d == 2 for d in degs):
         return "cycle"
     if g.n == 1 and g.edge_count == 0:
@@ -114,30 +131,13 @@ def equitable_exists(g: Graph, k: int, budget: OracleBudget = OracleBudget()) ->
     budget.check_graph(g)
     k = palette_size(k)
     budget.check_palette(k)
-    n = g.n
-    ceiling = -(-n // k)
-    assign: list[int] = []
-    counts = [0] * k
-
-    def backtrack(v: int) -> bool:
-        if v == n:
-            return max(counts) - min(counts) <= 1
-        for c in range(k):
-            if counts[c] >= ceiling:
-                continue
-            if any(w < v and assign[w] == c for w in g.adjacency(v)):
-                continue
-            assign.append(c)
-            counts[c] += 1
-            if backtrack(v + 1):
-                return True
-            counts[c] -= 1
-            assign.pop()
-        return False
-
-    if n == 0:
-        return True
-    return backtrack(0)
+    ceiling = -(-g.n // k)
+    found = _proper_colorings(
+        g, k,
+        lambda v, counts: [c for c in range(k) if counts[c] < ceiling],
+        lambda counts: max(counts) - min(counts) <= 1,
+    )
+    return next(found, None) is not None
 
 
 def domination_exists(
@@ -153,29 +153,19 @@ def domination_exists(
     budget.check_graph(g)
     budget.check_lists(lists)
     n = g.n
-    k = seed.k
-    need = [seed.count_of(c) for c in range(k)]
-    allowed = [tuple(sorted(c for c in lists[v] if c < k)) for v in range(n)]
-    assign: list[int] = []
+    need = [(c, d) for c, d in enumerate(seed.counts()) if d]
+    allowed = [tuple(c for c in colors if c < seed.k) for colors in lists.ordered]
 
-    def backtrack(v: int) -> bool:
-        deficit = sum(d for d in need if d > 0)
-        if deficit > n - v:
-            return False
-        if v == n:
-            return deficit == 0
-        for c in allowed[v]:
-            if any(w < v and assign[w] == c for w in g.adjacency(v)):
-                continue
-            assign.append(c)
-            need[c] -= 1
-            if backtrack(v + 1):
-                return True
-            need[c] += 1
-            assign.pop()
-        return False
+    def deficit(counts: list[int]) -> int:
+        return sum(d - counts[c] for c, d in need if counts[c] < d)
 
-    return backtrack(0)
+    found = _proper_colorings(
+        g, seed.k,
+        # the vertices from v on cannot make up a larger deficit
+        lambda v, counts: allowed[v] if deficit(counts) <= n - v else (),
+        lambda counts: deficit(counts) == 0,
+    )
+    return next(found, None) is not None
 
 
 def _oracle_connected_domains(g: Graph, m: int) -> list[tuple[int, ...]]:
@@ -196,14 +186,14 @@ def _oracle_connected_domains(g: Graph, m: int) -> list[tuple[int, ...]]:
         for i, u in enumerate(ext):
             new_banned = banned | frozenset(ext[:i])
             new_ext = ext[i + 1:] + [
-                w for w in g.adjacency(u)
+                w for w in g.adj[u]
                 if w > minv and w not in members and w not in ext
                 and w not in new_banned
             ]
             grow(members + (u,), new_ext, new_banned, minv)
 
     for v in range(g.n):
-        grow((v,), [u for u in g.adjacency(v) if u > v], frozenset(), v)
+        grow((v,), [u for u in g.adj[v] if u > v], frozenset(), v)
     return sorted(out, key=lambda d: (len(d), d))
 
 
@@ -229,15 +219,15 @@ def improving_move_exists(
     k = f.k
     counts = f.counts()
     for dom in _oracle_connected_domains(g, m):
-        current = tuple(f.get(v) for v in dom)
+        current = tuple(f.colors[v] for v in dom)
         for colors in product(range(k), repeat=len(dom)):
             if colors == current:
                 continue
             new = dict(zip(dom, colors))
             ok = True
             for v, c in new.items():
-                for w in g.adjacency(v):
-                    if new.get(w, f.get(w)) == c:
+                for w in g.adj[v]:
+                    if new.get(w, f.colors[w]) == c:
                         ok = False
                         break
                 if not ok:
@@ -247,7 +237,7 @@ def improving_move_exists(
             deltas = [0] * k
             for v, c in new.items():
                 deltas[c] += 1
-                deltas[f.get(v)] -= 1
+                deltas[f.colors[v]] -= 1
             losing = [b for b in range(k) if deltas[b] < 0]
             if not losing:
                 continue
@@ -266,11 +256,11 @@ def improving_move_exists(
 
 
 def _vertex_signature(g: Graph, v: int) -> tuple:
-    nbr_degs = tuple(sorted(g.degree(w) for w in g.adjacency(v)))
+    nbr_degs = tuple(sorted(g.degrees[w] for w in g.adj[v]))
     triangles = sum(
-        1 for a, b in combinations(g.adjacency(v), 2) if g.has_edge(a, b)
+        1 for a, b in combinations(g.adj[v], 2) if g.has_edge(a, b)
     )
-    return (g.degree(v), triangles, nbr_degs)
+    return (g.degrees[v], triangles, nbr_degs)
 
 
 def _graph_invariant(g: Graph) -> tuple:
@@ -286,7 +276,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(sig_g) != sorted(sig_h):
         return False
     n = g.n
-    order = sorted(range(n), key=lambda v: (sig_g.count(sig_g[v]), -g.degree(v)))
+    order = sorted(range(n), key=lambda v: (sig_g.count(sig_g[v]), -g.degrees[v]))
     mapping = [-1] * n
     used = [False] * n
 
@@ -359,22 +349,7 @@ def connected_canonical_graphs(n: int) -> list[Graph]:
 def colorings_up_to_color_permutation(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Proper total k-colorings with colors in first-use order, one
     representative per palette-permutation class."""
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    assign: list[int] = []
-
-    def backtrack(v: int, used: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            yield tuple(assign)
-            return
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if any(w < v and assign[w] == c for w in g.adjacency(v)):
-                continue
-            assign.append(c)
-            yield from backtrack(v + 1, max(used, c + 1))
-            assign.pop()
-
-    yield from backtrack(0, 0)
+    # colors are used in first-use order, so the used ones are 0..used-1
+    return _proper_colorings(
+        g, k, lambda v, counts: range(min(k - counts.count(0) + 1, k))
+    )

@@ -5,9 +5,10 @@ the right type with an EquicolorError subclass, and raises nothing else.
 call on an otherwise valid connected graph: wrong sizes, out-of-range or
 negative vertex ids, a greedy order that leaves out an uncolored vertex,
 negative colors or palettes, mismatched palettes, a forest of another
-graph, or a generator spec or graph file with a missing, non-numeric or
-out-of-range value.  `EXEMPT` names the exported callables that take no
-argument such a call could get wrong, with the reason.
+graph, neighbor lists with a bad, looped, repeated or one-sided entry, or a
+generator spec or graph file with a missing, non-numeric or out-of-range
+value.  `EXEMPT` names the exported callables that take no argument such a
+call could get wrong, with the reason.
 """
 
 import tempfile
@@ -29,7 +30,6 @@ EXEMPT = {
     "DriverConfig": "one boolean flag",
     "DynamicsTrace": "an output record",
     "EquicolorError": "the error base class",
-    "Graph": "the unchecked internal constructor; build_graph checks its input",
     "InstanceSpec": "a record; generate checks its parameters",
     "OneEndedForest": "a record; forest_recolor checks it against its graph",
     "OracleBudget": "caps that each oracle call checks its input against",
@@ -104,6 +104,12 @@ def small_palette(data, g):
     """An empty seed and a palette below the max degree, or below 1."""
     k = data.draw(st.integers(-2, g.max_degree - 1))
     return eq.PartialColoring(g.n, max(k, 1)), k
+
+
+def listed(g, *pairs):
+    """g's neighbor lists with each (u, v) listed once more at u."""
+    extra = {u: tuple(v for w, v in pairs if w == u) for u, _ in pairs}
+    return [nbrs + extra.get(u, ()) for u, nbrs in enumerate(g.adj)]
 
 
 def choose(data, *calls):
@@ -226,6 +232,7 @@ CALLS = {
         data,
         lambda: eq.ColorDistribution([2, bad_palette(data, 0)]),
         lambda: eq.ColorDistribution([1, 2], data.draw(st.integers(-2, 2))),
+        lambda: eq.ColorDistribution.from_coloring(partial(data, g, g.max_degree + 1)),
     ),
     "ConvergenceLedger": lambda data, g: choose(
         data,
@@ -340,6 +347,15 @@ CALLS = {
     ),
     # graphs
     "average_degree": lambda data, g: eq.average_degree(eq.build_graph(0, [])),
+    "Graph": lambda data, g: choose(
+        data,
+        lambda: eq.Graph(g.n + 1, g.adj),
+        lambda: eq.Graph(g.n, listed(g, (0, bad_id(data, g)))),
+        lambda: eq.Graph(g.n, listed(g, (0, 0))),
+        lambda: eq.Graph(g.n, listed(g, edge := data.draw(st.sampled_from(g.edges())),
+                                     edge[::-1])),
+        lambda: eq.Graph(g.n, [nbrs[1:] if u == 0 else nbrs for u, nbrs in enumerate(g.adj)]),
+    ),
     "build_graph": lambda data, g: choose(
         data,
         lambda: eq.build_graph(bad_palette(data, 0), []),

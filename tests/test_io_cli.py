@@ -313,7 +313,9 @@ def test_cli_malformed_json_input_error(tmp_path, capsys):
 
 def test_cli_malformed_spec_and_graph_file_errors(tmp_path, capsys):
     # a missing generator parameter, a non-numeric value and a malformed
-    # edge-json graph printed a KeyError, ValueError or TypeError traceback
+    # edge-json graph printed a KeyError, ValueError or TypeError traceback;
+    # an unknown generator, a probability outside [0, 1] and an edge budget
+    # too small for a hub raise typed errors too
     bad = tmp_path / "g.json"
     bad.write_text('{"n": 3, "edges": 5}')
     cases = [
@@ -321,6 +323,9 @@ def test_cli_malformed_spec_and_graph_file_errors(tmp_path, capsys):
         (["--gen", "gnp:n=5,p=x"], "ParseError"),
         (["--gen", "bipartite:n1=-2,n2=5,p=1/2"], "InfeasibleParameters"),
         (["--gen", "hub:n=100,delta=10,target=1"], "InfeasibleParameters"),
+        (["--gen", "nosuch:n=5"], "InfeasibleParameters"),
+        (["--gen", "gnp:n=5,p=3/2"], "InfeasibleParameters"),
+        (["--gen", "hub:n=10,delta=5,target_avg=1/2"], "InfeasibleParameters"),
         (["--graph", str(bad)], "ParseError"),
         ([], "EquicolorError"),
     ]

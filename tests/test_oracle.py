@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from equicolor import (
@@ -23,7 +26,14 @@ from equicolor.oracle import (
     count_proper_colorings,
 )
 
-from conftest import complete, complete_bipartite, cycle, path
+from conftest import (
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    random_degree_lists,
+    random_partial_list_coloring,
+)
 
 
 def test_enumeration_examples():
@@ -63,6 +73,8 @@ def test_budget_enforced():
         list(enumerate_proper_colorings(big, palette=2))
     with pytest.raises(BudgetExceeded):
         equitable_exists(path(3), 7)
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_proper_colorings(path(3), lists=ListAssignment.uniform(3, 9)))
 
 
 def test_equitable_exists_examples():
@@ -163,3 +175,33 @@ def test_colorings_up_to_color_permutation():
         used = len(set(rep))
         total += math.factorial(3) // math.factorial(3 - used)
     assert total == count_proper_colorings(g, 3)
+
+
+# SHA-256 of the oracle's answers over the atlas, as
+# test_oracle_answers_are_pinned computes it
+ORACLE_ANSWERS_SHA256 = "dab722442f1697899a167c596815e640a7934d696a2f5235c50ee0e3536b70dd"
+
+
+def test_oracle_answers_are_pinned():
+    # a change to the oracle's search must leave every answer and every
+    # enumeration order the same: on each atlas graph with n <= 6, for k in
+    # {max(1, max degree), max degree + 1}, the colorings, equitable_exists
+    # and the colorings up to permutation; then the list colorings and
+    # domination_exists of one seeded degree-list instance
+    digest = hashlib.sha256()
+    for n in range(7):
+        for i, g in enumerate(canonical_graphs(n)):
+            for k in sorted({max(1, g.max_degree), g.max_degree + 1}):
+                digest.update(repr((
+                    list(enumerate_proper_colorings(g, palette=k)),
+                    equitable_exists(g, k),
+                    list(colorings_up_to_color_permutation(g, k)),
+                )).encode())
+            rng = random.Random(1000 * n + i)
+            lists = random_degree_lists(g, rng)
+            seed = random_partial_list_coloring(g, lists, max(lists.max_color() + 1, 1), rng)
+            digest.update(repr((
+                list(enumerate_proper_colorings(g, lists=lists)),
+                domination_exists(g, lists, seed),
+            )).encode())
+    assert digest.hexdigest() == ORACLE_ANSWERS_SHA256
