@@ -167,10 +167,7 @@ class ListAssignment:
         return self.lists[v]
 
     def union_colors(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for l in self.lists:
-            out |= l
-        return out
+        return frozenset().union(*set(self.lists))
 
     def max_color(self) -> int:
         u = self.union_colors()
@@ -192,7 +189,7 @@ def is_proper(g: Graph, f: PartialColoring) -> bool:
 
 def is_proper_list_coloring(g: Graph, lists: ListAssignment, f: PartialColoring) -> bool:
     return is_proper(g, f) and all(
-        f.get(v) in lists[v] for v in range(g.n) if f.is_assigned(v)
+        c in l for c, l in zip(f.colors, lists.lists, strict=True) if c is not None
     )
 
 
@@ -305,19 +302,20 @@ def _forest_sweep(
         if v not in forest.anchors:
             strata[hv].append(v)
     f = seed.copy()
+    colors, adj, parent = f.colors, g.adj, forest.parent
     stolen = [False] * g.n
     frontier: Iterable[int] = range(g.n)
 
     for stage, stratum in enumerate(strata):
         prev = f.copy() if debug else f
         _greedy_fill(g, lists, f, frontier)
-        stealers = {x: f.get(forest.parent[x]) for x in stratum if not f.is_assigned(x)}
+        stealers = {x: colors[parent[x]] for x in stratum if colors[x] is None}
         if debug:
             assert f == greedy_maximal(g, lists, prev), "frontier fill missed a vertex"
             for x, c in stealers.items():
                 assert sum(1 for w in g.adjacency(x) if f.get(w) == c) == 1, \
                     "parent must be the unique neighbor with its color"
-        stolen_from = {forest.parent[x] for x in stealers}
+        stolen_from = {parent[x] for x in stealers}
         for p in stolen_from:
             _recolor(f, p, None)
             stolen[p] = True
@@ -325,7 +323,7 @@ def _forest_sweep(
             assert c is not None, "maximal coloring left an uncolored neighbor"
             _recolor(f, x, c)
         frontier = sorted(stolen_from.union(
-            w for p in stolen_from for w in g.adjacency(p) if not f.is_assigned(w)
+            w for p in stolen_from for w in adj[p] if colors[w] is None
         ))
         if debug:
             assert is_proper_list_coloring(g, lists, f)

@@ -9,7 +9,8 @@ anchors: an uncolored vertex takes its parent's color and passes the hole
 on toward the anchors, so counts never fall.  An anchor whose list exceeds
 its degree is always filled by the sweep's last stage.  The other anchors
 are pivots, each the least vertex of a block that is neither a clique nor
-an odd cycle.  If the sweep leaves a pivot uncolored, its block alone (its
+an odd cycle, found by one counted block pass (`graphs._anchor_blocks`)
+per call.  If the sweep leaves a pivot uncolored, its block alone (its
 lists less the colors of its outside neighbors) is solved by a hole walk:
 the uncolored vertex takes a neighbor's color and passes the hole on,
 along shortest paths chosen so that the hole ends at a vertex with a free

@@ -93,7 +93,8 @@ def dominating_delta_coloring(
     ksize = palette_size(k, g.max_degree)
     _check_coloring(g, seed, ksize, error=ImproperSeed)
 
-    full = [comp for comp in components(g) if min(map(g.degree, comp)) == ksize]
+    degrees = g.degrees
+    full = [comp for comp in components(g) if min(map(degrees.__getitem__, comp)) == ksize]
     blocks = _anchor_blocks(g, full)
     for comp, block in zip(full, blocks):
         if block is None:
@@ -101,5 +102,5 @@ def dominating_delta_coloring(
                 f"component {comp} is {ksize}-regular and a Gallai tree",
                 component=tuple(comp),
             )
-    low = [v for v in range(g.n) if g.degree(v) < ksize]
+    low = [v for v, d in enumerate(degrees) if d < ksize]
     return _anchored_block_coloring(g, ListAssignment.uniform(g.n, ksize), seed, low, blocks)

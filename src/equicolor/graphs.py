@@ -10,10 +10,15 @@ it returns the reached vertices in the order reached and a parent list.
 each vertex at its parent toward the anchors, and the domination solver
 walks its hole along parents and tests connectivity after deleting a
 vertex pair.  `components` partitions the whole graph with its own loop.
+
+One counted Hopcroft-Tarjan pass, `_blocks`, serves every block query: a
+block of s vertices and m edges is a clique iff m = s(s-1)/2 and an odd
+cycle iff s is odd and m = s, so no block is rescanned.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import contains, ne
@@ -82,8 +87,10 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Return (subgraph, mapping) where mapping[new_id] = old_id."""
+        """Return (subgraph, mapping) where mapping[new_id] = old_id;
+        OutOfRange on an id outside [0, n)."""
         keep = sorted(set(vertices))
+        _check_vertices(self, keep)
         index = {old: new for new, old in enumerate(keep)}
         adj = [[index[w] for w in self.adj[old] if w in index] for old in keep]
         return Graph(len(keep), adj), tuple(keep)
@@ -128,6 +135,7 @@ def _check_vertices(g: Graph, ids: Iterable[int], what: str = "vertex") -> None:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
+    adj = g.adj
     seen = [False] * g.n
     out: list[list[int]] = []
     for start in range(g.n):
@@ -135,15 +143,14 @@ def components(g: Graph) -> list[list[int]]:
             continue
         seen[start] = True
         comp = [start]
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.adjacency(v):
+        # the loop also visits the vertices appended while it runs
+        for v in comp:
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
+        comp.sort()
+        out.append(comp)
     return out
 
 
@@ -233,83 +240,77 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
 
 
+def _blocks(g: Graph, roots: Iterable[int]) -> list[list[tuple[list[int], int]]]:
+    """One iterative Hopcroft-Tarjan pass from each root, in the given
+    order, that no earlier root reached: for each such root, the blocks of
+    its component in closing order, each as (vertex list, edge count).
+
+    A vertex stack stands in for the edge stack: a block closes when a
+    child v finishes with low[v] >= disc[parent], and is v's stacked
+    subtree plus the parent.  Each vertex counts its edges to vertices
+    discovered before it (its tree parent and back edges), all of which
+    lie in the block that pops it.  An isolated root is a block of its own.
+    """
+    adj = g.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    earlier = [0] * g.n
+    out: list[list[tuple[list[int], int]]] = []
+    timer = 0
+    for root in roots:
+        if disc[root] != -1:
+            continue
+        disc[root] = timer
+        timer += 1
+        blocks: list[tuple[list[int], int]] = []
+        stack = [root]
+        # frames: (vertex, its neighbor iterator, its place on the stack)
+        path = [(root, iter(adj[root]), 0)]
+        while path:
+            v, nbrs, at = path[-1]
+            dv = disc[v]
+            for w in nbrs:
+                dw = disc[w]
+                if dw == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    path.append((w, iter(adj[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if dw < dv:
+                    earlier[v] += 1
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                path.pop()
+                if path:
+                    p = path[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        members = stack[at:]
+                        del stack[at:]
+                        blocks.append((members + [p], sum(map(earlier.__getitem__, members))))
+        out.append(blocks or [([root], 0)])
+    return out
+
+
+def _gallai_block(size: int, edges: int) -> bool:
+    """True iff a block with this many vertices and edges is a clique or an
+    odd cycle: a 2-connected block with as many edges as vertices is a
+    cycle, and blocks are induced."""
+    return edges == size * (size - 1) // 2 or (size % 2 == 1 and edges == size)
+
+
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Iterative Hopcroft-Tarjan articulation point / biconnected component search.
+    """Blocks in closing order of one Hopcroft-Tarjan pass from every vertex
+    in turn, and the cut vertices: those lying in at least 2 blocks.
 
     Isolated vertices form singleton blocks; bridges form 2-vertex blocks.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    blocks: list[frozenset[int]] = []
-    timer = 0
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        if g.degree(root) == 0:
-            blocks.append(frozenset((root,)))
-            disc[root] = timer
-            timer += 1
-            continue
-        edge_stack: list[tuple[int, int]] = []
-        disc[root] = low[root] = timer
-        timer += 1
-        # frames: (vertex, parent, next adjacency index)
-        stack = [(root, -1, 0)]
-        while stack:
-            v, parent, i = stack.pop()
-            nbrs = g.adjacency(v)
-            advanced = False
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((v, parent, i))
-                    stack.append((w, v, 0))
-                    advanced = True
-                    break
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            # v finished: every tree edge (parent, v) with low[v] >= disc[parent]
-            # closes one biconnected component
-            if parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    members: set[int] = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (parent, v):
-                            break
-                    blocks.append(frozenset(members))
-    # a vertex is a cut vertex iff it lies in at least 2 blocks
-    count: dict[int, int] = {}
-    for b in blocks:
-        for v in b:
-            count[v] = count.get(v, 0) + 1
-    cuts = frozenset(v for v, c in count.items() if c >= 2)
-    return BlockDecomposition(tuple(blocks), cuts)
-
-
-def _block_is_clique(g: Graph, block: frozenset[int]) -> bool:
-    m = sum(1 for v in block for w in g.adjacency(v) if w in block and w > v)
-    s = len(block)
-    return m == s * (s - 1) // 2
-
-
-def _block_is_odd_cycle(g: Graph, block: frozenset[int]) -> bool:
-    s = len(block)
-    if s < 3 or s % 2 == 0:
-        return False
-    return all(sum(1 for w in g.adjacency(v) if w in block) == 2 for v in block)
+    blocks = [frozenset(vs) for comp in _blocks(g, range(g.n)) for vs, _ in comp]
+    count = Counter(v for b in blocks for v in b)
+    return BlockDecomposition(tuple(blocks), frozenset(v for v, c in count.items() if c >= 2))
 
 
 def _anchor_blocks(
@@ -318,19 +319,13 @@ def _anchor_blocks(
     """For each given component, the first block in decomposition order
     with the least minimum vertex among its blocks that are neither a
     clique nor an odd cycle, or None when there is no such block: a
-    connected graph is a Gallai tree exactly then.  One decomposition
-    serves every component."""
-    if not comps:
-        return []
-    index = {v: i for i, comp in enumerate(comps) for v in comp}
-    best: list[Optional[frozenset[int]]] = [None] * len(comps)
-    for b in block_decomposition(g).blocks:
-        i = index.get(min(b))
-        if i is None or _block_is_clique(g, b) or _block_is_odd_cycle(g, b):
-            continue
-        if best[i] is None or min(b) < min(best[i]):
-            best[i] = b
-    return best
+    connected graph is a Gallai tree exactly then.  One pass, from the
+    least vertex of each component, serves every component."""
+    anchors = [
+        min((vs for vs, m in blocks if not _gallai_block(len(vs), m)), key=min, default=None)
+        for blocks in _blocks(g, [min(comp) for comp in comps])
+    ]
+    return [None if vs is None else frozenset(vs) for vs in anchors]
 
 
 def is_gallai_tree(g: Graph, component: Iterable[int]) -> bool:
@@ -340,10 +335,10 @@ def is_gallai_tree(g: Graph, component: Iterable[int]) -> bool:
     if not comp:
         raise NotAComponent("empty vertex set is not a component")
     _check_vertices(g, comp)
-    if component_of(g, min(comp)) != comp:
+    [blocks] = _blocks(g, [min(comp)])
+    if {v for vs, _ in blocks for v in vs} != comp:
         raise NotAComponent(f"{sorted(comp)} is not a connected component")
-    sub, _ = g.induced_subgraph(comp)
-    return _anchor_blocks(sub, [range(sub.n)]) == [None]
+    return all(_gallai_block(len(vs), m) for vs, m in blocks)
 
 
 def contains_clique(g: Graph, q: int) -> bool:

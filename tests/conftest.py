@@ -30,7 +30,7 @@ from equicolor.errors import (
     SelfLoop,
     UnacceptableMove,
 )
-from equicolor.graphs import Graph
+from equicolor.graphs import BlockDecomposition, Graph
 
 
 def reference_build_graph(n, edges):
@@ -379,3 +379,77 @@ def reference_pattern1_index(g, f):
             if alpha != beta and nbr[v * k + alpha] == 0:
                 heappush(heaps[alpha][beta], v)
     return nbr, heaps
+
+
+def reference_block_decomposition(g):
+    """The edge-stack Hopcroft-Tarjan search: blocks in closing order, each
+    a frozenset built from the popped edges, isolated vertices as singleton
+    blocks, and cut vertices as those lying in at least 2 blocks."""
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    blocks = []
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        if g.degree(root) == 0:
+            blocks.append(frozenset((root,)))
+            disc[root] = timer
+            timer += 1
+            continue
+        edge_stack = []
+        disc[root] = low[root] = timer
+        timer += 1
+        # frames: (vertex, parent, next adjacency index)
+        stack = [(root, -1, 0)]
+        while stack:
+            v, parent, i = stack.pop()
+            nbrs = g.adjacency(v)
+            advanced = False
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                if disc[w] == -1:
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((v, parent, i))
+                    stack.append((w, v, 0))
+                    advanced = True
+                    break
+                elif w != parent and disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            if parent != -1:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    members = set()
+                    while edge_stack:
+                        a, b = edge_stack.pop()
+                        members.add(a)
+                        members.add(b)
+                        if (a, b) == (parent, v):
+                            break
+                    blocks.append(frozenset(members))
+    count = {}
+    for b in blocks:
+        for v in b:
+            count[v] = count.get(v, 0) + 1
+    cuts = frozenset(v for v, c in count.items() if c >= 2)
+    return BlockDecomposition(tuple(blocks), cuts)
+
+
+def reference_block_is_clique(g, block):
+    m = sum(1 for v in block for w in g.adjacency(v) if w in block and w > v)
+    s = len(block)
+    return m == s * (s - 1) // 2
+
+
+def reference_block_is_odd_cycle(g, block):
+    s = len(block)
+    if s < 3 or s % 2 == 0:
+        return False
+    return all(sum(1 for w in g.adjacency(v) if w in block) == 2 for v in block)

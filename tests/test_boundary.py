@@ -1,8 +1,9 @@
 """Every callable exported from equicolor rejects malformed arguments of
 the right type with an EquicolorError subclass, and raises nothing else.
 
-`CALLS` has one row per exported entry point.  A row draws one malformed
-call on an otherwise valid connected graph: wrong sizes, out-of-range or
+`CALLS` has one row per exported entry point.  A row lists malformed calls
+on an otherwise valid connected graph, and every example makes each of
+them, so every check runs on every run: wrong sizes, out-of-range or
 negative vertex ids, a greedy order that leaves out an uncolored vertex,
 negative colors or palettes, mismatched palettes, a forest of another
 graph, neighbor lists with a bad, looped, repeated or one-sided entry, or a
@@ -112,65 +113,79 @@ def listed(g, *pairs):
     return [nbrs + extra.get(u, ()) for u, nbrs in enumerate(g.adj)]
 
 
-def choose(data, *calls):
-    """Make one of the given malformed calls."""
-    return data.draw(st.sampled_from(calls))()
+def move_off_vertex(data, f):
+    """A one-vertex move of a vertex outside f."""
+    return eq.RecoloringMove(((bad_id(data, f), 0),))
 
 
-def move(data, f):
-    """A one-vertex move outside f's vertices or palette."""
+def move_off_palette(data, f):
+    """A one-vertex move to a color outside f's palette."""
     v = data.draw(st.integers(0, f.n - 1))
-    return choose(
-        data,
-        lambda: eq.RecoloringMove(((bad_id(data, f), 0),)),
-        lambda: eq.RecoloringMove(((v, data.draw(st.sampled_from([-1, f.k, f.k + 2]))),)),
+    return eq.RecoloringMove(((v, data.draw(st.sampled_from([-1, f.k, f.k + 2]))),))
+
+
+MOVES = (move_off_vertex, move_off_palette)
+
+
+def domination_calls(solver, pivot=0):
+    """Malformed calls of a domination solver around degree lists over the
+    palette max degree + 1 and an empty seed."""
+    def call(data, g, lists=None, seed=None, pivot=pivot):
+        k = g.max_degree + 1
+        lists = eq.ListAssignment.uniform(g.n, k) if lists is None else lists(g, k)
+        seed = eq.PartialColoring(g.n, k) if seed is None else seed(data, g, k)
+        return solver(eq.DominationInstance(g, lists, seed, pivot))
+    return (
+        lambda data, g: call(data, g, seed=misfit),
+        lambda data, g: call(data, g, seed=improper),
+        lambda data, g: call(data, g, seed=lambda data, g, k: eq.PartialColoring(
+            g.n, k + 1, [k] + [None] * (g.n - 1))),
+        lambda data, g: call(data, g, lists=lambda g, k: eq.ListAssignment.uniform(g.n - 1, k)),
+        lambda data, g: call(data, g, lists=lambda g, k: eq.ListAssignment(
+            (frozenset(),) + eq.ListAssignment.uniform(g.n - 1, k).lists)),
+        lambda data, g: call(data, g, lists=lambda g, k: eq.ListAssignment.of(
+            [range(k + 1)] * g.n)),
+        lambda data, g: call(data, g, pivot=bad_id(data, g)),
     )
 
 
-def domination_call(solver, pivot=0):
-    """Malformed calls of a domination solver around degree lists over the
-    palette max degree + 1 and an empty seed."""
-    def call(data, g):
-        k = g.max_degree + 1
-        lists, seed = eq.ListAssignment.uniform(g.n, k), eq.PartialColoring(g.n, k)
-        short = eq.ListAssignment(lists.lists[:-1])
-        below_degree = eq.ListAssignment((frozenset(),) + lists.lists[1:])
-        wide = eq.ListAssignment.of([range(k + 1)] * g.n)
-
-        def solve(lists=lists, seed=seed, pivot=pivot):
-            return solver(eq.DominationInstance(g, lists, seed, pivot))
-        return choose(
-            data,
-            lambda: solve(seed=misfit(data, g, k)),
-            lambda: solve(seed=improper(data, g, k)),
-            lambda: solve(seed=eq.PartialColoring(g.n, k + 1, [k] + [None] * (g.n - 1))),
-            lambda: solve(lists=short),
-            lambda: solve(lists=below_degree),
-            lambda: solve(lists=wide),
-            lambda: solve(pivot=bad_id(data, g)),
-        )
-    return call
+def other_graph_forest(data, g):
+    """The forest of a path, a star, or g plus a pendant vertex, on a vertex
+    count other than g's."""
+    n = data.draw(st.sampled_from([g.n - 1, g.n + 1]))
+    h = data.draw(st.sampled_from([
+        eq.build_graph(n, [(i, i + 1) for i in range(n - 1)]),
+        eq.build_graph(n, [(0, i) for i in range(1, n)]),
+        eq.build_graph(g.n + 1, g.edges() + [(g.n - 1, g.n)]),
+    ]))
+    return eq.build_one_ended_subforest(h, [0])
 
 
-def foreign_forest(data, g):
-    """A forest of another graph, or one whose heights do not rise or lie
-    outside [0, n)."""
-    n = data.draw(st.sampled_from([g.n - 1, g.n, g.n + 1]))
-    others = [eq.build_graph(n, [(i, i + 1) for i in range(n - 1)]),
-              eq.build_graph(n, [(0, i) for i in range(1, n)]),
-              eq.build_graph(g.n + 1, g.edges() + [(g.n - 1, g.n)])]
-    forests = [eq.build_one_ended_subforest(h, [0]) for h in others]
+def shifted_forest(data, g):
+    """g's own forest with every height moved below 0 or to n and above."""
     own = eq.build_one_ended_subforest(g, [0])
-    for shift in (0, g.n, -g.n):
-        heights = (0,) * g.n if shift == 0 else tuple(h + shift for h in own.heights)
-        forests.append(eq.OneEndedForest(own.anchors, own.parent, heights))
-    foreign = [
-        forest for forest in forests
-        if len(forest.heights) != g.n or forest.max_height() == 0
-        or not 0 <= min(forest.heights) <= forest.max_height() < g.n
-        or any(not g.has_edge(v, p) for v, p in forest.parent.items())
+    shift = data.draw(st.sampled_from([g.n, -g.n]))
+    return eq.OneEndedForest(own.anchors, own.parent, tuple(h + shift for h in own.heights))
+
+
+def unrising_forest(data, g):
+    """A forest whose parents are not neighbors of larger height: g's own
+    with every height 0, or a path's or star's on g's vertex count that
+    uses a non-edge of g."""
+    own = eq.build_one_ended_subforest(g, [0])
+    forests = [eq.OneEndedForest(own.anchors, own.parent, (0,) * g.n)] + [
+        eq.build_one_ended_subforest(h, [0]) for h in (
+            eq.build_graph(g.n, [(i, i + 1) for i in range(g.n - 1)]),
+            eq.build_graph(g.n, [(0, i) for i in range(1, g.n)]),
+        )
     ]
-    return data.draw(st.sampled_from(foreign))
+    return data.draw(st.sampled_from([
+        forest for forest in forests
+        if forest.max_height() == 0 or any(not g.has_edge(v, p) for v, p in forest.parent.items())
+    ]))
+
+
+FOREIGN_FORESTS = (other_graph_forest, shifted_forest, unrising_forest)
 
 
 TMP = tempfile.TemporaryDirectory()
@@ -186,234 +201,239 @@ def batch_of(moves):
     return eq.Batch(tuple(moves), frozenset(), frozenset(), 1)
 
 
+GENERATE_SPECS = [
+    "regular:n=-4,d=3", "regular:n=6,d=-1", "gnp:n=-3,p=1/2", "torus:rows=-3,cols=4",
+    "gallai_tree:n=-2", "hub:n=-5,delta=3", "hub:n=50,delta=0",
+    "regular:n=6", "gnp:n=5,p=x", "gnp:n=5,p=1/0", "regular:n=6.5,d=3",
+    "bipartite:n1=-2,n2=5,p=1/2", "bipartite:n1=2,n2=5,p=2", "hub:n=50,delta=3,target_avg=nan",
+    "hub:n=100,delta=10,target=1", "regular:n=6,d=3,seed=5",
+    "hub:n=5,delta=4,target_avg=100",
+]
+
+BAD_JSON_GRAPHS = [
+    '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}', '{"n": 3, "edges": 5}',
+    '{"n": 3.5, "edges": []}', '{"n": 3, "edges": [[0, "1"]]}',
+]
+
+# each row is a tuple of malformed calls; every call runs in every example
 CALLS = {
     # colorings
-    "ListAssignment": lambda data, g: choose(
-        data,
-        lambda: eq.ListAssignment((frozenset({bad_palette(data, 0)}), frozenset({0}))),
-        lambda: eq.ListAssignment.of([[0], [bad_palette(data, 0), 1]]),
-        lambda: eq.ListAssignment.uniform(g.n, bad_palette(data)),
+    "ListAssignment": (
+        lambda data, g: eq.ListAssignment((frozenset({bad_palette(data, 0)}), frozenset({0}))),
+        lambda data, g: eq.ListAssignment.of([[0], [bad_palette(data, 0), 1]]),
+        lambda data, g: eq.ListAssignment.uniform(g.n, bad_palette(data)),
     ),
-    "PartialColoring": lambda data, g: choose(
-        data,
-        lambda: eq.PartialColoring(g.n, bad_palette(data)),
-        lambda: eq.PartialColoring(g.n, 2, [0] * (g.n + 1)),
-        lambda: eq.PartialColoring(g.n, 2, [data.draw(st.sampled_from([-1, 2, 5]))] * g.n),
+    "PartialColoring": (
+        lambda data, g: eq.PartialColoring(g.n, bad_palette(data)),
+        lambda data, g: eq.PartialColoring(g.n, 2, [0] * (g.n + 1)),
+        lambda data, g: eq.PartialColoring(
+            g.n, 2, [data.draw(st.sampled_from([-1, 2, 5]))] * g.n),
     ),
-    "dominates": lambda data, g: eq.dominates(
-        eq.PartialColoring(g.n, 2), misfit(data, g, 2), [0, 1]
+    "dominates": (
+        lambda data, g: eq.dominates(eq.PartialColoring(g.n, 2), misfit(data, g, 2), [0, 1]),
     ),
-    "greedy_extend_full": lambda data, g: choose(
-        data,
-        lambda: eq.greedy_extend_full(g, data.draw(st.integers(-2, g.max_degree))),
-        lambda: eq.greedy_extend_full(g, g.max_degree + 1, misfit(data, g, g.max_degree + 1)),
-        lambda: eq.greedy_extend_full(g, g.max_degree + 1, order=bad_ids(data, g)),
-        lambda: eq.greedy_extend_full(g, g.max_degree + 1, order=short_order(data, g)),
+    "greedy_extend_full": (
+        lambda data, g: eq.greedy_extend_full(g, data.draw(st.integers(-2, g.max_degree))),
+        lambda data, g: eq.greedy_extend_full(
+            g, g.max_degree + 1, misfit(data, g, g.max_degree + 1)),
+        lambda data, g: eq.greedy_extend_full(g, g.max_degree + 1, order=bad_ids(data, g)),
+        lambda data, g: eq.greedy_extend_full(g, g.max_degree + 1, order=short_order(data, g)),
     ),
-    "greedy_maximal": lambda data, g: choose(
-        data,
-        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n - 1, 2),
-                                  eq.PartialColoring(g.n, 2)),
-        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2), misfit(data, g, 2)),
-        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2), improper(data, g, 2)),
-        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
-                                  eq.PartialColoring(g.n, 2), bad_ids(data, g)),
-        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
-                                  eq.PartialColoring(g.n, 2), short_order(data, g)),
-        lambda: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 3),
-                                  eq.PartialColoring(g.n, 2)),
+    "greedy_maximal": (
+        lambda data, g: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n - 1, 2),
+                                          eq.PartialColoring(g.n, 2)),
+        lambda data, g: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
+                                          misfit(data, g, 2)),
+        lambda data, g: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
+                                          improper(data, g, 2)),
+        lambda data, g: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
+                                          eq.PartialColoring(g.n, 2), bad_ids(data, g)),
+        lambda data, g: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 2),
+                                          eq.PartialColoring(g.n, 2), short_order(data, g)),
+        lambda data, g: eq.greedy_maximal(g, eq.ListAssignment.uniform(g.n, 3),
+                                          eq.PartialColoring(g.n, 2)),
     ),
-    "is_proper": lambda data, g: eq.is_proper(g, misfit(data, g, 2)),
-    "maximal_independent_superset": lambda data, g: eq.maximal_independent_superset(
-        g, [bad_id(data, g)]
+    "is_proper": (lambda data, g: eq.is_proper(g, misfit(data, g, 2)),),
+    "maximal_independent_superset": (
+        lambda data, g: eq.maximal_independent_superset(g, [bad_id(data, g)]),
     ),
     # distributions
-    "ColorDistribution": lambda data, g: choose(
-        data,
-        lambda: eq.ColorDistribution([2, bad_palette(data, 0)]),
-        lambda: eq.ColorDistribution([1, 2], data.draw(st.integers(-2, 2))),
-        lambda: eq.ColorDistribution.from_coloring(partial(data, g, g.max_degree + 1)),
+    "ColorDistribution": (
+        lambda data, g: eq.ColorDistribution([2, bad_palette(data, 0)]),
+        lambda data, g: eq.ColorDistribution([1, 2], data.draw(st.integers(-2, 2))),
+        lambda data, g: eq.ColorDistribution.from_coloring(partial(data, g, g.max_degree + 1)),
     ),
-    "ConvergenceLedger": lambda data, g: choose(
-        data,
-        lambda: eq.ConvergenceLedger(1, bad_palette(data), 0),
-        lambda: eq.ConvergenceLedger(bad_palette(data), 3, 0),
-        lambda: eq.ConvergenceLedger(1, 3, data.draw(st.sampled_from([-1, Fraction(-1, 6)]))),
+    "ConvergenceLedger": (
+        lambda data, g: eq.ConvergenceLedger(1, bad_palette(data), 0),
+        lambda data, g: eq.ConvergenceLedger(bad_palette(data), 3, 0),
+        lambda data, g: eq.ConvergenceLedger(
+            1, 3, data.draw(st.sampled_from([-1, Fraction(-1, 6)]))),
     ),
-    "initial_sums_witness": lambda data, g: eq.initial_sums_witness(
-        eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
+    "initial_sums_witness": (
+        lambda data, g: eq.initial_sums_witness(
+            eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])),
     ),
-    "is_more_equitable": lambda data, g: eq.is_more_equitable(
-        eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
+    "is_more_equitable": (
+        lambda data, g: eq.is_more_equitable(
+            eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])),
     ),
-    "l1_distance": lambda data, g: eq.l1_distance(
-        eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])
+    "l1_distance": (
+        lambda data, g: eq.l1_distance(
+            eq.ColorDistribution([1, 2]), eq.ColorDistribution([1, 1, 1])),
     ),
     # domination
-    "color_all_but_one": domination_call(eq.color_all_but_one),
-    "dominating_full_coloring": domination_call(eq.dominating_full_coloring, None),
-    "large_list_shortcut": domination_call(eq.large_list_shortcut, None),
+    "color_all_but_one": domination_calls(eq.color_all_but_one),
+    "dominating_full_coloring": domination_calls(eq.dominating_full_coloring, None),
+    "large_list_shortcut": domination_calls(eq.large_list_shortcut, None),
     # dynamics
-    "apply_monotone_prefix": lambda data, g: choose(
-        data,
-        lambda: eq.apply_monotone_prefix(g, misfit(data, g, 3, total=True), batch_of([])),
-        lambda: eq.apply_monotone_prefix(
+    "apply_monotone_prefix": (
+        lambda data, g: eq.apply_monotone_prefix(
+            g, misfit(data, g, 3, total=True), batch_of([])),
+        *(lambda data, g, move=move: eq.apply_monotone_prefix(
             g, f := eq.greedy_extend_full(g, g.max_degree + 1), batch_of([move(data, f)])
-        ),
+        ) for move in MOVES),
     ),
-    "apply_move": lambda data, g: eq.apply_move(
-        f := eq.greedy_extend_full(g, g.max_degree + 1), move(data, f)
+    "apply_move": tuple(
+        lambda data, g, move=move: eq.apply_move(
+            f := eq.greedy_extend_full(g, g.max_degree + 1), move(data, f))
+        for move in MOVES
     ),
-    "equitable_k_coloring": lambda data, g: choose(
-        data,
-        lambda: eq.equitable_k_coloring(g, data.draw(st.integers(-2, g.max_degree))),
-        lambda: eq.equitable_k_coloring(g, k := g.max_degree + 1, misfit(data, g, k)),
-        lambda: eq.equitable_k_coloring(g, k := g.max_degree + 1, improper(data, g, k)),
-        lambda: eq.equitable_k_coloring(g, k := g.max_degree + 1,
-                                        eq.PartialColoring(g.n, k + 1)),
+    "equitable_k_coloring": (
+        lambda data, g: eq.equitable_k_coloring(g, data.draw(st.integers(-2, g.max_degree))),
+        lambda data, g: eq.equitable_k_coloring(g, k := g.max_degree + 1, misfit(data, g, k)),
+        lambda data, g: eq.equitable_k_coloring(g, k := g.max_degree + 1, improper(data, g, k)),
+        lambda data, g: eq.equitable_k_coloring(g, k := g.max_degree + 1,
+                                                eq.PartialColoring(g.n, k + 1)),
     ),
-    "find_improving_move": lambda data, g: choose(
-        data,
-        lambda: eq.find_improving_move(g, misfit(data, g, 3, total=True)),
-        lambda: eq.find_improving_move(g, partial(data, g, g.max_degree + 1)),
+    "find_improving_move": (
+        lambda data, g: eq.find_improving_move(g, misfit(data, g, 3, total=True)),
+        lambda data, g: eq.find_improving_move(g, partial(data, g, g.max_degree + 1)),
     ),
-    "is_acceptable": lambda data, g: choose(
-        data,
-        lambda: eq.is_acceptable(g, misfit(data, g, 3, total=True),
-                                 eq.RecoloringMove(((0, 1),))),
-        lambda: eq.is_acceptable(g, f := eq.greedy_extend_full(g, g.max_degree + 1),
-                                 move(data, f)),
+    "is_acceptable": (
+        lambda data, g: eq.is_acceptable(g, misfit(data, g, 3, total=True),
+                                         eq.RecoloringMove(((0, 1),))),
+        *(lambda data, g, move=move: eq.is_acceptable(
+            g, f := eq.greedy_extend_full(g, g.max_degree + 1), move(data, f)
+        ) for move in MOVES),
     ),
-    "make_move": lambda data, g: choose(
-        data,
-        lambda: eq.make_move(g, {}),
-        lambda: eq.make_move(g, {bad_id(data, g): 0}),
-        lambda: eq.make_move(g, {0: bad_palette(data, 0)}),
+    "make_move": (
+        lambda data, g: eq.make_move(g, {}),
+        lambda data, g: eq.make_move(g, {bad_id(data, g): 0}),
+        lambda data, g: eq.make_move(g, {0: bad_palette(data, 0)}),
     ),
-    "select_separated_batch": lambda data, g: choose(
-        data,
-        lambda: eq.select_separated_batch(g, misfit(data, g, 3, total=True), []),
-        lambda: eq.select_separated_batch(
+    "select_separated_batch": (
+        lambda data, g: eq.select_separated_batch(g, misfit(data, g, 3, total=True), []),
+        *(lambda data, g, move=move: eq.select_separated_batch(
             g, f := eq.greedy_extend_full(g, g.max_degree + 1), [move(data, f)]
-        ),
+        ) for move in MOVES),
     ),
     # forests
-    "build_one_ended_subforest": lambda data, g: eq.build_one_ended_subforest(
-        g, bad_ids(data, g)
+    "build_one_ended_subforest": (
+        lambda data, g: eq.build_one_ended_subforest(g, bad_ids(data, g)),
     ),
-    "dominating_delta_coloring": lambda data, g: choose(
-        data,
-        lambda: eq.dominating_delta_coloring(g, *small_palette(data, g)),
-        lambda: eq.dominating_delta_coloring(g, misfit(data, g, g.max_degree), g.max_degree),
-        lambda: eq.dominating_delta_coloring(g, improper(data, g, g.max_degree), g.max_degree),
-        lambda: eq.dominating_delta_coloring(
-            g, eq.PartialColoring(g.n, g.max_degree + 1), g.max_degree
-        ),
+    "dominating_delta_coloring": (
+        lambda data, g: eq.dominating_delta_coloring(g, *small_palette(data, g)),
+        lambda data, g: eq.dominating_delta_coloring(
+            g, misfit(data, g, g.max_degree), g.max_degree),
+        lambda data, g: eq.dominating_delta_coloring(
+            g, improper(data, g, g.max_degree), g.max_degree),
+        lambda data, g: eq.dominating_delta_coloring(
+            g, eq.PartialColoring(g.n, g.max_degree + 1), g.max_degree),
     ),
-    "forest_recolor": lambda data, g: choose(
-        data,
-        lambda: eq.forest_recolor(g, foreign_forest(data, g),
-                                  eq.PartialColoring(g.n, g.max_degree), g.max_degree),
-        lambda: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
-                                  *small_palette(data, g)),
-        lambda: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
-                                  misfit(data, g, g.max_degree), g.max_degree),
-        lambda: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
-                                  improper(data, g, g.max_degree), g.max_degree),
+    "forest_recolor": (
+        *(lambda data, g, forest=forest: eq.forest_recolor(
+            g, forest(data, g), eq.PartialColoring(g.n, g.max_degree), g.max_degree
+        ) for forest in FOREIGN_FORESTS),
+        lambda data, g: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
+                                          *small_palette(data, g)),
+        lambda data, g: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
+                                          misfit(data, g, g.max_degree), g.max_degree),
+        lambda data, g: eq.forest_recolor(g, eq.build_one_ended_subforest(g, [0]),
+                                          improper(data, g, g.max_degree), g.max_degree),
     ),
     # generators and graph files
-    "generate": lambda data, g: eq.generate(eq.InstanceSpec.parse(data.draw(st.sampled_from([
-        "regular:n=-4,d=3", "regular:n=6,d=-1", "gnp:n=-3,p=1/2", "torus:rows=-3,cols=4",
-        "gallai_tree:n=-2", "hub:n=-5,delta=3", "hub:n=50,delta=0",
-        "regular:n=6", "gnp:n=5,p=x", "gnp:n=5,p=1/0", "regular:n=6.5,d=3",
-        "bipartite:n1=-2,n2=5,p=1/2", "bipartite:n1=2,n2=5,p=2", "hub:n=50,delta=3,target_avg=nan",
-        "hub:n=100,delta=10,target=1", "regular:n=6,d=3,seed=5",
-        "hub:n=5,delta=4,target_avg=100",
-    ])))),
-    "read_graph": lambda data, g: choose(
-        data,
-        lambda: eq.read_graph(tmp_graph_file(f"p edge {g.n} 1\ne 1 {g.n + 1}\n", ".col")),
-        lambda: eq.read_graph(tmp_graph_file(f"p edge {bad_palette(data, 0)} 0\n", ".col")),
-        lambda: eq.read_graph(
-            tmp_graph_file(f'{{"n": {g.n}, "edges": [[0, {bad_id(data, g)}]]}}', ".json")
-        ),
-        lambda: eq.read_graph(tmp_graph_file(data.draw(st.sampled_from([
-            '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}', '{"n": 3, "edges": 5}',
-            '{"n": 3.5, "edges": []}', '{"n": 3, "edges": [[0, "1"]]}',
-        ])), ".json")),
+    "generate": tuple(
+        lambda data, g, spec=spec: eq.generate(eq.InstanceSpec.parse(spec))
+        for spec in GENERATE_SPECS
     ),
-    "write_graph": lambda data, g: eq.write_graph(
-        g, Path(TMP.name) / "g.txt", "adjacency-matrix"
+    "read_graph": (
+        lambda data, g: eq.read_graph(
+            tmp_graph_file(f"p edge {g.n} 1\ne 1 {g.n + 1}\n", ".col")),
+        lambda data, g: eq.read_graph(
+            tmp_graph_file(f"p edge {bad_palette(data, 0)} 0\n", ".col")),
+        lambda data, g: eq.read_graph(
+            tmp_graph_file(f'{{"n": {g.n}, "edges": [[0, {bad_id(data, g)}]]}}', ".json")),
+        *(lambda data, g, text=text: eq.read_graph(tmp_graph_file(text, ".json"))
+          for text in BAD_JSON_GRAPHS),
+    ),
+    "write_graph": (
+        lambda data, g: eq.write_graph(g, Path(TMP.name) / "g.txt", "adjacency-matrix"),
     ),
     # graphs
-    "average_degree": lambda data, g: eq.average_degree(eq.build_graph(0, [])),
-    "Graph": lambda data, g: choose(
-        data,
-        lambda: eq.Graph(g.n + 1, g.adj),
-        lambda: eq.Graph(g.n, listed(g, (0, bad_id(data, g)))),
-        lambda: eq.Graph(g.n, listed(g, (0, 0))),
-        lambda: eq.Graph(g.n, listed(g, edge := data.draw(st.sampled_from(g.edges())),
-                                     edge[::-1])),
-        lambda: eq.Graph(g.n, [nbrs[1:] if u == 0 else nbrs for u, nbrs in enumerate(g.adj)]),
+    "average_degree": (lambda data, g: eq.average_degree(eq.build_graph(0, [])),),
+    "Graph": (
+        lambda data, g: eq.Graph(g.n + 1, g.adj),
+        lambda data, g: eq.Graph(g.n, listed(g, (0, bad_id(data, g)))),
+        lambda data, g: eq.Graph(g.n, listed(g, (0, 0))),
+        lambda data, g: eq.Graph(g.n, listed(g, edge := data.draw(st.sampled_from(g.edges())),
+                                             edge[::-1])),
+        lambda data, g: eq.Graph(
+            g.n, [nbrs[1:] if u == 0 else nbrs for u, nbrs in enumerate(g.adj)]),
     ),
-    "build_graph": lambda data, g: choose(
-        data,
-        lambda: eq.build_graph(bad_palette(data, 0), []),
-        lambda: eq.build_graph(g.n, [(0, bad_id(data, g))]),
-        lambda: eq.build_graph(g.n, [(1, 1)]),
-        lambda: eq.build_graph(g.n, [(0, 1), (1, 0)]),
+    "build_graph": (
+        lambda data, g: eq.build_graph(bad_palette(data, 0), []),
+        lambda data, g: eq.build_graph(g.n, [(0, bad_id(data, g))]),
+        lambda data, g: eq.build_graph(g.n, [(1, 1)]),
+        lambda data, g: eq.build_graph(g.n, [(0, 1), (1, 0)]),
     ),
-    "contains_clique": lambda data, g: eq.contains_clique(g, bad_palette(data)),
-    "is_gallai_tree": lambda data, g: choose(
-        data,
-        lambda: eq.is_gallai_tree(g, bad_ids(data, g)),
-        lambda: eq.is_gallai_tree(g, []),
+    "contains_clique": (lambda data, g: eq.contains_clique(g, bad_palette(data)),),
+    "is_gallai_tree": (
+        lambda data, g: eq.is_gallai_tree(g, bad_ids(data, g)),
+        lambda data, g: eq.is_gallai_tree(g, []),
     ),
     # oracle
-    "domination_exists": lambda data, g: choose(
-        data,
-        lambda: eq.domination_exists(g, eq.ListAssignment.uniform(g.n - 1, 2),
-                                     eq.PartialColoring(g.n, 2)),
-        lambda: eq.domination_exists(g, eq.ListAssignment.uniform(g.n, 2), misfit(data, g, 2)),
+    "domination_exists": (
+        lambda data, g: eq.domination_exists(g, eq.ListAssignment.uniform(g.n - 1, 2),
+                                             eq.PartialColoring(g.n, 2)),
+        lambda data, g: eq.domination_exists(g, eq.ListAssignment.uniform(g.n, 2),
+                                             misfit(data, g, 2)),
     ),
-    "enumerate_proper_colorings": lambda data, g: list(choose(
-        data,
-        lambda: eq.enumerate_proper_colorings(g, bad_palette(data)),
-        lambda: eq.enumerate_proper_colorings(g),
-        lambda: eq.enumerate_proper_colorings(g, 2, eq.ListAssignment.uniform(g.n, 2)),
-        lambda: eq.enumerate_proper_colorings(
-            g, lists=eq.ListAssignment.uniform(g.n - 1, 2)
-        ),
-    )),
-    "equitable_exists": lambda data, g: eq.equitable_exists(g, bad_palette(data)),
-    "improving_move_exists": lambda data, g: choose(
-        data,
-        lambda: eq.improving_move_exists(g, misfit(data, g, 3, total=True), 3),
-        lambda: eq.improving_move_exists(g, partial(data, g, g.max_degree + 1), 3),
-        lambda: eq.improving_move_exists(
-            g, eq.greedy_extend_full(g, g.max_degree + 1), data.draw(st.integers(-2, 0))
-        ),
+    "enumerate_proper_colorings": (
+        lambda data, g: list(eq.enumerate_proper_colorings(g, bad_palette(data))),
+        lambda data, g: list(eq.enumerate_proper_colorings(g)),
+        lambda data, g: list(eq.enumerate_proper_colorings(
+            g, 2, eq.ListAssignment.uniform(g.n, 2))),
+        lambda data, g: list(eq.enumerate_proper_colorings(
+            g, lists=eq.ListAssignment.uniform(g.n - 1, 2))),
+    ),
+    "equitable_exists": (lambda data, g: eq.equitable_exists(g, bad_palette(data)),),
+    "improving_move_exists": (
+        lambda data, g: eq.improving_move_exists(g, misfit(data, g, 3, total=True), 3),
+        lambda data, g: eq.improving_move_exists(g, partial(data, g, g.max_degree + 1), 3),
+        lambda data, g: eq.improving_move_exists(
+            g, eq.greedy_extend_full(g, g.max_degree + 1), data.draw(st.integers(-2, 0))),
     ),
     # pipeline
-    "cost": lambda data, g: eq.cost(g, bad_ids(data, g)),
-    "equitable_delta_coloring": lambda data, g: eq.equitable_delta_coloring(
-        g, data.draw(st.sampled_from([-1, 0, g.max_degree + 1]))
+    "cost": (lambda data, g: eq.cost(g, bad_ids(data, g)),),
+    "equitable_delta_coloring": tuple(
+        lambda data, g, k=k: eq.equitable_delta_coloring(g, k(g))
+        for k in (lambda g: -1, lambda g: 0, lambda g: g.max_degree + 1)
     ),
-    "extract_dense_set": lambda data, g: eq.extract_dense_set(g, bad_palette(data, 0)),
-    "quick_balance": lambda data, g: choose(
-        data,
-        lambda: eq.quick_balance(g, misfit(data, g, 3, total=True), [],
-                                 eq.greedy_extend_full(g, g.max_degree + 1)),
-        lambda: eq.quick_balance(g, partial(data, g, g.max_degree + 1), [],
-                                 eq.greedy_extend_full(g, g.max_degree + 1)),
-        lambda: eq.quick_balance(g, improper(data, g, g.max_degree + 1, total=True), [],
-                                 eq.greedy_extend_full(g, g.max_degree + 1)),
-        lambda: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1), [],
-                                 misfit(data, g, 3, total=True)),
-        lambda: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1), [],
-                                 improper(data, g, g.max_degree + 1, total=True)),
-        lambda: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1),
-                                 bad_ids(data, g), eq.greedy_extend_full(g, g.max_degree + 1)),
+    "extract_dense_set": (lambda data, g: eq.extract_dense_set(g, bad_palette(data, 0)),),
+    "quick_balance": (
+        lambda data, g: eq.quick_balance(g, misfit(data, g, 3, total=True), [],
+                                         eq.greedy_extend_full(g, g.max_degree + 1)),
+        lambda data, g: eq.quick_balance(g, partial(data, g, g.max_degree + 1), [],
+                                         eq.greedy_extend_full(g, g.max_degree + 1)),
+        lambda data, g: eq.quick_balance(g, improper(data, g, g.max_degree + 1, total=True),
+                                         [], eq.greedy_extend_full(g, g.max_degree + 1)),
+        lambda data, g: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1), [],
+                                         misfit(data, g, 3, total=True)),
+        lambda data, g: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1), [],
+                                         improper(data, g, g.max_degree + 1, total=True)),
+        lambda data, g: eq.quick_balance(g, eq.greedy_extend_full(g, g.max_degree + 1),
+                                         bad_ids(data, g),
+                                         eq.greedy_extend_full(g, g.max_degree + 1)),
     ),
 }
 
@@ -431,5 +451,9 @@ def test_every_export_has_a_row():
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), g=connected_graphs())
 def test_malformed_arguments_raise_typed_errors(name, data, g):
-    with pytest.raises(EquicolorError):
-        CALLS[name](data, g)
+    for i, call in enumerate(CALLS[name]):
+        try:
+            call(data, g)
+        except EquicolorError:
+            continue
+        pytest.fail(f"call {i} of the {name} row raised no error")

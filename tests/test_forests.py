@@ -1,5 +1,6 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,13 +25,8 @@ from equicolor.errors import (
     PaletteTooSmall,
     RegularGallaiComponent,
 )
-from equicolor import colorings, domination, forests, graphs
-from equicolor.graphs import (
-    _anchor_blocks,
-    _block_is_clique,
-    _block_is_odd_cycle,
-    block_decomposition,
-)
+from equicolor import colorings, graphs
+from equicolor.graphs import _anchor_blocks, block_decomposition
 from equicolor.oracle import domination_exists
 from equicolor.colorings import ListAssignment
 
@@ -42,6 +38,9 @@ from conftest import (
     petersen,
     random_graph,
     random_partial_list_coloring,
+    reference_block_decomposition,
+    reference_block_is_clique,
+    reference_block_is_odd_cycle,
     star,
     tight_seed,
 )
@@ -308,8 +307,8 @@ def test_anchor_block_ties_keep_decomposition_order():
         edges += [(0, base), (0, base + 1)]
     g = build_graph(11, edges)
     blocks = [
-        b for b in block_decomposition(g).blocks
-        if not _block_is_clique(g, b) and not _block_is_odd_cycle(g, b)
+        b for b in reference_block_decomposition(g).blocks
+        if not reference_block_is_clique(g, b) and not reference_block_is_odd_cycle(g, b)
     ]
     assert len(blocks) == 2 and min(blocks[0]) == min(blocks[1]) == 0
     assert _anchor_blocks(g, components(g)) == [blocks[0]]
@@ -336,25 +335,17 @@ def test_delta_coloring_names_the_gallai_component(k4_first):
 
 
 def test_one_block_decomposition_per_entry_point_call(monkeypatch):
-    calls = []
-    decompose = graphs.block_decomposition
-
-    def counted(g):
-        calls.append(g.n)
-        return decompose(g)
-
-    # patch every module that binds the name, so no call goes uncounted
-    for module in (graphs, domination, forests):
-        if hasattr(module, "block_decomposition"):
-            monkeypatch.setattr(module, "block_decomposition", counted)
+    # one Hopcroft-Tarjan pass serves every component of a call
+    passes = _count_calls(monkeypatch, graphs._blocks)
     cubic = [petersen()] + [
         generate(InstanceSpec.parse("regular:n=40,d=3", s)) for s in range(3)
     ]
-    for g in cubic:
-        assert len(components(g)) == 1
-        calls.clear()
+    k33 = complete_bipartite(3, 3).edges()
+    two = build_graph(16, petersen().edges() + [(u + 10, v + 10) for u, v in k33])
+    for g in cubic + [two]:
+        passes.clear()
         dominating_delta_coloring(g, tight_seed(g), 3)
-        assert len(calls) == 1
+        assert passes == [g.n]
 
     # the C4 block with a pendant vertex leaves the pivot uncolored, so the
     # block is restricted and solved as well
@@ -366,9 +357,9 @@ def test_one_block_decomposition_per_entry_point_call(monkeypatch):
     g = petersen()
     uniform = DominationInstance(g, ListAssignment.uniform(g.n, 3), tight_seed(g))
     for inst in (pendant, uniform):
-        calls.clear()
+        passes.clear()
         dominating_full_coloring(inst)
-        assert len(calls) == 1
+        assert passes == [inst.graph.n]
 
 
 def _count_calls(monkeypatch, fn):
@@ -434,3 +425,20 @@ def test_delta_coloring_union_matches_component_runs():
                 [f.get(v) for v in mapping]
             if lo == 0:
                 assert domination_exists(h, ListAssignment.uniform(h.n, 3), h_seed)
+
+
+# SHA-256 of every delta-dominate benchmark output at seed 1 (the coloring
+# of each instance), as scripts/output_hashes.py computes it
+DOMINATE_OUTPUTS_SHA256 = "84eb62f964641af094249a9197c856e8df615bb4e06a1534e1a9b02945db9e50"
+
+
+def test_dominate_outputs_are_pinned(monkeypatch):
+    # a change to the block pass, the forest sweep or the block solver must
+    # leave every coloring of the benchmark corpus byte-identical
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    import output_hashes
+    import workloads
+
+    assert output_hashes.corpus_digest(workloads, "delta-dominate", 1) == DOMINATE_OUTPUTS_SHA256

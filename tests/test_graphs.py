@@ -21,7 +21,19 @@ from equicolor.errors import (
     SelfLoop,
 )
 
-from conftest import bowtie, complete, cycle, path, random_graph, reference_build_graph
+from equicolor.graphs import _anchor_blocks, _blocks, _gallai_block
+
+from conftest import (
+    bowtie,
+    complete,
+    cycle,
+    path,
+    random_graph,
+    reference_block_decomposition,
+    reference_block_is_clique,
+    reference_block_is_odd_cycle,
+    reference_build_graph,
+)
 
 
 def test_build_path():
@@ -182,6 +194,52 @@ def test_blocks_against_two_connectivity_oracle():
         _check_blocks_against_oracle(random_graph(8, 0.3, seed))
 
 
+@st.composite
+def pieced_graphs(draw):
+    """Random pieces on 1..6 vertices, some glued at one vertex to an
+    earlier piece, some joined by single edges (bridges unless a later edge
+    closes a cycle), plus isolated vertices, under a random relabelling:
+    several components, cut vertices, tied anchor blocks and blocks of
+    every kind."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 6))
+        glued = [draw(st.integers(0, n - 1))] if n and draw(st.booleans()) else []
+        vertices = glued + list(range(n, n + size - len(glued)))
+        p = draw(st.sampled_from([0.3, 0.6, 1.0]))
+        edges += [e for e in combinations(vertices, 2) if draw(st.floats(0, 1)) < p]
+        n += size - len(glued)
+    pairs = set(combinations(range(n), 2)) - set(edges)
+    edges += draw(st.lists(st.sampled_from(sorted(pairs)), max_size=3, unique=True)) if pairs else []
+    n += draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieced_graphs())
+def test_blocks_match_the_edge_stack_reference(g):
+    ref = reference_block_decomposition(g)
+    assert block_decomposition(g) == ref
+    blocks = [b for comp in _blocks(g, range(g.n)) for b in comp]
+    assert [frozenset(vs) for vs, _ in blocks] == list(ref.blocks)
+    for (vs, m), b in zip(blocks, ref.blocks):
+        assert len(vs) == len(b)
+        assert m == sum(1 for u, v in combinations(sorted(b), 2) if g.has_edge(u, v))
+        assert _gallai_block(len(vs), m) == (
+            reference_block_is_clique(g, b) or reference_block_is_odd_cycle(g, b)
+        )
+    comps = components(g)
+    anchors = [
+        min((b for b in ref.blocks if min(b) in comp
+             and not reference_block_is_clique(g, b) and not reference_block_is_odd_cycle(g, b)),
+            key=min, default=None)
+        for comp in map(frozenset, comps)
+    ]
+    assert _anchor_blocks(g, comps) == anchors
+    assert [is_gallai_tree(g, comp) for comp in comps] == [b is None for b in anchors]
+
+
 def test_gallai_examples():
     assert is_gallai_tree(complete(4), range(4))
     assert not is_gallai_tree(cycle(4), range(4))
@@ -278,3 +336,10 @@ def test_induced_subgraph():
     sub, mapping = g.induced_subgraph([2, 3, 4])
     assert mapping == (2, 3, 4)
     assert sorted(sub.edges()) == [(0, 1), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("ids", [[-1], [3], [0, -2]])
+def test_induced_subgraph_rejects_ids_out_of_range(ids):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(OutOfRange, match=rf"vertex {min(ids)} outside \[0, 3\)"):
+        g.induced_subgraph(ids)
