@@ -274,7 +274,3 @@ def main(argv: Optional[list[str]] = None) -> int:
                 }
         print(json.dumps(payload), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -169,17 +169,16 @@ def _solve_block(
             take(f.colors[toward[hole]])
         return True
 
-    surplus = next((v for v in range(n) if len(lists[v]) > h.degrees[v]), None)
+    ls = lists.lists
+    surplus = next((v for v in range(n) if len(ls[v]) > h.degrees[v]), None)
     if surplus is not None:
         done = walk(surplus)
-    elif (edge := next(
-        ((x, y) for x in range(n) for y in h.adj[x] if not lists[x] <= lists[y]),
-        None,
-    )) is not None:
-        x, y = edge
+    elif len(set(ls)) > 1:
+        # h is connected, so some edge joins two unequal lists
+        x, y = next((x, y) for x in range(n) for y in h.adj[x] if not ls[x] <= ls[y])
         done = walk(x)
         if not done:
-            take(min(lists[x] - lists[y]))
+            take(min(ls[x] - ls[y]))
             done = walk(y, frozenset((x,)))
     else:
         assert len(lists[hole]) >= 3, "an even cycle is settled at the pivot"

@@ -691,19 +691,15 @@ def equitable_k_coloring(
     trace.ledgers.append(ledger)
     index = _Pattern1Index(g, f)
     colors = f.colors
-    # each applied step moves at least one vertex between classes, so its
-    # l1 step is at least 2/n and the ledger budget caps the step count
+    # each recorded round has a witness class that gains, so it moves at
+    # least 2/n; record_counts raises once the total passes the ledger
+    # budget, so there are at most step_cap rounds
     step_cap = ledger.bound() * n // 2
     moved_total = 0
 
     # `counts` holds the class counts before each round, as a tuple
     while max(counts) - min(counts) >= 2:
-        if len(trace.records) > step_cap:
-            raise Stalled(
-                "step cap exceeded while the ledger accepted every step; "
-                "this indicates a driver bug",
-                coloring=f, gap=f.gap(),
-            )
+        assert len(trace.records) <= step_cap, "rounds outran the ledger budget"
         first = index.first_move(counts)
         if debug:
             scan = next(_pattern1_moves(g, f), None)

@@ -260,8 +260,9 @@ def _hub(params: dict, rng: random.Random) -> Graph:
     target_avg."""
     n, delta = _param(params, "n"), _param(params, "delta")
     target = _param(params, "target_avg", Fraction, Fraction(delta, 5))
-    if not 1 <= delta < n:
-        raise InfeasibleParameters(f"need 1 <= delta < n, got delta={delta}, n={n}")
+    # spokes are capped at delta - 1, so a hub needs delta >= 2
+    if not 2 <= delta < n:
+        raise InfeasibleParameters(f"need 2 <= delta < n, got delta={delta}, n={n}")
     max_edges = int(Fraction(n) * target / 2)
     if max_edges < delta:
         raise InfeasibleParameters(

@@ -105,7 +105,7 @@ def count_proper_colorings(g: Graph, k: int, budget: OracleBudget = OracleBudget
     """Number of proper k-colorings, with closed forms for paths and cycles."""
     k = palette_size(k)
     shape = _path_or_cycle(g)
-    if shape == "path" and g.n >= 1:
+    if shape == "path":
         return k * (k - 1) ** (g.n - 1)
     if shape == "cycle":
         return (k - 1) ** g.n + (k - 1) * (1 if g.n % 2 == 0 else -1)
@@ -118,8 +118,6 @@ def _path_or_cycle(g: Graph) -> Optional[str]:
     degs = sorted(g.degrees)
     if g.n >= 3 and all(d == 2 for d in degs):
         return "cycle"
-    if g.n == 1 and g.edge_count == 0:
-        return "path"
     if g.n >= 2 and degs[:2] == [1, 1] and all(d == 2 for d in degs[2:]):
         return "path"
     return None

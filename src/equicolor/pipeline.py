@@ -121,8 +121,6 @@ def extract_dense_set(g: Graph, t) -> tuple[int, ...]:
     """
     t = Fraction(t)
     _require(t >= 0, "threshold must be nonnegative", "t")
-    if g.n == 0:
-        return ()
     return _dense_set(g, t, greedy_extend_full(g, g.max_degree + 1))
 
 

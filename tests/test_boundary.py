@@ -5,11 +5,12 @@ the right type with an EquicolorError subclass, and raises nothing else.
 on an otherwise valid connected graph, and every example makes each of
 them, so every check runs on every run: wrong sizes, out-of-range or
 negative vertex ids, a greedy order that leaves out an uncolored vertex,
-negative colors or palettes, mismatched palettes, a forest of another
-graph, neighbor lists with a bad, looped, repeated or one-sided entry, or a
-generator spec or graph file with a missing, non-numeric or out-of-range
-value.  `EXEMPT` names the exported callables that take no argument such a
-call could get wrong, with the reason.
+negative colors or palettes, mismatched palettes, a batch whose moves
+share or join vertices, change no count or act on a partial coloring, a
+forest of another graph, neighbor lists with a bad, looped, repeated or
+one-sided entry, or a generator spec or graph file with a missing,
+non-numeric or out-of-range value.  `EXEMPT` names the exported callables
+that take no argument such a call could get wrong, with the reason.
 """
 
 import tempfile
@@ -201,13 +202,18 @@ def batch_of(moves):
     return eq.Batch(tuple(moves), frozenset(), frozenset(), 1)
 
 
+def stay(f, *vertices):
+    """One-vertex moves that give each vertex its own color under f."""
+    return [eq.RecoloringMove(((v, f.colors[v]),)) for v in vertices]
+
+
 GENERATE_SPECS = [
     "regular:n=-4,d=3", "regular:n=6,d=-1", "gnp:n=-3,p=1/2", "torus:rows=-3,cols=4",
     "gallai_tree:n=-2", "hub:n=-5,delta=3", "hub:n=50,delta=0",
     "regular:n=6", "gnp:n=5,p=x", "gnp:n=5,p=1/0", "regular:n=6.5,d=3",
     "bipartite:n1=-2,n2=5,p=1/2", "bipartite:n1=2,n2=5,p=2", "hub:n=50,delta=3,target_avg=nan",
     "hub:n=100,delta=10,target=1", "regular:n=6,d=3,seed=5",
-    "hub:n=5,delta=4,target_avg=100",
+    "hub:n=5,delta=4,target_avg=100", "hub:n=20000,delta=1",
 ]
 
 BAD_JSON_GRAPHS = [
@@ -292,6 +298,13 @@ CALLS = {
         *(lambda data, g, move=move: eq.apply_monotone_prefix(
             g, f := eq.greedy_extend_full(g, g.max_degree + 1), batch_of([move(data, f)])
         ) for move in MOVES),
+        lambda data, g: eq.apply_monotone_prefix(
+            g, f := eq.greedy_extend_full(g, g.max_degree + 1), batch_of(stay(f, 0, 0))),
+        lambda data, g: eq.apply_monotone_prefix(
+            g, f := eq.greedy_extend_full(g, g.max_degree + 1),
+            batch_of(stay(f, *data.draw(st.sampled_from(g.edges()))))),
+        lambda data, g: eq.apply_monotone_prefix(
+            g, eq.PartialColoring(g.n, 2), batch_of([eq.RecoloringMove(((0, 0),))])),
     ),
     "apply_move": tuple(
         lambda data, g, move=move: eq.apply_move(
@@ -326,6 +339,8 @@ CALLS = {
         *(lambda data, g, move=move: eq.select_separated_batch(
             g, f := eq.greedy_extend_full(g, g.max_degree + 1), [move(data, f)]
         ) for move in MOVES),
+        lambda data, g: eq.select_separated_batch(
+            g, f := eq.greedy_extend_full(g, g.max_degree + 1), stay(f, 0)),
     ),
     # forests
     "build_one_ended_subforest": (

@@ -52,6 +52,7 @@ def test_counts_cache():
     f.unassign(0)
     assert f.counts() == (1, 1, 1)
     assert f.domain_size == 3
+    assert repr(f) == "PartialColoring(n=5, k=3, dom=3)"
     with pytest.raises(OutOfRange):
         f.assign(4, 3)
 

@@ -35,6 +35,13 @@ def test_distribution_validation():
         ColorDistribution((0, 0), total=0)
 
 
+def test_distribution_equality_is_by_value():
+    half = ColorDistribution((1, 1))
+    assert half == ColorDistribution((2, 2)) and hash(half) == hash(ColorDistribution((2, 2)))
+    assert half != ColorDistribution((1, 2)) and half != (1, 1)
+    assert repr(ColorDistribution((1, 2))) == "ColorDistribution((1, 2)/3)"
+
+
 def test_discrepancy_examples():
     assert discrepancy(ColorDistribution((2, 2, 2))) == 0
     assert discrepancy(ColorDistribution((3, 2, 1))) == Fraction(1, 6)

@@ -108,6 +108,10 @@ def test_edge_round_trip():
     edges = [(0, 3), (1, 2), (2, 4)]
     g = build_graph(5, edges)
     assert sorted(g.edges()) == sorted(edges)
+    same = build_graph(5, reversed(edges))
+    assert g == same and hash(g) == hash(same)
+    assert g != build_graph(5, edges[:2]) and g != edges
+    assert repr(g) == "Graph(n=5, m=3)"
 
 
 def test_components():

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 import time
 
 import pytest
@@ -148,6 +150,13 @@ def test_generator_hub():
     g = generate(InstanceSpec.parse("hub:n=50,delta=15,target_avg=3", seed=2))
     assert g.max_degree == 15
     assert average_degree(g) <= 3
+    # 3 hubs take 6 of the 7 spokes, which are full at degree 1: no spoke
+    # edge fits, and the spoke loop stops at random short of its 10 edges
+    g = generate(InstanceSpec.parse("hub:n=10,delta=2,target_avg=2", seed=3))
+    assert g.max_degree == 2 and g.edge_count == 6
+    # 15 hubs need 30 spoke edges, but the 15 spokes take one each
+    with pytest.raises(InfeasibleParameters, match="could not complete hub degrees"):
+        generate(InstanceSpec.parse("hub:n=30,delta=2,target_avg=3"))
 
 
 def test_cli_color_equitable(tmp_path, capsys):
@@ -276,8 +285,13 @@ def test_cli_success_paths(tmp_path, capsys, argv, keys, values):
         assert files["csv"].read_text().startswith("step,disc,l1,cumulative")
 
 
-def test_cli_usage_error():
+def test_cli_usage_error(monkeypatch):
     assert main(["color-equitable"]) == 2
+    # `python -m equicolor` runs the package's __main__ through runpy
+    monkeypatch.setattr(sys, "argv", ["equicolor", "color-equitable"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("equicolor", run_name="__main__")
+    assert exit_.value.code == 2
 
 
 def test_cli_missing_file_error(tmp_path, capsys):

@@ -60,6 +60,10 @@ def test_count_closed_forms():
     assert count_proper_colorings(path(4), 3) == 3 * 2 ** 3
     assert count_proper_colorings(cycle(5), 3) == 2 ** 5 - 2
     assert count_proper_colorings(cycle(6), 3) == 2 ** 6 + 2
+    # no closed form: empty, one vertex, and a path plus an edge (a product)
+    assert count_proper_colorings(build_graph(0, []), 3) == 1
+    assert count_proper_colorings(build_graph(1, []), 3) == 3
+    assert count_proper_colorings(build_graph(5, [(0, 1), (1, 2), (3, 4)]), 3) == 12 * 6
     # closed forms agree with raw enumeration
     for g, k in [(path(5), 3), (cycle(4), 3), (complete(4), 4)]:
         assert count_proper_colorings(g, k) == sum(

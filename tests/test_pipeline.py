@@ -68,6 +68,7 @@ def test_extract_dense_set_star():
 def test_extract_dense_set_zero_threshold():
     g = cycle(5)
     assert extract_dense_set(g, 0) == tuple(range(5))
+    assert extract_dense_set(build_graph(0, []), 0) == extract_dense_set(build_graph(0, []), 1) == ()
 
 
 def test_extract_dense_set_bounds():
