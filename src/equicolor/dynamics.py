@@ -39,13 +39,23 @@ A round builds no distribution.  The driver reads the class counts once
 per round as one tuple: the trace record keeps it, the ledger's integer
 entry point `record_counts` checks it against the last round's in one
 pass over the total n, and the next round's `first_move` finds the
-minimum and the big classes in it.  The index reads the coloring's public
-color list and recolors through the unchecked `colorings._recolor`;
-`apply` updates each neighbor count once and pushes the moved vertices'
-heap entries inline, and the check of a one-vertex take has no order to
-scan.  A serial round thus costs O(Δ + k) list operations and heap
-pushes, plus one heap peek per pair of minimum color and class of size at
-least min + 2.
+minimum colors and the big classes in one pass over it.  The index reads
+the coloring's public color list and recolors through the unchecked
+`colorings._recolor`.  `apply` takes the vertices and their new colors
+(a round passes its take and its trace record's colors), updates each
+neighbor count once and pushes each heap entry as it becomes valid, so
+it builds no list; the check of a one-vertex take has no order to scan.
+`first_move` validates a heap top only while it could still beat the
+best vertex found so far, and leaves any other heap, stale entries and
+all, for a later round to prune.  A serial round thus costs O(Δ + k)
+list operations and heap pushes, plus one peek per pair of minimum color
+and class of size at least min + 2.
+
+The start costs no pass of its own: the index builds it while it fills
+the neighbor-color counts, by the first fit of `greedy_extend_full` (each
+uncolored vertex, in vertex order, takes the least color that none of its
+colored neighbors has).  With debug checks on, the driver compares the
+two.
 """
 
 from __future__ import annotations
@@ -59,7 +69,14 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .colorings import PartialColoring, _check_coloring, _recolor, greedy_extend_full, is_proper
+from .colorings import (
+    PartialColoring,
+    _check_coloring,
+    _recolor,
+    greedy_extend_full,
+    is_proper,
+    palette_size,
+)
 from .distributions import (
     ColorDistribution,
     ConvergenceLedger,
@@ -532,21 +549,34 @@ class _Pattern1Index:
     `first_move` reads the class counts its caller passes.  `nbr[x*k + c]`
     counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
     vertex x with f(x) = beta and no neighbor colored alpha, plus stale
-    entries that are dropped when they reach the top.  The constructor
-    fills each heap by appending in ascending vertex order, since a sorted
-    list is a heap: O(n*k + m) with no sifting.  `first_move` peeks
-    at heap tops and `take` pops a round; each moved vertex costs
-    O(deg + k) pushes in `apply`.
+    entries that are dropped when they reach the top.
+
+    The constructor first completes f in place by first fit, exactly as
+    `greedy_extend_full` does: it counts the seed's colors into `nbr`,
+    then each uncolored vertex, in vertex order, takes the least color c
+    with nbr[v*k + c] == 0 and adds itself to its neighbors' counts.  It
+    then fills each heap by appending in ascending vertex order, since a
+    sorted list is a heap: O(n*k + m) in all, with no sifting.
+    `first_move` peeks at heap tops and `take` pops a round; each moved
+    vertex costs O(deg + k) pushes in `apply`.
     """
 
     def __init__(self, g: Graph, f: PartialColoring):
-        k, colors = f.k, f.colors
+        k, colors, adj = f.k, f.colors, g.adj
         self.g, self.f, self.k, self.colors = g, f, k, colors
         self.nbr = nbr = [0] * (g.n * k)
-        for v, nbrs in enumerate(g.adj):
-            base = v * k
-            for w in nbrs:
-                nbr[base + colors[w]] += 1
+        for v, c in enumerate(colors):
+            if c is not None:
+                for w in adj[v]:
+                    nbr[w * k + c] += 1
+        # k exceeds every degree, so each row has a zero within its k slots
+        for v, c in enumerate(colors):
+            if c is None:
+                base = v * k
+                c = nbr.index(0, base, base + k) - base
+                _recolor(f, v, c)
+                for w in adj[v]:
+                    nbr[w * k + c] += 1
         self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
         # by beta: (alpha, heaps[alpha][beta]) for each alpha != beta
         into = [
@@ -560,38 +590,35 @@ class _Pattern1Index:
                 if not nbr[base + alpha]:
                     heap.append(v)
 
-    def apply(self, assignments: Iterable[tuple[int, int]]) -> list[int]:
-        """Recolor the (vertex, color) pairs in place, in order; return the
-        recolored vertices."""
-        colors, nbr, k, adj, f = self.colors, self.nbr, self.k, self.g.adj, self.f
-        heaps = self.heaps
-        recolored: list[int] = []
-        emptied: list[tuple[int, int]] = []     # (w, c): w lost a c-neighbor
-        for v, c in assignments:
+    def apply(self, vertices: Iterable[int], new_colors: Iterable[int]) -> None:
+        """Recolor each vertex to its new color in place, in order.
+
+        Every entry is pushed when it becomes valid: a recolored vertex
+        joins heap (alpha, its class) for each color alpha it has no
+        neighbor of, and a neighbor whose count of the old color drops to
+        zero joins that color's heap.  Within a move of several vertices
+        a later write may make an earlier push stale, never missing.
+        """
+        colors, nbr, k, adj, f, heaps = (
+            self.colors, self.nbr, self.k, self.g.adj, self.f, self.heaps
+        )
+        for v, c in zip(vertices, new_colors):
             old = colors[v]
             if old == c:
                 continue
             _recolor(f, v, c)
-            recolored.append(v)
+            into_old = heaps[old]
             for w in adj[v]:
                 base = w * k
                 nbr[base + c] += 1
                 left = nbr[base + old] - 1
                 nbr[base + old] = left
-                if not left:
-                    emptied.append((w, old))
-        # each recolored vertex joins heap (alpha, its class) for every
-        # color alpha it has no neighbor of
-        for v in recolored:
-            beta, base = colors[v], v * k
+                if not left and colors[w] != old:
+                    heappush(into_old[colors[w]], w)
+            base = v * k
             for alpha in range(k):
-                if alpha != beta and not nbr[base + alpha]:
-                    heappush(heaps[alpha][beta], v)
-        for w, c in emptied:
-            beta = colors[w]
-            if c != beta and nbr[w * k + c] == 0:
-                heappush(heaps[c][beta], w)
-        return recolored
+                if alpha != c and not nbr[base + alpha]:
+                    heappush(heaps[alpha][c], v)
 
     def take(self, alpha: int, beta: int, cap: int) -> list[int]:
         """Pop from heap (alpha, beta) up to `cap` distinct vertices of
@@ -617,24 +644,33 @@ class _Pattern1Index:
         """The first pattern-1 move (x, alpha) of the scan order, or None:
         the smallest valid heap top over minimum colors alpha and classes
         beta of size >= min + 2, the smallest alpha on a tie.  `counts` are
-        f's class counts.  Stale tops on the way are dropped."""
+        f's class counts.
+
+        A heap whose top is no smaller than the best vertex found so far
+        cannot hold a better one, so its stale entries are left for later;
+        stale tops below it are dropped."""
         colors, nbr, k, heaps = self.colors, self.nbr, self.k, self.heaps
         a = min(counts)
-        big = [beta for beta in range(k) if counts[beta] >= a + 2]
-        best: Optional[tuple[int, int]] = None
-        for alpha in range(k):
-            if counts[alpha] != a:
-                continue
+        mins, big = [], []
+        for c, size in enumerate(counts):
+            if size == a:
+                mins.append(c)
+            elif size >= a + 2:
+                big.append(c)
+        best, best_alpha = len(colors), 0
+        for alpha in mins:
+            row = heaps[alpha]
             for beta in big:
-                heap = heaps[alpha][beta]
+                heap = row[beta]
                 while heap:
                     x = heap[0]
-                    if colors[x] == beta and nbr[x * k + alpha] == 0:
-                        if best is None or x < best[0]:
-                            best = (x, alpha)
+                    if x >= best:
+                        break
+                    if colors[x] == beta and not nbr[x * k + alpha]:
+                        best, best_alpha = x, alpha
                         break
                     heappop(heap)
-        return best
+        return (best, best_alpha) if best < len(colors) else None
 
 
 def _check_round(
@@ -671,25 +707,30 @@ def equitable_k_coloring(
     Stalled, with the coloring and its gap, when no move of size <= 3
     exists at gap >= 2.
     """
-    # the driver recolors this copy of the seed in place
-    f = greedy_extend_full(g, k, f0)
-    size = f.k
+    size = palette_size(k, g.max_degree + 1)
+    if f0 is not None:
+        _check_coloring(g, f0, size, error=ImproperSeed)
+    # the driver recolors this copy of the seed in place; the index
+    # completes it by first fit, as greedy_extend_full does
+    f = PartialColoring(g.n, size) if f0 is None else f0.copy()
     if g.n == 0:
         trace = DynamicsTrace(0, size, tuple([0] * size))
         trace.ledgers.append(ConvergenceLedger(Fraction(LEDGER_A), size, Fraction(0)))
         return f, trace
 
     n = g.n
+    index = _Pattern1Index(g, f)
+    debug = debug_checks_enabled()
+    if debug:
+        assert f == greedy_extend_full(g, size, f0), "start differs from first fit"
     counts = f.counts()
     trace = DynamicsTrace(n, size, counts)
-    debug = debug_checks_enabled()
 
     # f is the one working coloring: every move below is applied in place
     # through index.apply, which also keeps f's class counts
     start_colors = f.as_list()
     ledger = ConvergenceLedger.for_initial(LEDGER_A, ColorDistribution.from_coloring(f))
     trace.ledgers.append(ledger)
-    index = _Pattern1Index(g, f)
     colors = f.colors
     # each recorded round has a witness class that gains, so it moves at
     # least 2/n; record_counts raises once the total passes the ledger
@@ -712,7 +753,6 @@ def equitable_k_coloring(
                     coloring=f, gap=f.gap(),
                 )
             witness = admissible_witness(g, f, move)
-            index.apply(move.assignments)
             kind, changed = "move", move.domain
             new_colors = tuple(c for _, c in move.assignments)
         else:
@@ -727,10 +767,10 @@ def equitable_k_coloring(
                     and all(colors[w] != alpha for w in g.adj[y])
                 )[:cap], "round differs from the rescan"
             _check_round(index, counts, taken, alpha, beta)
-            index.apply([(y, alpha) for y in taken])
             witness = alpha
             kind, changed = ("batch" if config.batch_mode else "move"), taken
             new_colors = (alpha,) * len(taken)
+        index.apply(changed, new_colors)
         new_counts = f.counts()
         # steps between counts of one total n are kept over n
         ledger.record_counts(counts, new_counts, n, witness)

@@ -274,6 +274,13 @@ def _hub(params: dict, rng: random.Random) -> Graph:
         raise InfeasibleParameters(
             f"{num_hubs} hubs of degree {delta} need n >= {num_hubs + delta}, got n={n}"
         )
+    capacity = (n - num_hubs) * (delta - 1)
+    if num_hubs * delta > capacity:
+        # the hubs' edges all end at spokes, each of degree at most delta - 1
+        raise InfeasibleParameters(
+            f"{num_hubs} hubs of degree {delta} need {num_hubs * delta} spoke edges, "
+            f"but the spokes take at most {capacity}"
+        )
     degree = [0] * n
     edge_set: set[tuple[int, int]] = set()
 

@@ -593,8 +593,9 @@ def test_pattern1_index_tracks_arbitrary_moves():
             move = make_move(g, dict(zip(dom, colors)))
             if not is_acceptable(g, f, move):
                 continue
-            expected = [u for u, c in move.assignments if f.get(u) != c]
-            assert index.apply(move.assignments) == expected
+            expected = apply_move(f, move)
+            index.apply(move.domain, [c for _, c in move.assignments])
+            assert f == expected and f.counts() == expected.counts()
             assert is_proper(g, f)
             first = index.first_move(f.counts())
             scan = next(_pattern1_moves(g, f), None)
@@ -610,7 +611,7 @@ def test_pattern1_index_tracks_arbitrary_moves():
             cap = rng.choice((1, 2, 5, len(movable) + 1))
             taken = index.take(alpha, beta, cap)
             assert taken == movable[:cap] and taken[0] == x
-            index.apply((y, alpha) for y in taken)
+            index.apply(taken, [alpha] * len(taken))
             assert is_proper(g, f)
 
 
@@ -656,21 +657,47 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40), st.sampled_from([0.0, 0.1, 0.2, 0.4]),
-    st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3), st.sampled_from(["none", "partial", "total"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_pattern1_index_matches_heappush_build(n, p, extra, seed):
-    # the appended heaps equal the heappush build on a random total proper
-    # coloring, list for list, as do the neighbor-color counts
+def test_pattern1_index_matches_heappush_build(n, p, extra, seeded, seed):
+    # from no seed or a random proper partial or total one, the index
+    # completes its coloring as greedy_extend_full does, and its appended
+    # heaps equal the heappush build on the finished start, list for list,
+    # as do the neighbor-color counts
     rng = random.Random(seed)
     g = random_graph(n, p, rng.getrandbits(32))
-    k = g.max_degree + 1 + extra
-    f = PartialColoring(g.n, k)
-    for v in rng.sample(range(n), n):
-        f.assign(v, rng.choice(
-            [c for c in range(k) if all(f.get(w) != c for w in g.adjacency(v))]
-        ))
-    index = _Pattern1Index(g, f)
-    assert (index.nbr, index.heaps) == reference_pattern1_index(g, f)
+    k = g.max_degree + extra
+    f0 = None if seeded == "none" else PartialColoring(n, k)
+    for v in rng.sample(range(n), n) if f0 is not None else ():
+        if seeded == "total" or rng.random() < 0.5:
+            f0.assign(v, rng.choice(
+                [c for c in range(k) if all(f0.get(w) != c for w in g.adjacency(v))]
+            ))
+    start = PartialColoring(n, k) if f0 is None else f0.copy()
+    index = _Pattern1Index(g, start)
+    first_fit = greedy_extend_full(g, k, f0)
+    assert start == first_fit and start.counts() == first_fit.counts()
+    assert (index.nbr, index.heaps) == reference_pattern1_index(g, start)
+
+
+def test_driver_debug_asserts_start_against_first_fit(monkeypatch):
+    # the driver builds its start inside the index; the debug checks
+    # compare it with greedy_extend_full, here made to disagree
+    g = random_graph(30, 0.2, 4)
+    k = g.max_degree + 1
+    expected = equitable_k_coloring(g, k)
+
+    def reversed_fit(g, k, f0):
+        return PartialColoring(g.n, k, [k - 1 - c for c in greedy_extend_full(g, k, f0).colors])
+
+    monkeypatch.setattr(dynamics, "greedy_extend_full", reversed_fit)
+    monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", "")
+    f, trace = equitable_k_coloring(g, k)
+    assert (f, trace.to_jsonl()) == (expected[0], expected[1].to_jsonl())
+    monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", "1")
+    with pytest.raises(AssertionError, match="first fit"):
+        equitable_k_coloring(g, k)
 
 
 def test_batch_driver_cubic_scales():

@@ -155,8 +155,12 @@ def test_generator_hub():
     g = generate(InstanceSpec.parse("hub:n=10,delta=2,target_avg=2", seed=3))
     assert g.max_degree == 2 and g.edge_count == 6
     # 15 hubs need 30 spoke edges, but the 15 spokes take one each
-    with pytest.raises(InfeasibleParameters, match="could not complete hub degrees"):
+    with pytest.raises(InfeasibleParameters, match="need 30 spoke edges"):
         generate(InstanceSpec.parse("hub:n=30,delta=2,target_avg=3"))
+    # 6 hubs need 24 spoke edges and the 8 spokes take exactly 24, but
+    # these draws leave a hub short before the retry cap
+    with pytest.raises(InfeasibleParameters, match="could not complete hub degrees"):
+        generate(InstanceSpec.parse("hub:n=14,delta=4,target_avg=11/2"))
 
 
 def test_cli_color_equitable(tmp_path, capsys):
