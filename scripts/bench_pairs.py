@@ -3,12 +3,12 @@
 performance claim.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N
-                                      [--seconds 20]
 
 PARENT and CHANGE are checkouts of this repository.  Each pair runs
-`ROOT/perfbench/run.py --workload W --seed S --seconds 20` once in each
-checkout, one run at a time; the first pair starts with PARENT, the next
-with CHANGE, and so on.  For every end-to-end metric that this
+`ROOT/perfbench/run.py --workload W --seed S --seconds T` once in each
+checkout, one run at a time, with T the `run_seconds` of this
+checkout's `BENCHMARK.json`; the first pair starts with PARENT, the
+next with CHANGE, and so on.  For every end-to-end metric that this
 checkout's `BENCHMARK.json` lists, the script prints both sides' median
 and quartiles, the change's relative difference, and in how many pairs
 the change was strictly better under the metric's `better` direction.
@@ -53,14 +53,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(
-    parent: list[float], change: list[float], better: str, need: float = 0.9
-) -> dict:
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """Compare paired runs of one metric; `better` is "lower" or "higher".
 
     `wins` counts the pairs where the change is strictly better; `holds`
-    is true when wins reach `need` of the pairs and the change's median
-    beats the parent's by more than the parent's interquartile range."""
+    is true when the change wins at least 9 of every 10 pairs and its
+    median beats the parent's by more than the parent's interquartile
+    range."""
     sign = 1 if better == "lower" else -1
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
@@ -71,7 +70,7 @@ def summarize(
         "rel": (cm - pm) / pm if pm else 0.0,
         "wins": wins,
         "pairs": len(parent),
-        "holds": wins >= need * len(parent) and sign * (pm - cm) > p3 - p1,
+        "holds": 10 * wins >= 9 * len(parent) and sign * (pm - cm) > p3 - p1,
     }
 
 
@@ -89,17 +88,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
-    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    benchmark = json.loads(BENCHMARK.read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(roots[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(roots[side], args.workload, args.seed, seconds))
         print(f"pair {i + 1}: wall_s {runs['parent'][-1].get('wall_s')} -> "
               f"{runs['change'][-1].get('wall_s')}", file=sys.stderr)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs: "
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs: "
           "median [quartiles], parent -> change")
     for metric in metrics:
         name = metric["name"]

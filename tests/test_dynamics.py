@@ -647,6 +647,19 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
     assert runs[:len(runs) // 2] == runs[len(runs) // 2:]
     f, cubic_trace = equitable_k_coloring(cubic, 4, config=DriverConfig(batch_mode=True))
     replay_trace(cubic, 4, f, cubic_trace, batch=True)
+    # the start, built inside the index, is compared with greedy_extend_full,
+    # here made to disagree; with debug off the run is unchanged
+    def reversed_fit(g, k, f0):
+        return PartialColoring(g.n, k, [k - 1 - c for c in greedy_extend_full(g, k, f0).colors])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "greedy_extend_full", reversed_fit)
+        patch.setenv("EQUICOLOR_DEBUG_ASSERT", "")
+        h, trace = equitable_k_coloring(cubic, 4, config=DriverConfig(batch_mode=True))
+        assert (h, trace.to_jsonl()) == (f, cubic_trace.to_jsonl())
+        patch.setenv("EQUICOLOR_DEBUG_ASSERT", "1")
+        with pytest.raises(AssertionError, match="first fit"):
+            equitable_k_coloring(cubic, 4, config=DriverConfig(batch_mode=True))
     # and each round is compared with the rescan
     take = _Pattern1Index.take
     monkeypatch.setattr(_Pattern1Index, "take", lambda self, *args: take(self, *args)[1:])
@@ -679,25 +692,6 @@ def test_pattern1_index_matches_heappush_build(n, p, extra, seeded, seed):
     first_fit = greedy_extend_full(g, k, f0)
     assert start == first_fit and start.counts() == first_fit.counts()
     assert (index.nbr, index.heaps) == reference_pattern1_index(g, start)
-
-
-def test_driver_debug_asserts_start_against_first_fit(monkeypatch):
-    # the driver builds its start inside the index; the debug checks
-    # compare it with greedy_extend_full, here made to disagree
-    g = random_graph(30, 0.2, 4)
-    k = g.max_degree + 1
-    expected = equitable_k_coloring(g, k)
-
-    def reversed_fit(g, k, f0):
-        return PartialColoring(g.n, k, [k - 1 - c for c in greedy_extend_full(g, k, f0).colors])
-
-    monkeypatch.setattr(dynamics, "greedy_extend_full", reversed_fit)
-    monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", "")
-    f, trace = equitable_k_coloring(g, k)
-    assert (f, trace.to_jsonl()) == (expected[0], expected[1].to_jsonl())
-    monkeypatch.setenv("EQUICOLOR_DEBUG_ASSERT", "1")
-    with pytest.raises(AssertionError, match="first fit"):
-        equitable_k_coloring(g, k)
 
 
 def test_batch_driver_cubic_scales():
