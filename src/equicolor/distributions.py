@@ -12,10 +12,12 @@ movement with the budget by cross-multiplication; a Fraction is built only
 when a value is read.  A budget violation is reported as a driver bug,
 never silently absorbed.
 
-`ConvergenceLedger.record_counts` holds the ledger's one set of checks, on
-two integer count sequences over one total; the driver passes every round
-of a coloring to it over the total n.  `record` scales two distributions
-to a common total and calls it.  A step costs one pass over the two
+`_record_step` holds the ledger's one set of step checks, on two integer
+count sequences over one total; the driver passes every round of a
+coloring to it over the total n, its k counts summing to n by
+construction.  `ConvergenceLedger.record_counts` checks those lengths and
+sums and calls it, and `record` scales two distributions to a common
+total and calls `record_counts`.  A step costs one pass over the two
 sequences, `_step_scan`, which also defines `witness_colors`: it gives the
 l1 movement, the least gain and the witness test.  A and the budget are
 compared through integer numerators and denominators fixed when the ledger
@@ -233,7 +235,7 @@ def _debug_scan_witness(omega, eta, ell, alpha) -> None:
     assert (ell, alpha) in valid, f"constructed witness {(ell, alpha)} not valid"
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerStep:
     """One recorded step: its l1 movement and the gain of its witness (or of
     the least-gaining color), as integer numerators over `denom`."""
@@ -343,42 +345,7 @@ class ConvergenceLedger:
             raise PaletteMismatch("ledger palette size mismatch")
         if sum(before) != denom or sum(after) != denom:
             raise OutOfRange(f"step counts must both sum to the total {denom}")
-        moved, min_gain, low, cap = _step_scan(before, after)
-        if moved == 0:
-            self.steps.append(LedgerStep(0, witness, 0))
-            return self
-        step_index = len(self.steps)
-        step = (before, after)
-        # monotone: unchanged, or with a witness color (is_more_equitable)
-        if low > cap:
-            raise MonotonicityViolation(f"step {step_index} is not monotone", step=step)
-        if witness is None:
-            gained = min_gain
-        elif 0 <= witness < k and after[witness] > before[witness]:
-            gained = after[witness] - before[witness]
-        else:
-            raise HypothesisViolation(
-                f"step {step_index}: witness {witness} does not gain mass", step=step
-            )
-        if moved * self._a_den > self._a_num * min_gain:
-            raise HypothesisViolation(
-                f"step {step_index}: l1 step {Fraction(moved, denom)} exceeds "
-                f"A * minimal gain {self.a_param * Fraction(min_gain, denom)}",
-                step=step,
-            )
-        if denom == self._den:
-            self._num += moved
-        else:
-            den = lcm(self._den, denom)
-            self._num = self._num * (den // self._den) + moved * (den // denom)
-            self._den = den
-        if self._num * self._bound_den > self._bound_num * self._den:
-            raise BoundViolation(
-                f"step {step_index}: cumulative {self.cumulative} exceeds "
-                f"budget {self._bound}; the driver violated its contract",
-                step=step,
-            )
-        self.steps.append(LedgerStep(moved, witness, gained, denom))
+        _record_step(self, before, after, denom, witness)
         return self
 
     def observed_ratio(self) -> Optional[Fraction]:
@@ -400,3 +367,52 @@ class ConvergenceLedger:
             ),
             "steps": [s.to_dict() for s in self.steps],
         }
+
+
+def _record_step(
+    ledger: ConvergenceLedger,
+    before: Sequence[int],
+    after: Sequence[int],
+    denom: int,
+    witness: Optional[int],
+) -> int:
+    """`ConvergenceLedger.record_counts` without its length and sum checks,
+    for callers whose two count sequences have the ledger's k entries and
+    both sum to `denom`; returns the step's l1 movement over `denom`."""
+    moved, min_gain, low, cap = _step_scan(before, after)
+    if moved == 0:
+        ledger.steps.append(LedgerStep(0, witness, 0))
+        return 0
+    step_index = len(ledger.steps)
+    step = (before, after)
+    # monotone: unchanged, or with a witness color (is_more_equitable)
+    if low > cap:
+        raise MonotonicityViolation(f"step {step_index} is not monotone", step=step)
+    if witness is None:
+        gained = min_gain
+    elif 0 <= witness < ledger.k and after[witness] > before[witness]:
+        gained = after[witness] - before[witness]
+    else:
+        raise HypothesisViolation(
+            f"step {step_index}: witness {witness} does not gain mass", step=step
+        )
+    if moved * ledger._a_den > ledger._a_num * min_gain:
+        raise HypothesisViolation(
+            f"step {step_index}: l1 step {Fraction(moved, denom)} exceeds "
+            f"A * minimal gain {ledger.a_param * Fraction(min_gain, denom)}",
+            step=step,
+        )
+    if denom == ledger._den:
+        ledger._num += moved
+    else:
+        den = lcm(ledger._den, denom)
+        ledger._num = ledger._num * (den // ledger._den) + moved * (den // denom)
+        ledger._den = den
+    if ledger._num * ledger._bound_den > ledger._bound_num * ledger._den:
+        raise BoundViolation(
+            f"step {step_index}: cumulative {ledger.cumulative} exceeds "
+            f"budget {ledger._bound}; the driver violated its contract",
+            step=step,
+        )
+    ledger.steps.append(LedgerStep(moved, witness, gained, denom))
+    return moved

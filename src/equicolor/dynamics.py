@@ -36,20 +36,36 @@ of it at once.  Only when the index is empty does a round fall back to one
 step of patterns 2 and 3 or the exhaustive pass, in both modes.
 
 A round builds no distribution.  The driver reads the class counts once
-per round as one tuple: the trace record keeps it, the ledger's integer
-entry point `record_counts` checks it against the last round's in one
-pass over the total n, and the next round's `first_move` finds the
+per round as one tuple: the trace record keeps it, the ledger's unchecked
+core `distributions._record_step` checks it against the last round's in
+one pass over the total n, and the next round's `first_move` finds the
 minimum colors and the big classes in one pass over it.  The index reads
 the coloring's public color list and recolors through the unchecked
 `colorings._recolor`.  `apply` takes the vertices and their new colors
-(a round passes its take and its trace record's colors), updates each
-neighbor count once and pushes each heap entry as it becomes valid, so
-it builds no list; the check of a one-vertex take has no order to scan.
+(a round passes its take and its trace record's colors) and updates each
+neighbor count once, so it builds no list; the check of a one-vertex take
+has no order to scan.
+
+The heaps (alpha, beta) over all alpha form class beta's column, filled
+lazily.  A vertex that enters beta (every vertex, at the start) joins
+beta's pending list, and the column takes it only when `first_move` finds
+beta at size min + 2 or more, the one case where the column is read; a
+vertex whose last alpha-neighbor leaves is pushed into heap (alpha, its
+class) at once.  A serial pattern-1 round moves its vertex into a minimum
+class, which ends at min + 1.  No class at min shrinks, so the minimum
+never falls, and a class grows only while it is at min: the receiving
+class never again reaches min + 2, and what it receives is never pushed.
+So in serial mode every fill happens in the first round or after a
+fallback move; only batch rounds, whose receiving class can end far above
+min, fill columns as they go.
+
 `first_move` validates a heap top only while it could still beat the
 best vertex found so far, and leaves any other heap, stale entries and
-all, for a later round to prune.  A serial round thus costs O(Δ + k)
-list operations and heap pushes, plus one peek per pair of minimum color
-and class of size at least min + 2.
+all, for a later round to prune.  It leaves its vertex x, valid, on top
+of heap (alpha, f(x)), so a serial round takes it with one `heappop`,
+where a batch round pops its take through `take`.  Past its fills, a
+serial round thus costs O(Δ) list operations and heap pushes, plus one
+peek per pair of minimum color and class of size at least min + 2.
 
 The start costs no pass of its own: the index builds it while it fills
 the neighbor-color counts, by the first fit of `greedy_extend_full` (each
@@ -80,6 +96,7 @@ from .colorings import (
 from .distributions import (
     ColorDistribution,
     ConvergenceLedger,
+    _record_step,
     is_more_equitable,
     witness_colors,
 )
@@ -461,7 +478,7 @@ class DriverConfig:
     batch_mode: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     kind: str                      # "move" | "batch"
     step: int
@@ -547,18 +564,26 @@ class _Pattern1Index:
 
     `colors` is f's color list, `apply` recolors through `_recolor` and
     `first_move` reads the class counts its caller passes.  `nbr[x*k + c]`
-    counts the neighbors of x colored c.  `heaps[alpha][beta]` holds every
-    vertex x with f(x) = beta and no neighbor colored alpha, plus stale
-    entries that are dropped when they reach the top.
+    counts the neighbors of x colored c.  The heaps `heaps[alpha][beta]`
+    over all alpha form column beta.  `pending[beta]` lists the vertices
+    that entered class beta since its column was last filled; while it is
+    empty, heap (alpha, beta) holds every vertex x with f(x) = beta and no
+    neighbor colored alpha, plus stale entries that are dropped when they
+    reach the top.  That holds because `apply` pushes each vertex that
+    loses its last alpha-neighbor and queues each recolored vertex in its
+    new class's list.
 
     The constructor first completes f in place by first fit, exactly as
     `greedy_extend_full` does: it counts the seed's colors into `nbr`,
     then each uncolored vertex, in vertex order, takes the least color c
     with nbr[v*k + c] == 0 and adds itself to its neighbors' counts.  It
-    then fills each heap by appending in ascending vertex order, since a
-    sorted list is a heap: O(n*k + m) in all, with no sifting.
-    `first_move` peeks at heap tops and `take` pops a round; each moved
-    vertex costs O(deg + k) pushes in `apply`.
+    then lists every vertex, in ascending order, as pending in its class:
+    O(n*k + m) in all.  `first_move` fills the column of each class it
+    can move from with `_fill`, which pushes in pending order, so a column
+    filled from the start is sorted, as a heappush build in vertex order
+    is.  `first_move` peeks at heap tops and `take` pops a round; each
+    moved vertex costs O(deg) pushes in `apply`, and O(k) more in `_fill`
+    only if its class is later read.
     """
 
     def __init__(self, g: Graph, f: PartialColoring):
@@ -579,28 +604,44 @@ class _Pattern1Index:
                     nbr[w * k + c] += 1
         self.heaps: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
         # by beta: (alpha, heaps[alpha][beta]) for each alpha != beta
-        into = [
+        self.into = [
             [(alpha, self.heaps[alpha][beta]) for alpha in range(k) if alpha != beta]
             for beta in range(k)
         ]
-        # vertices come in ascending order and a sorted list is a heap
+        # every column starts pending, its vertices in ascending order
+        self.pending: list[list[int]] = [[] for _ in range(k)]
         for v, beta in enumerate(colors):
-            base = v * k
-            for alpha, heap in into[beta]:
-                if not nbr[base + alpha]:
-                    heap.append(v)
+            self.pending[beta].append(v)
+
+    def _fill(self, beta: int) -> None:
+        """Push each pending vertex still in class beta into heap (alpha,
+        beta) for every color alpha it has no neighbor of, in pending
+        order, and empty the list.  Then column beta holds every
+        beta-vertex with no alpha-neighbor, for each alpha."""
+        colors, nbr, k = self.colors, self.nbr, self.k
+        pending, into = self.pending[beta], self.into[beta]
+        for v in pending:
+            if colors[v] == beta:
+                base = v * k
+                for alpha, heap in into:
+                    if not nbr[base + alpha]:
+                        heappush(heap, v)
+        pending.clear()
 
     def apply(self, vertices: Iterable[int], new_colors: Iterable[int]) -> None:
         """Recolor each vertex to its new color in place, in order.
 
-        Every entry is pushed when it becomes valid: a recolored vertex
-        joins heap (alpha, its class) for each color alpha it has no
-        neighbor of, and a neighbor whose count of the old color drops to
-        zero joins that color's heap.  Within a move of several vertices
-        a later write may make an earlier push stale, never missing.
+        A recolored vertex joins its new class's pending list, to be pushed
+        into that column's heaps by `_fill` once the class can be moved
+        from.  A neighbor whose count of the old color drops to zero is
+        pushed into that color's heap at once, pending or not, so a filled
+        column never misses an entry; a vertex both pushed and pending is
+        pushed twice, and the copies pop consecutively.  Within a move of
+        several vertices a later write may make an earlier entry stale,
+        never missing.
         """
-        colors, nbr, k, adj, f, heaps = (
-            self.colors, self.nbr, self.k, self.g.adj, self.f, self.heaps
+        colors, nbr, k, adj, f, heaps, pending = (
+            self.colors, self.nbr, self.k, self.g.adj, self.f, self.heaps, self.pending
         )
         for v, c in zip(vertices, new_colors):
             old = colors[v]
@@ -615,10 +656,7 @@ class _Pattern1Index:
                 nbr[base + old] = left
                 if not left and colors[w] != old:
                     heappush(into_old[colors[w]], w)
-            base = v * k
-            for alpha in range(k):
-                if alpha != c and not nbr[base + alpha]:
-                    heappush(heaps[alpha][c], v)
+            pending[c].append(v)
 
     def take(self, alpha: int, beta: int, cap: int) -> list[int]:
         """Pop from heap (alpha, beta) up to `cap` distinct vertices of
@@ -646,10 +684,14 @@ class _Pattern1Index:
         beta of size >= min + 2, the smallest alpha on a tie.  `counts` are
         f's class counts.
 
-        A heap whose top is no smaller than the best vertex found so far
-        cannot hold a better one, so its stale entries are left for later;
-        stale tops below it are dropped."""
-        colors, nbr, k, heaps = self.colors, self.nbr, self.k, self.heaps
+        The columns of the big classes are filled first.  A heap whose
+        top is no smaller than the best vertex found so far cannot hold a
+        better one, so its stale entries are left for later; stale tops
+        below it are dropped.  The returned x is left on top of heap
+        (alpha, f(x))."""
+        colors, nbr, k, heaps, pending = (
+            self.colors, self.nbr, self.k, self.heaps, self.pending
+        )
         a = min(counts)
         mins, big = [], []
         for c, size in enumerate(counts):
@@ -657,6 +699,8 @@ class _Pattern1Index:
                 mins.append(c)
             elif size >= a + 2:
                 big.append(c)
+                if pending[c]:
+                    self._fill(c)
         best, best_alpha = len(colors), 0
         for alpha in mins:
             row = heaps[alpha]
@@ -759,8 +803,12 @@ def equitable_k_coloring(
             # a pattern-1 round, admissible with its target color as witness
             x, alpha = first
             beta = colors[x]
-            cap = (counts[beta] - counts[alpha]) // 2 if config.batch_mode else 1
-            taken = index.take(alpha, beta, cap)
+            if config.batch_mode:
+                cap = (counts[beta] - counts[alpha]) // 2
+                taken = index.take(alpha, beta, cap)
+            else:
+                # first_move left x, valid, on top of heap (alpha, beta)
+                cap, taken = 1, [heappop(index.heaps[alpha][beta])]
             if debug:
                 assert taken == sorted(
                     y for y in range(n) if colors[y] == beta
@@ -772,14 +820,13 @@ def equitable_k_coloring(
             new_colors = (alpha,) * len(taken)
         index.apply(changed, new_colors)
         new_counts = f.counts()
-        # steps between counts of one total n are kept over n
-        ledger.record_counts(counts, new_counts, n, witness)
+        # steps between k counts of one total n are kept over n
+        moved = _record_step(ledger, counts, new_counts, n, witness)
         if debug:
             assert is_proper(g, f), "applied round broke properness"
             assert is_more_equitable(
                 ColorDistribution(counts, n), ColorDistribution(new_counts, n), strict=True
             )
-        moved = ledger.steps[-1].moved
         moved_total += moved
         trace.records.append(TraceRecord(
             kind, len(trace.records), tuple(changed), new_colors, witness,

@@ -213,7 +213,11 @@ def _quick_balance(
     k, colors, adj, count_of = out.k, out.colors, g.adj, out.count_of
     counts = out.counts()
     # the unfrozen vertices by aux class, each class in vertex order
-    order = sorted([v for v in range(g.n) if v not in frozen_set], key=aux.colors.__getitem__)
+    by_class: list[list[int]] = [[] for _ in range(aux.k)]
+    for v, c in enumerate(aux.colors):
+        if v not in frozen_set:
+            by_class[c].append(v)
+    order = [v for members in by_class for v in members]
 
     q, extra = divmod(g.n, k)
     target = [0] * k

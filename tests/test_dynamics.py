@@ -597,9 +597,24 @@ def test_pattern1_index_tracks_arbitrary_moves():
             index.apply(move.domain, [c for _, c in move.assignments])
             assert f == expected and f.counts() == expected.counts()
             assert is_proper(g, f)
-            first = index.first_move(f.counts())
+            counts = f.counts()
+            first = index.first_move(counts)
             scan = next(_pattern1_moves(g, f), None)
             assert first == (scan and scan.assignments[0])
+            # every column first_move may read is complete: the valid
+            # entries of heap (alpha, beta) are the beta-vertices with no
+            # alpha-neighbor, also for a class that received vertices
+            # while it was small
+            for beta in range(k):
+                if counts[beta] < min(counts) + 2:
+                    continue
+                for alpha in set(range(k)) - {beta}:
+                    free = {
+                        y for y in range(g.n) if f.get(y) == beta
+                        and all(f.get(w) != alpha for w in g.adjacency(y))
+                    }
+                    heap = index.heaps[alpha][beta]
+                    assert {y for y in heap if y in free} == free
             if first is None or rng.random() < 0.5:
                 continue
             x, alpha = first
@@ -675,9 +690,9 @@ def test_driver_debug_asserts_index_against_rescan(monkeypatch):
 )
 def test_pattern1_index_matches_heappush_build(n, p, extra, seeded, seed):
     # from no seed or a random proper partial or total one, the index
-    # completes its coloring as greedy_extend_full does, and its appended
-    # heaps equal the heappush build on the finished start, list for list,
-    # as do the neighbor-color counts
+    # completes its coloring as greedy_extend_full does; once every column
+    # is filled, its heaps equal the heappush build on the finished start,
+    # list for list, as do the neighbor-color counts
     rng = random.Random(seed)
     g = random_graph(n, p, rng.getrandbits(32))
     k = g.max_degree + extra
@@ -691,7 +706,10 @@ def test_pattern1_index_matches_heappush_build(n, p, extra, seeded, seed):
     index = _Pattern1Index(g, start)
     first_fit = greedy_extend_full(g, k, f0)
     assert start == first_fit and start.counts() == first_fit.counts()
+    for beta in range(k):
+        index._fill(beta)
     assert (index.nbr, index.heaps) == reference_pattern1_index(g, start)
+    assert index.pending == [[] for _ in range(k)]
 
 
 def test_batch_driver_cubic_scales():
